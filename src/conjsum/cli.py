@@ -159,50 +159,25 @@ def _cmd_transform(args) -> int:
 
 def _cmd_check_matrix(args) -> int:
     n_max = args.n if args.n is not None else summability.DEFAULT_CHECKER_N_MAX
+    if n_max < 0:
+        raise DomainError(f"--n must be a nonnegative matrix order, got {n_max}")
     A = _matrix_from(args.matrix_a, n_max)
     B = _matrix_from(args.matrix_b, n_max)
-    reports = [
-        summability.check_condition_2_1(A),
-        summability.check_condition_2_2(A),
-        summability.check_condition_2_21(A, B),
-        summability.check_condition_3_2(B),
-    ]
-    rows = []
-    for rep in reports:
-        rows.append(
-            {
-                "condition": rep.condition_id,
-                "matrix_a": A.name,
-                "matrix_b": B.name,
-                "min_constant": rep.min_constant,
-                "witness": "/".join(str(i) for i in rep.witness),
-            }
+    results = [
+        (rep.condition_id, rep.min_constant, "/".join(str(i) for i in rep.witness))
+        for rep in (
+            summability.check_condition_2_1(A),
+            summability.check_condition_2_2(A),
+            summability.check_condition_2_21(A, B),
+            summability.check_condition_3_2(B),
         )
+    ]
     remark1 = max(summability.check_remark1_condition(A, n) for n in range(n_max + 1))
-    rows.append(
-        {
-            "condition": "remark1",
-            "matrix_a": A.name,
-            "matrix_b": B.name,
-            "min_constant": remark1,
-            "witness": f"n_max={n_max}",
-        }
-    )
-    rows.append(
-        {
-            "condition": "remark2",
-            "matrix_a": A.name,
-            "matrix_b": B.name,
-            "min_constant": summability.check_remark2_condition(B),
-            "witness": f"n_max={B.n_max}",
-        }
-    )
-    _write_rows(
-        ["condition", "matrix_a", "matrix_b", "min_constant", "witness"],
-        rows,
-        args.out,
-        args.format,
-    )
+    results.append(("remark1", remark1, f"n_max={n_max}"))
+    results.append(("remark2", summability.check_remark2_condition(B), f"n_max={B.n_max}"))
+    columns = ["condition", "matrix_a", "matrix_b", "min_constant", "witness"]
+    rows = [dict(zip(columns, (c, A.name, B.name, k, w))) for c, k, w in results]
+    _write_rows(columns, rows, args.out, args.format)
     return 0
 
 

@@ -25,7 +25,7 @@ from .conjugate import (
 from .functions import DEFAULT_GRID, PI, GridSpec, PeriodicFunction
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, fourier_coeffs
 from .moduli import classical_modulus, modulus_profile
-from .summability import TriangularMatrix, ab_transform
+from .summability import TriangularMatrix, ab_transform, exact_cumsum
 
 THEOREM_IDS = ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc", "T3", "T4", "COR")
 
@@ -92,13 +92,12 @@ def rhs_remark1(
 
 
 def _remark1_expression(A: TriangularMatrix, n: int, values: np.ndarray) -> float:
-    row = A.row(n).tolist()
+    row = A.row(n)
     inner = _averaged_modulus(values)
-    total = 0.0
-    for r in range(n + 1):
-        weight = row[r] + math.fsum(row[1 : r + 1]) / (r + 1)
-        total += weight * inner[r]
-    return total + float(inner[n])
+    tails = np.concatenate(([0.0], exact_cumsum(row[1:])))
+    weights = row + tails / np.arange(1.0, n + 2.0)
+    # np.cumsum adds in index order, so the total rounds like a running sum
+    return float(np.cumsum(weights * inner)[-1] + inner[n])
 
 
 def rhs_theorem2(

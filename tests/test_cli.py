@@ -44,6 +44,20 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_check_matrix_nan_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan-row.json"
+        path.write_text(json.dumps({"name": "nan-row", "rows": [[1.0], [math.nan, 1.0]]}))
+        code = run_cli(["check-matrix", "--matrix-a", str(path), "--matrix-b", "identity", "--n", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nan-row: row 1 has a non-finite entry" in captured.err
+
+    def test_check_matrix_negative_n_names_flag(self, capsys):
+        code = run_cli(["check-matrix", "--n", "-1"])
+        assert code == 2
+        assert "--n" in capsys.readouterr().err
+
     def test_numerical_failure_exits_1(self, monkeypatch, tmp_path, capsys):
         def boom(*a, **k):
             raise ConvergenceError("no convergence", (0.1, 0.2))

@@ -83,6 +83,28 @@ class TestBuilders:
         with pytest.raises(MatrixValidationError, match="negative"):
             from_rows([[1.0], [-0.1, 1.1]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_rows_non_finite_error(self, bad):
+        with pytest.raises(MatrixValidationError, match="row 1 has a non-finite entry"):
+            from_rows([[1.0], [bad, 1.0]])
+
+    def test_nordlund_rejects_non_finite(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(MatrixValidationError, match="finite"):
+                nordlund([1.0, bad], 1)
+
+    def test_dense_storage_is_read_only(self):
+        C = cesaro(3)
+        assert C.dense.shape == (4, 4)
+        assert np.array_equal(np.triu(C.dense, 1), np.zeros((4, 4)))
+        with pytest.raises(ValueError):
+            C.row(2)[0] = 0.5
+
+    def test_builders_reject_negative_order(self):
+        for build in (cesaro, identity_matrix, delta_at_zero, lambda n: nordlund([1.0], n)):
+            with pytest.raises(MatrixValidationError, match="needs at least one row"):
+                build(-2)
+
     def test_from_rows_shape_error(self):
         with pytest.raises(MatrixValidationError, match="row 1"):
             from_rows([[1.0], [1.0]])
