@@ -75,6 +75,7 @@ class TriangularMatrix:
 
     @classmethod
     def _from_dense(cls, dense: np.ndarray, name: str) -> TriangularMatrix:
+        """Adopt a builder's lower-triangular array, validating its rows like the constructor."""
         matrix = cls.__new__(cls)
         matrix._adopt(dense, name)
         return matrix
