@@ -54,11 +54,9 @@ from .summability import (
     check_condition_2_511,
 )
 from .conjugate import (
-    ConjugateSettings,
     ConvergenceError,
     conjugate_truncated,
     conjugate_at,
-    truncation_sequence,
     deviation_kernel_form,
     default_x_grid,
 )

@@ -6,8 +6,9 @@ digits so every numeric field parses back to the identical double.  Rows are
 produced in sorted key order, never by completion order, so identical configs
 yield byte-identical files.
 
-Exit codes: 0 ok, 1 numerical failure (non-convergence / singular integrand),
-2 configuration error (unknown names, bad JSON, out-of-range parameters).
+Exit codes: 0 ok, 1 numerical failure (error estimate over tolerance, singular
+integrand), 2 configuration error (unknown names, bad JSON, out-of-range or
+non-finite parameters).
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from . import functions, kernels, moduli, summability, verify
 from .functions import DomainError, GridSpec, SingularIntegrandError
 
 BUILTIN_MATRICES = ("cesaro", "identity", "delta0")
+
+# the conjugate command's default eps column: pi * 2**-j for j = 1..20
+DEFAULT_EPS = tuple(functions.PI * 2.0 ** (-j) for j in range(1, 21))
 
 
 def _fmt(value) -> str:
@@ -77,16 +81,28 @@ def _matrix_from(spec: str, n_max: int) -> summability.TriangularMatrix:
     return matrix
 
 
+def _nonnegative(flag: str, n: int) -> int:
+    if n < 0:
+        raise DomainError(f"{flag} must be nonnegative, got {n}")
+    return n
+
+
+def _n_or_default(args, default: int) -> int:
+    return default if args.n is None else _nonnegative("--n", args.n)
+
+
 def _n_values(args) -> list[int]:
     if getattr(args, "n_list", None):
-        return sorted(set(args.n_list))
+        return sorted({_nonnegative("--n-list", n) for n in args.n_list})
     if getattr(args, "n", None) is not None:
-        return [args.n]
+        return [_nonnegative("--n", args.n)]
     raise DomainError("one of --n or --n-list is required")
 
 
 def _x_values(args) -> list[float]:
     if getattr(args, "x", None) is not None:
+        if not math.isfinite(args.x):
+            raise DomainError(f"--x must be finite, got {args.x}")
         return [args.x]
     return conj.default_x_grid()
 
@@ -94,7 +110,7 @@ def _x_values(args) -> list[float]:
 def _cmd_coeffs(args) -> int:
     f = _function_from(args)
     grid = _grid_from(args)
-    N = args.n if args.n is not None else kernels.DEFAULT_COEFF_CUTOFF
+    N = _n_or_default(args, kernels.DEFAULT_COEFF_CUTOFF)
     c = kernels.fourier_coeffs(f, N, grid)
     rows = [{"function": f.name, "nu": 0, "a": c.a0, "b": 0.0}]
     for nu in range(1, N + 1):
@@ -106,7 +122,7 @@ def _cmd_coeffs(args) -> int:
 def _cmd_conjugate(args) -> int:
     f = _function_from(args)
     grid = _grid_from(args)
-    eps_list = args.eps if args.eps else list(conj.DEFAULT_SETTINGS.eps_sequence)
+    eps_list = args.eps if args.eps else DEFAULT_EPS
     rows = []
     for x in _x_values(args):
         limit = conj.conjugate_at(f, x, grid=grid)
@@ -158,9 +174,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_check_matrix(args) -> int:
-    n_max = args.n if args.n is not None else summability.DEFAULT_CHECKER_N_MAX
-    if n_max < 0:
-        raise DomainError(f"--n must be a nonnegative matrix order, got {n_max}")
+    n_max = _n_or_default(args, summability.DEFAULT_CHECKER_N_MAX)
     A = _matrix_from(args.matrix_a, n_max)
     B = _matrix_from(args.matrix_b, n_max)
     results = [
@@ -207,7 +221,7 @@ def _cmd_moduli(args) -> int:
                 }
             )
     else:
-        n = args.n if args.n is not None else 32
+        n = _n_or_default(args, 32)
         for x in _x_values(args):
             profile = moduli.modulus_profile(f, x, n, args.kind, grid)
             for k, (delta, value) in enumerate(zip(profile.deltas, profile.values)):
@@ -244,13 +258,14 @@ def _cmd_verify(args) -> int:
     f = _function_from(args)
     grid = _grid_from(args)
     ns = _n_values(args)
+    xs = _x_values(args)
     A = _matrix_from(args.matrix_a, max(ns))
     B = _matrix_from(args.matrix_b, max(ns))
     theorem = args.theorem
     reports: list[verify.BoundReport] = []
     if theorem in ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc"):
         for n in ns:
-            for x in _x_values(args):
+            for x in xs:
                 reports.append(verify.pointwise_report(theorem, f, A, B, x, n, grid))
     elif theorem in ("T3", "T4"):
         if theorem == "T4":
@@ -262,7 +277,7 @@ def _cmd_verify(args) -> int:
                 )
             )
     elif theorem == "COR":
-        for x in _x_values(args):
+        for x in xs:
             reports.extend(verify.corollary_decay(f, A, B, ns, x, grid))
     else:
         raise DomainError(f"unknown theorem id {theorem!r}; choose from {verify.THEOREM_IDS}")

@@ -1,14 +1,14 @@
 """Truncated and full conjugate function via singular quadrature.
 
-The full conjugate is the eps -> 0+ limit of the truncated integral; it is
-made operational by walking a fixed halving eps sequence and Richardson
-extrapolation of the linear-in-eps truncation error, with a Cauchy stop.
+Both are one graded principal-value quadrature of psi_x(t) (1/2) cot(t/2)
+over (eps, pi]; the full conjugate is the eps = 0 case, whose integrand is
+bounded at t -> 0 wherever f is Dini-continuous at x.  Its mesh-halving error
+estimate is the divergence signal: above CONJUGATE_TOL it raises.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -26,37 +26,15 @@ from .functions import (
 from .kernels import conj_dirichlet_matrix
 from .summability import TriangularMatrix, ab_weights
 
+CONJUGATE_TOL = 1e-8  # largest error estimate conjugate_at accepts
+
 
 class ConvergenceError(RuntimeError):
-    """The truncation sequence was exhausted before the tolerance was met."""
+    """The quadrature error estimate exceeded CONJUGATE_TOL; last_values is (value, est_error)."""
 
     def __init__(self, message, last_values):
         super().__init__(message)
         self.last_values = tuple(last_values)
-
-
-def _default_eps() -> tuple[float, ...]:
-    return tuple(PI * 2.0 ** (-j) for j in range(1, 21))
-
-
-@dataclass(frozen=True)
-class ConjugateSettings:
-    eps_sequence: tuple[float, ...] = field(default_factory=_default_eps)
-    extrapolation_tol: float = 1e-7
-
-    def __post_init__(self):
-        eps = self.eps_sequence
-        if len(eps) < 2:
-            raise DomainError("eps_sequence needs at least two entries")
-        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-            raise DomainError("eps_sequence must be strictly decreasing")
-        if eps[0] > PI or eps[-1] <= 0.0:
-            raise DomainError("eps_sequence must lie in (0, pi]")
-        if self.extrapolation_tol <= 0.0:
-            raise DomainError("extrapolation_tol must be positive")
-
-
-DEFAULT_SETTINGS = ConjugateSettings()
 
 
 def default_x_grid() -> list[float]:
@@ -66,13 +44,17 @@ def default_x_grid() -> list[float]:
 
 
 @lru_cache(maxsize=100000)
-def _truncated_cached(f: PeriodicFunction, x: float, eps: float, grid: GridSpec) -> float:
+def _truncated_cached(
+    f: PeriodicFunction, x: float, eps: float, grid: GridSpec
+) -> tuple[float, float]:
+    """(-(1/pi) int_eps^pi psi_x(t) (1/2) cot(t/2) dt, its error estimate)."""
     cuts = [b for b in psi_breakpoints(f, x) if b > eps]
 
     def integrand(t):
         return eval_psi(f, x, t) * 0.5 / np.tan(0.5 * t)
 
-    return -integrate_graded(integrand, eps, PI, grid, breakpoints=cuts).value / PI
+    q = integrate_graded(integrand, eps, PI, grid, breakpoints=cuts)
+    return -q.value / PI, q.est_error / PI
 
 
 def conjugate_truncated(
@@ -83,53 +65,20 @@ def conjugate_truncated(
         raise DomainError(f"eps must lie in (0, pi], got {eps}")
     if eps == PI:
         return 0.0
-    return _truncated_cached(f, x, float(eps), grid)
+    return _truncated_cached(f, x, float(eps), grid)[0]
 
 
-def truncation_sequence(
-    f: PeriodicFunction,
-    x: float,
-    settings: ConjugateSettings = DEFAULT_SETTINGS,
-    grid: GridSpec = DEFAULT_GRID,
-) -> list[tuple[float, float]]:
-    """The (eps, truncated value) pairs conjugate_at walks through."""
-    return [(eps, conjugate_truncated(f, x, eps, grid)) for eps in settings.eps_sequence]
-
-
-@lru_cache(maxsize=100000)
-def _conjugate_cached(
-    f: PeriodicFunction, x: float, settings: ConjugateSettings, grid: GridSpec
-) -> float:
-    eps = settings.eps_sequence
-    vals: list[float] = []
-    extrapolated: list[float] = []
-    for j, e in enumerate(eps):
-        vals.append(conjugate_truncated(f, x, e, grid))
-        if j == 0:
-            continue
-        # truncation error is c*eps + O(eps^3); eliminate the linear term
-        e0, e1 = eps[j - 1], e
-        r = (e0 * vals[j] - e1 * vals[j - 1]) / (e0 - e1)
-        extrapolated.append(r)
-        if len(extrapolated) >= 2 and abs(extrapolated[-1] - extrapolated[-2]) < settings.extrapolation_tol:
-            return r
-    raise ConvergenceError(
-        f"conjugate at x={x} did not converge to {settings.extrapolation_tol} "
-        f"within {len(eps)} truncations",
-        extrapolated[-2:] if len(extrapolated) >= 2 else vals[-2:],
-    )
-
-
-def conjugate_at(
-    f: PeriodicFunction,
-    x: float,
-    settings: ConjugateSettings = DEFAULT_SETTINGS,
-    grid: GridSpec = DEFAULT_GRID,
-) -> float:
-    """The conjugate function at x, as the extrapolated limit of truncations."""
+def conjugate_at(f: PeriodicFunction, x: float, grid: GridSpec = DEFAULT_GRID) -> float:
+    """The conjugate function at x: the principal-value integral from eps = 0."""
     if f.is_singular_at(x):
         raise DomainError(f"x={x} is a known singular point of {f.name}")
-    return _conjugate_cached(f, float(x), settings, grid)
+    value, est_error = _truncated_cached(f, float(x), 0.0, grid)
+    if not est_error <= CONJUGATE_TOL:
+        raise ConvergenceError(
+            f"conjugate at x={x}: error estimate {est_error:.3g} exceeds {CONJUGATE_TOL}",
+            (value, est_error),
+        )
+    return value
 
 
 def deviation_kernel_form(
@@ -173,12 +122,10 @@ def deviation_kernel_form(
 
 
 __all__ = [
-    "ConjugateSettings",
+    "CONJUGATE_TOL",
     "ConvergenceError",
-    "DEFAULT_SETTINGS",
     "conjugate_truncated",
     "conjugate_at",
-    "truncation_sequence",
     "deviation_kernel_form",
     "default_x_grid",
 ]

@@ -183,7 +183,7 @@ def _x_nodes(grid: GridSpec) -> np.ndarray:
 
 def lp_norm(g, p: float, grid: GridSpec = DEFAULT_GRID) -> float:
     """Quadrature L^p norm of g over [-pi, pi]; p = inf is the grid maximum."""
-    if p < 1:
+    if not p >= 1:
         raise DomainError(f"p must satisfy 1 <= p <= inf, got {p}")
     nodes = _x_nodes(grid)
     values = np.abs(np.asarray(g(nodes), dtype=float))
@@ -238,7 +238,7 @@ def classical_modulus(
 ) -> float:
     """sup over 0 < t <= delta of the L^p norm in x of psi (phi if conjugate=False)."""
     _check_delta(delta)
-    if p < 1:
+    if not p >= 1:
         raise DomainError(f"p must satisfy 1 <= p <= inf, got {p}")
     kind = "psi" if conjugate else "phi"
     t, norms = _classical_table(f, float(p), kind, grid)

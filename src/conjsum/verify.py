@@ -15,13 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conjugate import (
-    DEFAULT_SETTINGS,
-    ConjugateSettings,
-    conjugate_at,
-    conjugate_truncated,
-    default_x_grid,
-)
+from .conjugate import conjugate_at, conjugate_truncated, default_x_grid
 from .functions import DEFAULT_GRID, PI, GridSpec, PeriodicFunction
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, fourier_coeffs
 from .moduli import classical_modulus, modulus_profile
@@ -116,14 +110,13 @@ def lhs_theorem1(
     n: int,
     truncated: bool,
     grid: GridSpec = DEFAULT_GRID,
-    settings: ConjugateSettings = DEFAULT_SETTINGS,
 ) -> float:
     """|T~ f(x) - conjugate|, against the truncated or the full conjugate."""
     value = transform_value(f, A, B, n, x, grid, conjugate=True)
     if truncated:
         target = conjugate_truncated(f, x, PI / (n + 1), grid)
     else:
-        target = conjugate_at(f, x, settings, grid)
+        target = conjugate_at(f, x, grid)
     return abs(value - target)
 
 
@@ -173,7 +166,7 @@ def norm_report(
     The lhs norm is discrete over the default evaluation grid (weight pi/16
     per point, max for p = inf); the rhs uses the classical L^p moduli.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
     devs = np.array(
         [lhs_theorem1(f, A, B, x, n, truncated, grid) for x in default_x_grid()]

@@ -5,6 +5,7 @@ complete; the whole module finishes in well under two minutes.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -99,12 +100,50 @@ def test_criterion_2_lemma1_bounds():
     assert ok
 
 
+def _even_bernoulli(k_max: int) -> list[Fraction]:
+    """B_2, B_4, ..., B_{2 k_max} exactly (Akiyama-Tanigawa)."""
+    a, b = [], []
+    for m in range(2 * k_max + 1):
+        a.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        b.append(a[0])
+    return b[2::2]
+
+
+# Cl_2(t) = t - t ln|t| + sum_k |B_2k| t^(2k+1) / (2k (2k+1)!) for |t| < 2 pi
+_CLAUSEN_COEFFS = [
+    float(abs(bk) / (2 * k * math.factorial(2 * k + 1)))
+    for k, bk in enumerate(_even_bernoulli(60), start=1)
+]
+
+
+CATALAN = 0.91596559417721901505  # Cl_2(pi/2)
+
+
+def clausen2(t: float) -> float:
+    assert abs(t) < 2 * PI
+    if t == 0.0:
+        return 0.0
+    series = sum(c * t ** (2 * k + 1) for k, c in enumerate(_CLAUSEN_COEFFS, start=1))
+    return t - t * math.log(abs(t)) + series
+
+
+def hat_conjugate(x: float) -> float:
+    """From the hat's coefficients 2(1 - cos(nu w))/(pi w nu^2), half-width w = pi/2."""
+    w = PI / 2
+    return 2 / (PI * w) * (clausen2(x) - 0.5 * clausen2(x + w) - 0.5 * clausen2(x - w))
+
+
 def test_criterion_3_conjugate_oracle():
     cases = [
-        ("sin", lambda x: -math.cos(x), 1e-6),
-        ("cos", math.sin, 1e-6),
-        ("sawtooth", lambda x: math.log(2 * math.sin(((x) % (2 * PI)) / 2)), 1e-4),
+        ("sin", lambda x: -math.cos(x), 1e-12),
+        ("cos", math.sin, 1e-12),
+        ("sin3", lambda x: -math.cos(3 * x), 1e-12),
+        ("sawtooth", lambda x: math.log(2 * math.sin(((x) % (2 * PI)) / 2)), 1e-12),
+        ("hat", hat_conjugate, 1e-12),
     ]
+    assert abs(clausen2(PI / 2) - CATALAN) <= 1e-15
     worst = {}
     for name, oracle, tol in cases:
         f = by_name(name)

@@ -58,6 +58,51 @@ class TestExitCodes:
         assert code == 2
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--theorem", "T1.5", "--function", "sin", "--n", "4", "--x", "nan"],
+            ["conjugate", "--function", "sin", "--x", "inf"],
+            ["transform", "--function", "sin", "--n", "4", "--x", "inf"],
+            ["moduli", "--function", "sin", "--x=-inf", "--delta", "0.5"],
+            ["verify", "--theorem", "T3", "--function", "sin", "--n", "4", "--x", "nan"],
+        ],
+        ids=["verify", "conjugate", "transform", "moduli", "verify-norm"],
+    )
+    def test_non_finite_x_names_flag(self, args, capsys):
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--x must be finite" in captured.err
+
+    def test_nan_p_exits_2(self, capsys):
+        code = run_cli(["verify", "--theorem", "T3", "--function", "sin", "--n", "4", "--p", "nan"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p must satisfy" in captured.err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["verify", "--theorem", "T1.5", "--function", "sin", "--n", "-3", "--x", "0.5"], "--n"),
+            (["transform", "--function", "sin", "--n-list", "2", "-1"], "--n-list"),
+            (["coeffs", "--function", "sin", "--n", "-1"], "--n"),
+            (["moduli", "--function", "sin", "--x", "0.5", "--n", "-1"], "--n"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_negative_order_names_flag(self, args, flag, capsys):
+        assert run_cli(args) == 2
+        assert f"error: {flag} must be nonnegative" in capsys.readouterr().err
+
+    def test_conjugate_near_jump_exits_1(self, capsys):
+        code = run_cli(["conjugate", "--function", "sawtooth", "--x", "1e-9", "--eps", "0.5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error estimate" in captured.err
+
     def test_numerical_failure_exits_1(self, monkeypatch, tmp_path, capsys):
         def boom(*a, **k):
             raise ConvergenceError("no convergence", (0.1, 0.2))

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from conjsum.conjugate import (
-    ConjugateSettings,
+    CONJUGATE_TOL,
     ConvergenceError,
     conjugate_at,
     conjugate_truncated,
     default_x_grid,
     deviation_kernel_form,
-    truncation_sequence,
 )
 from conjsum.functions import DomainError, by_name, corpus, eval_psi, integrate_graded
 from conjsum.kernels import fourier_coeffs, conj_partial_sum
@@ -61,51 +60,48 @@ class TestTruncated:
 
 class TestConjugateAt:
     def test_sine(self, funcs):
-        assert conjugate_at(funcs["sin"], PI / 3) == pytest.approx(-0.5, abs=1e-6)
+        assert conjugate_at(funcs["sin"], PI / 3) == pytest.approx(-0.5, abs=1e-12)
 
     def test_cosine(self, funcs):
         got = conjugate_at(funcs["cos"], PI / 4)
-        assert got == pytest.approx(0.7071067811865476, abs=1e-6)
+        assert got == pytest.approx(0.7071067811865476, abs=1e-12)
 
     def test_sawtooth(self, funcs):
         got = conjugate_at(funcs["sawtooth"], PI / 2)
-        assert got == pytest.approx(0.3465735902799726, abs=1e-4)
+        assert got == pytest.approx(0.3465735902799726, abs=1e-12)
 
     def test_corpus_against_known(self, grid):
         for f in corpus():
             if f.known_conjugate is None:
                 continue
-            tol = 1e-4 if f.name == "sawtooth" else 1e-6
             for x in default_x_grid()[::5]:
                 want = float(f.known_conjugate.eval(np.asarray(x)))
-                assert conjugate_at(f, x, grid=grid) == pytest.approx(want, abs=tol)
+                assert conjugate_at(f, x, grid=grid) == pytest.approx(want, abs=1e-12)
 
     def test_singular_point_rejected(self, funcs):
         with pytest.raises(DomainError):
             conjugate_at(funcs["sawtooth"], 0.0)
 
-    def test_truncation_sequence_reported(self, funcs):
-        settings = ConjugateSettings(eps_sequence=tuple(PI * 2.0 ** (-j) for j in range(1, 6)))
-        seq = truncation_sequence(funcs["sin"], 0.9, settings)
-        assert [e for e, _ in seq] == list(settings.eps_sequence)
-        for eps, value in seq:
-            assert value == conjugate_truncated(funcs["sin"], 0.9, eps)
+    def test_truncated_tends_to_limit(self, funcs):
+        # exact gap for sin: f~(x) - f~(x, eps) = -cos(x) (eps + sin eps) / pi
+        x = 0.9
+        limit = conjugate_at(funcs["sin"], x)
+        for eps in (1e-2, 1e-4, 1e-6):
+            gap = conjugate_truncated(funcs["sin"], x, eps) - limit
+            assert gap == pytest.approx(math.cos(x) * (eps + math.sin(eps)) / PI, abs=1e-12)
 
     def test_convergence_failure_carries_last_values(self, funcs):
-        settings = ConjugateSettings(
-            eps_sequence=(PI / 2, PI / 4, PI / 8), extrapolation_tol=1e-15
-        )
+        # 1e-9 from the jump, the graded mesh cannot resolve psi_x near t = x
         with pytest.raises(ConvergenceError) as err:
-            conjugate_at(funcs["sawtooth"], PI / 2, settings)
-        assert len(err.value.last_values) == 2
+            conjugate_at(funcs["sawtooth"], 1e-9)
+        value, est_error = err.value.last_values
+        assert math.isfinite(value)
+        assert est_error > CONJUGATE_TOL
 
-    def test_settings_validation(self):
-        with pytest.raises(DomainError):
-            ConjugateSettings(eps_sequence=(0.5, 0.5))
-        with pytest.raises(DomainError):
-            ConjugateSettings(eps_sequence=(4.0, 1.0))
-        with pytest.raises(DomainError):
-            ConjugateSettings(extrapolation_tol=0.0)
+    def test_sawtooth_close_to_jump(self, funcs):
+        x = 1e-6
+        want = math.log(2.0 * math.sin(0.5 * x))
+        assert conjugate_at(funcs["sawtooth"], x) == pytest.approx(want, abs=1e-12)
 
     def test_default_x_grid(self):
         xs = default_x_grid()

@@ -126,6 +126,10 @@ class TestLpNorm:
         with pytest.raises(DomainError):
             lp_norm(np.sin, 0.5, grid)
 
+    def test_nan_p_rejected(self, grid):
+        with pytest.raises(DomainError):
+            lp_norm(np.sin, math.nan, grid)
+
 
 class TestClassicalModulus:
     def test_constant(self, grid):
@@ -150,6 +154,10 @@ class TestClassicalModulus:
     def test_p_below_one_rejected(self, grid):
         with pytest.raises(DomainError):
             classical_modulus(by_name("sin"), 1.0, 0.9, grid)
+
+    def test_nan_p_rejected(self, grid):
+        with pytest.raises(DomainError):
+            classical_modulus(by_name("sin"), 1.0, math.nan, grid)
 
     def test_nondecreasing_in_delta(self, grid):
         f = by_name("sawtooth")
