@@ -55,11 +55,14 @@ def _write_rows(columns: Sequence[str], rows: Iterable[dict], out: str | None, f
 
 
 def _grid_from(args) -> GridSpec:
-    m = args.grid_m
+    m, source = args.grid_m, "--grid-m"
     if m is None:
         env = os.environ.get("CONJSUM_GRID_M")
-        m = int(env) if env else functions.DEFAULT_GRID.m
-    return GridSpec(m=m, refinement=args.grid_refinement)
+        m, source = (int(env), "CONJSUM_GRID_M") if env else (functions.DEFAULT_GRID.m, "--grid-m")
+    try:
+        return GridSpec(m=m, refinement=args.grid_refinement)
+    except DomainError as exc:
+        raise DomainError(f"{source} / --grid-refinement: {exc}") from None
 
 
 def _function_from(args) -> functions.PeriodicFunction:

@@ -20,6 +20,10 @@ TWO_PI = 2.0 * math.pi
 _GL_POINTS = 8
 _gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_GL_POINTS)
 
+# At this m the moduli node table takes about 104 MB and each 400*m increment
+# array of the classical moduli about 52 MB.
+MAX_GRID_M = 2**14
+
 
 class SingularIntegrandError(ValueError):
     """The integrand produced a non-finite value at a quadrature node."""
@@ -31,7 +35,7 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Quadrature resolution: m nodes per period, dyadic grading depth."""
+    """Quadrature resolution: m nodes per period (16 <= m <= 2**14), dyadic grading depth."""
 
     m: int = 1024
     refinement: int = 24
@@ -39,6 +43,8 @@ class GridSpec:
     def __post_init__(self):
         if self.m < 16:
             raise DomainError(f"grid m must be >= 16, got {self.m}")
+        if self.m > MAX_GRID_M:
+            raise DomainError(f"grid m must be <= {MAX_GRID_M}, got {self.m}")
         if self.m % 2 != 0:
             raise DomainError(f"grid m must be even, got {self.m}")
         if self.refinement < 1:
@@ -117,15 +123,17 @@ def eval_phi(f: PeriodicFunction, x: float, t):
 # quadrature engine
 
 
+def gl_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, one row of 8 per panel [lo[k], hi[k]]."""
+    half = 0.5 * (hi - lo)[:, None]
+    mid = 0.5 * (hi + lo)[:, None]
+    return mid + half * _gl_nodes, half * _gl_weights
+
+
 def gl_rule(boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights for the panels between boundaries."""
-    lo = boundaries[:-1, None]
-    hi = boundaries[1:, None]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid + half * _gl_nodes).ravel()
-    weights = (half * _gl_weights).ravel()
-    return nodes, weights
+    nodes, weights = gl_panels(boundaries[:-1], boundaries[1:])
+    return nodes.ravel(), weights.ravel()
 
 
 def _check_finite(values: np.ndarray):

@@ -22,6 +22,11 @@ SINGULAR_CUTOFF = 1e-12
 
 DEFAULT_COEFF_CUTOFF = 512
 
+# nu values per cos/sin block in fourier_coeffs.  One gemv over every nu rounds
+# differently under 1 and 2 BLAS threads; blocks of 32 give the one-thread bits
+# under both (checked for N <= 2000), and hold 32 rows of phases instead of N.
+_COEFF_ROWS = 32
+
 
 class SingularKernelError(ValueError):
     """The complementary kernel was evaluated at a multiple of 2*pi."""
@@ -126,10 +131,16 @@ def fourier_coeffs(
         empty = np.zeros(0)
         return FourierCoefficients(a0=a0, a=empty, b=empty, N=0)
     nu = np.arange(1, N + 1, dtype=float)
-    phases = np.multiply.outer(nu, nodes)
-    a = (np.cos(phases) @ values) / PI
-    b = (np.sin(phases) @ values) / PI
-    return FourierCoefficients(a0=a0, a=a, b=b, N=N)
+    a, b = np.empty(N), np.empty(N)
+    start = 0
+    while start < N:
+        # the last block takes 33 rows rather than leave one: np.dot adds in another order than gemv
+        stop = N if N - start <= _COEFF_ROWS + 1 else start + _COEFF_ROWS
+        phases = np.multiply.outer(nu[start:stop], nodes)
+        a[start:stop] = np.cos(phases) @ values
+        b[start:stop] = np.sin(phases) @ values
+        start = stop
+    return FourierCoefficients(a0=a0, a=a / PI, b=b / PI, N=N)
 
 
 def _check_order(c: FourierCoefficients, k: int):

@@ -1,10 +1,21 @@
 """Pointwise and classical moduli of continuity, L^p norms, averaged-moduli facts.
 
-All pointwise moduli at one (f, x) are served from a single cached cumulative
-integral of |psi_x| (or |phi_x|) over a master panelization of (0, pi].  The
-panel boundaries include a uniform grid, a dyadic cascade toward 0, every
-delta = pi/(k+1) up to k = 256, psi's jump locations and the refined roots of
-the signed increment, so the integrand is smooth inside every panel.
+Every pointwise modulus is a lookup in a cumulative integral of |psi_x| (or
+|phi_x|) over panels of (0, pi].  The master panel boundaries are a uniform
+grid, a dyadic cascade toward 0 and every delta = pi/(k+1) up to k = 256.
+Two tables hold them:
+
+- ``_cumulative`` (one x): the master set with m/2 uniform panels, plus psi's
+  jump locations and the refined roots of the signed increment, so the
+  integrand is smooth inside every panel.
+- ``_node_table`` (every uniform x node of ``lp_norm``): the master set alone,
+  with at most 512 uniform panels, since the kinks move with x.  It holds
+  8*m*P bytes for P boundaries (P = 792 at the default grid: 6.5 MB at
+  m = 1024, about 104 MB at the largest m).  Only the most recent table is
+  kept: callers walk delta one function at a time.
+
+A delta on the boundary set reads cum[i] / delta; any other delta adds one
+8-node Gauss-Legendre panel from the boundary below it.
 
 The sup over 0 < t <= delta in the bar and classical moduli is discretized
 over that master set (plus the endpoint delta itself); the discretized sup is
@@ -29,12 +40,16 @@ from .functions import (
     DomainError,
     GridSpec,
     PeriodicFunction,
-    gl_rule,
-    graded_boundaries,
+    gl_panels,
     psi_breakpoints,
 )
 
 MODULUS_KINDS = ("w", "w_bar", "w_tilde", "w_tilde_bar")
+
+# The node table is built 32 x nodes at a time (1.6 MB per sample array), and
+# its uniform part stops at 512 panels so that its size is linear in m.
+_TABLE_ROWS = 32
+_TABLE_MAX_PANELS = 512
 
 
 @dataclass(frozen=True)
@@ -50,11 +65,17 @@ class ModulusProfile:
         return PI / (np.arange(len(self.values)) + 1.0)
 
 
-def _increment(f: PeriodicFunction, x: float, kind: str):
-    fx2 = 2.0 * float(f(np.asarray(x)))
+def _increment(f: PeriodicFunction, x, kind: str):
+    """t -> psi_x(t) (or phi_x(t)); x is a float or an array that broadcasts against t."""
     if kind == "psi":
         return lambda t: f(x + t) - f(x - t)
+    fx2 = 2.0 * f(x)
     return lambda t: f(x + t) + f(x - t) - fx2
+
+
+def _abs_increment(f: PeriodicFunction, x, kind: str):
+    signed = _increment(f, x, kind)
+    return lambda t: np.abs(signed(t))
 
 
 def _bisect_roots(g, lo: np.ndarray, hi: np.ndarray, iters: int = 52) -> np.ndarray:
@@ -69,63 +90,87 @@ def _bisect_roots(g, lo: np.ndarray, hi: np.ndarray, iters: int = 52) -> np.ndar
     return 0.5 * (lo + hi)
 
 
+def _panel_bounds(pieces: list[np.ndarray]) -> np.ndarray:
+    bounds = np.unique(np.concatenate(pieces))
+    return bounds[np.concatenate([[True], np.diff(bounds) > 1e-15])]
+
+
+def _master_pieces(panels: int, refinement: int) -> list[np.ndarray]:
+    return [
+        np.linspace(0.0, PI, panels + 1),
+        PI * 2.0 ** (-np.arange(1.0, refinement + 17.0)),
+        PI / (np.arange(257.0) + 1.0),
+    ]
+
+
+def _cumulate(absval, bounds: np.ndarray) -> np.ndarray:
+    """Integrals of absval over (0, bounds[i]] for every i, one row per x if absval has an x axis."""
+    nodes, weights = gl_panels(bounds[:-1], bounds[1:])
+    samples = absval(nodes)
+    if not np.all(np.isfinite(samples)):
+        raise DomainError("modulus integrand is not finite")
+    panel = (weights * samples).sum(axis=-1)
+    return np.concatenate([np.zeros(panel.shape[:-1] + (1,)), np.cumsum(panel, axis=-1)], axis=-1)
+
+
 class _AbsCumulative:
-    """Cumulative integral of |increment| with queryable partial integrals."""
+    """Cumulative integral of |increment| at panel boundaries, queried by arrays of delta.
 
-    def __init__(self, f: PeriodicFunction, x: float, kind: str, grid: GridSpec):
-        signed = _increment(f, x, kind)
-        self._abs = lambda t: np.abs(signed(np.asarray(t, dtype=float)))
+    ``cum[..., i]`` integrates over (0, bounds[i]]; a leading axis, if any,
+    runs over x.  ``absval`` maps a (k, 8) node array to |increment| with the
+    same leading axis.  Queries take deltas in (0, pi].
+    """
 
-        pieces = [
-            np.linspace(0.0, PI, grid.m // 2 + 1),
-            PI * 2.0 ** (-np.arange(1.0, grid.refinement + 17.0)),
-            PI / (np.arange(257.0) + 1.0),
-            np.asarray(psi_breakpoints(f, x), dtype=float),
-        ]
-        bounds = np.unique(np.concatenate(pieces))
-        bounds = bounds[np.concatenate([[True], np.diff(bounds) > 1e-15])]
-
-        vals = np.asarray(signed(bounds[1:]), dtype=float)
-        flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-        if len(flips):
-            roots = _bisect_roots(signed, bounds[1:][flips], bounds[2:][flips])
-            bounds = np.unique(np.concatenate([bounds, roots]))
-            bounds = bounds[np.concatenate([[True], np.diff(bounds) > 1e-15])]
-
-        nodes, weights = gl_rule(bounds)
-        samples = self._abs(nodes)
-        if not np.all(np.isfinite(samples)):
-            raise DomainError("modulus integrand is not finite")
-        panel = (weights * samples).reshape(len(bounds) - 1, -1).sum(axis=1)
+    def __init__(self, absval, bounds: np.ndarray, cum: np.ndarray):
+        self._abs = absval
         self.bounds = bounds
-        self.cum = np.concatenate([[0.0], np.cumsum(panel)])
+        self.cum = cum
 
-    def integral_to(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        if t >= self.bounds[-1]:
-            return float(self.cum[-1])
-        i = int(np.searchsorted(self.bounds, t))
-        if self.bounds[i] == t:
-            return float(self.cum[i])
-        nodes, weights = gl_rule(np.array([self.bounds[i - 1], t]))
-        return float(self.cum[i - 1] + np.dot(weights, self._abs(nodes)))
+    def average(self, deltas) -> np.ndarray:
+        """(1/delta) times the integral over (0, delta]."""
+        deltas = np.asarray(deltas, dtype=float)
+        i = np.minimum(np.searchsorted(self.bounds, deltas), len(self.bounds) - 1)
+        total = self.cum[..., i]
+        off = np.flatnonzero(self.bounds[i] != deltas)
+        if len(off):
+            below = i[off] - 1
+            nodes, weights = gl_panels(self.bounds[below], deltas[off])
+            # vecdot adds each panel in np.dot's order, so a delta gives the same bits in any batch
+            total[..., off] = self.cum[..., below] + np.vecdot(weights, self._abs(nodes))
+        return total / deltas
 
-    def average(self, delta: float) -> float:
-        return self.integral_to(delta) / delta
-
-    def bar(self, delta: float) -> float:
-        i = int(np.searchsorted(self.bounds, delta, side="right"))
-        best = self.average(delta)
-        if i > 1:
-            interior = float(np.max(self.cum[1:i] / self.bounds[1:i]))
-            best = max(best, interior)
-        return best
+    def bar(self, deltas) -> np.ndarray:
+        """Largest average over the boundaries up to delta and delta itself."""
+        deltas = np.asarray(deltas, dtype=float)
+        prefix_max = np.maximum.accumulate(self.cum[..., 1:] / self.bounds[1:], axis=-1)
+        last = np.searchsorted(self.bounds, deltas, side="right") - 2
+        interior = np.where(last >= 0, prefix_max[..., np.maximum(last, 0)], 0.0)
+        return np.maximum(self.average(deltas), interior)
 
 
 @lru_cache(maxsize=4096)
 def _cumulative(f: PeriodicFunction, x: float, kind: str, grid: GridSpec) -> _AbsCumulative:
-    return _AbsCumulative(f, x, kind, grid)
+    """One x: master boundaries plus psi's jumps and the roots of the increment."""
+    signed = _increment(f, x, kind)
+    breaks = np.asarray(psi_breakpoints(f, x), dtype=float)
+    bounds = _panel_bounds(_master_pieces(grid.m // 2, grid.refinement) + [breaks])
+    vals = np.asarray(signed(bounds[1:]), dtype=float)
+    flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+    if len(flips):
+        bounds = _panel_bounds([bounds, _bisect_roots(signed, bounds[1:][flips], bounds[2:][flips])])
+    absval = _abs_increment(f, x, kind)
+    return _AbsCumulative(absval, bounds, _cumulate(absval, bounds))
+
+
+@lru_cache(maxsize=1)
+def _node_table(f: PeriodicFunction, kind: str, grid: GridSpec) -> _AbsCumulative:
+    """Every uniform x node at once, on the master boundaries only."""
+    x = _x_nodes(grid)[:, None, None]
+    bounds = _panel_bounds(_master_pieces(min(grid.m // 2, _TABLE_MAX_PANELS), grid.refinement))
+    cum = np.empty((grid.m, len(bounds)))
+    for s in range(0, grid.m, _TABLE_ROWS):
+        cum[s : s + _TABLE_ROWS] = _cumulate(_abs_increment(f, x[s : s + _TABLE_ROWS], kind), bounds)
+    return _AbsCumulative(_abs_increment(f, x, kind), bounds, cum)
 
 
 def _check_delta(delta: float):
@@ -133,28 +178,34 @@ def _check_delta(delta: float):
         raise DomainError(f"delta must lie in (0, pi], got {delta}")
 
 
+def _lookup(f: PeriodicFunction, x: float, deltas: np.ndarray, kind: str, grid: GridSpec) -> np.ndarray:
+    cum = _cumulative(f, float(x), "psi" if "tilde" in kind else "phi", grid)
+    return cum.bar(deltas) if kind.endswith("bar") else cum.average(deltas)
+
+
+def _at(f: PeriodicFunction, x: float, delta: float, kind: str, grid: GridSpec) -> float:
+    _check_delta(delta)
+    return float(_lookup(f, x, np.array([delta]), kind, grid)[0])
+
+
 def w_tilde(f: PeriodicFunction, x: float, delta: float, grid: GridSpec = DEFAULT_GRID) -> float:
     """(1/delta) int_0^delta |psi_x(u)| du."""
-    _check_delta(delta)
-    return _cumulative(f, float(x), "psi", grid).average(delta)
+    return _at(f, x, delta, "w_tilde", grid)
 
 
 def w_plain(f: PeriodicFunction, x: float, delta: float, grid: GridSpec = DEFAULT_GRID) -> float:
     """(1/delta) int_0^delta |phi_x(u)| du."""
-    _check_delta(delta)
-    return _cumulative(f, float(x), "phi", grid).average(delta)
+    return _at(f, x, delta, "w", grid)
 
 
 def w_tilde_bar(f: PeriodicFunction, x: float, delta: float, grid: GridSpec = DEFAULT_GRID) -> float:
     """sup over 0 < t <= delta of the psi average (discretized, includes t=delta)."""
-    _check_delta(delta)
-    return _cumulative(f, float(x), "psi", grid).bar(delta)
+    return _at(f, x, delta, "w_tilde_bar", grid)
 
 
 def w_bar(f: PeriodicFunction, x: float, delta: float, grid: GridSpec = DEFAULT_GRID) -> float:
     """sup over 0 < t <= delta of the phi average (discretized, includes t=delta)."""
-    _check_delta(delta)
-    return _cumulative(f, float(x), "phi", grid).bar(delta)
+    return _at(f, x, delta, "w_bar", grid)
 
 
 def modulus_profile(
@@ -163,13 +214,7 @@ def modulus_profile(
     """Modulus of the chosen kind at delta = pi/(k+1) for k = 0..n."""
     if kind not in MODULUS_KINDS:
         raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
-    inc_kind = "psi" if "tilde" in kind else "phi"
-    cum = _cumulative(f, float(x), inc_kind, grid)
-    deltas = PI / (np.arange(n + 1) + 1.0)
-    if kind.endswith("bar"):
-        values = np.array([cum.bar(d) for d in deltas])
-    else:
-        values = np.array([cum.average(d) for d in deltas])
+    values = _lookup(f, x, PI / (np.arange(n + 1) + 1.0), kind, grid)
     return ModulusProfile(kind=kind, values=values, x=float(x))
 
 
@@ -251,26 +296,18 @@ def classical_modulus(
 def pointwise_modulus_on_nodes(
     f: PeriodicFunction, delta: float, kind: str, grid: GridSpec = DEFAULT_GRID
 ) -> tuple[np.ndarray, np.ndarray]:
-    """w~_x(delta) (or w_x) sampled at the uniform x quadrature nodes, batched.
+    """w~_x(delta) (or w_x) at the uniform x quadrature nodes, read from the node table.
 
     Shares the x nodes with lp_norm, so norms of the pointwise modulus are a
-    plain composition.  Kink refinement is skipped here; the t panels are
-    graded toward 0, which keeps the absolute error around 1e-7 on the corpus.
+    plain composition.  The table does not split panels at psi's kinks; at
+    the default grid the absolute error against w_tilde stays below 2e-7 on
+    the corpus.
     """
     if kind not in ("w", "w_tilde"):
         raise ValueError(f"batched evaluation supports plain kinds only, got {kind!r}")
     _check_delta(delta)
-    x = _x_nodes(grid)
-    t_grid = GridSpec(m=min(grid.m, 512), refinement=grid.refinement)
-    nodes, weights = gl_rule(graded_boundaries(0.0, delta, t_grid))
-    if kind == "w_tilde":
-        values = np.abs(f(x[:, None] + nodes[None, :]) - f(x[:, None] - nodes[None, :]))
-    else:
-        fx = np.asarray(f(x), dtype=float)
-        values = np.abs(
-            f(x[:, None] + nodes[None, :]) + f(x[:, None] - nodes[None, :]) - 2.0 * fx[:, None]
-        )
-    return x, (values @ weights) / delta
+    table = _node_table(f, "psi" if kind == "w_tilde" else "phi", grid)
+    return _x_nodes(grid), table.average(np.array([delta]))[:, 0]
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert "--x must be finite" in captured.err
 
+    @pytest.mark.parametrize("source", ["--grid-m", "CONJSUM_GRID_M"])
+    def test_oversized_grid_names_source(self, source, monkeypatch, capsys):
+        args = ["coeffs", "--function", "sin", "--n", "2"]
+        if source == "--grid-m":
+            args += ["--grid-m", str(2**14 + 2)]
+        else:
+            monkeypatch.setenv("CONJSUM_GRID_M", str(2**14 + 2))
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert source in err and "16384" in err
+
     def test_nan_p_exits_2(self, capsys):
         code = run_cli(["verify", "--theorem", "T3", "--function", "sin", "--n", "4", "--p", "nan"])
         assert code == 2

@@ -92,6 +92,11 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(refinement=0)
 
+    def test_rejects_m_above_cap(self):
+        assert GridSpec(m=2**14).m == 2**14
+        with pytest.raises(DomainError, match="16384"):
+            GridSpec(m=2**14 + 2)
+
 
 class TestIntegratePeriodic:
     def test_sine_half_period(self):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,32 @@ from conjsum.kernels import (
 )
 
 PI = math.pi
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# fourier_coeffs as one cos/sin matmul over every nu, the form the row blocks replaced
+ONE_MATMUL_CHECK = """
+import numpy as np
+from conjsum.functions import PI, DEFAULT_GRID, by_name, gl_rule
+from conjsum.kernels import _coefficient_boundaries, fourier_coeffs
+
+for name in ("hat", "sawtooth", "sin3"):
+    f = by_name(name)
+    for N in (1, 2, 5, 31, 32, 33, 65, 97, 300):
+        nodes, weights = gl_rule(_coefficient_boundaries(f, N, DEFAULT_GRID))
+        values = np.asarray(f(nodes), dtype=float) * weights
+        phases = np.multiply.outer(np.arange(1, N + 1, dtype=float), nodes)
+        c = fourier_coeffs(f, N)
+        assert np.array_equal(c.a, (np.cos(phases) @ values) / PI), (name, N)
+        assert np.array_equal(c.b, (np.sin(phases) @ values) / PI), (name, N)
+print("ok")
+"""
+
+
+def run_python(args, blas_threads: int) -> subprocess.CompletedProcess:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), OMP_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env.pop("CONJSUM_GRID_M", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=300)
 
 
 def direct_kernel(k: int, t: float) -> float:
@@ -131,6 +161,18 @@ class TestFourierCoeffs:
         c = fourier_coeffs(by_name("const"), 0, grid)
         assert c.N == 0
         assert c.a0 == pytest.approx(2.0, abs=1e-12)
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        args = ["-m", "conjsum.cli", "coeffs", "--function", "hat", "--n", "700"]
+        one, two = run_python(args, 1), run_python(args, 2)
+        assert one.returncode == two.returncode == 0, (one.stderr, two.stderr)
+        assert len(one.stdout.splitlines()) == 702
+        assert one.stdout == two.stdout
+
+    def test_row_blocks_equal_one_matmul(self):
+        done = run_python(["-c", ONE_MATMUL_CHECK], 1)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.strip() == b"ok"
 
 
 class TestPartialSums:

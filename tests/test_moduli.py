@@ -190,6 +190,19 @@ class TestEq81:
             want = w_tilde(f, float(xs[idx]), delta, grid)
             assert vals[idx] == pytest.approx(want, abs=1e-7)
 
+    @pytest.mark.parametrize("kind", ["w_tilde", "w"])
+    def test_node_table_matches_kink_refined(self, kind, grid):
+        # measured worst case 1.64e-7 (sin3, delta = pi, where |psi| has unrefined
+        # kinks at its roots); every other case is within 5e-15
+        op = w_tilde if kind == "w_tilde" else w_plain
+        idx = list(range(0, grid.m, 37)) + [255, 256, 511, 512, 513, 767, 768, grid.m - 1]
+        for f in corpus():
+            for k in (0, 3, 11, 32, 300):
+                delta = PI / (k + 1)
+                xs, vals = pointwise_modulus_on_nodes(f, delta, kind, grid)
+                err = max(abs(vals[i] - op(f, float(xs[i]), delta, grid)) for i in idx)
+                assert err <= (2e-7 if k == 0 else 1e-14), (f.name, k, err)
+
 
 class TestLemma2:
     def test_trivial_n_zero(self, grid):
