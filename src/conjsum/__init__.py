@@ -7,6 +7,7 @@ from .functions import (
     QuadratureResult,
     SingularIntegrandError,
     DomainError,
+    UnknownNameError,
     corpus,
     registry,
     by_name,

@@ -56,9 +56,15 @@ def _write_rows(columns: Sequence[str], rows: Iterable[dict], out: str | None, f
 
 def _grid_from(args) -> GridSpec:
     m, source = args.grid_m, "--grid-m"
-    if m is None:
-        env = os.environ.get("CONJSUM_GRID_M")
-        m, source = (int(env), "CONJSUM_GRID_M") if env else (functions.DEFAULT_GRID.m, "--grid-m")
+    env = os.environ.get("CONJSUM_GRID_M")
+    if m is None and env:
+        source = "CONJSUM_GRID_M"
+        try:
+            m = int(env)
+        except ValueError:
+            raise DomainError(f"CONJSUM_GRID_M must be an integer, got {env!r}") from None
+    elif m is None:
+        m = functions.DEFAULT_GRID.m
     try:
         return GridSpec(m=m, refinement=args.grid_refinement)
     except DomainError as exc:
@@ -152,10 +158,11 @@ def _cmd_transform(args) -> int:
     A = _matrix_from(args.matrix_a, max(ns))
     B = _matrix_from(args.matrix_b, max(ns))
     conj_flag = not args.plain
+    xs = _x_values(args)
+    values = verify.transform_grid(f, A, B, ns, xs, grid, conjugate=conj_flag)
     rows = []
-    for n in ns:
-        for x in _x_values(args):
-            value = verify.transform_value(f, A, B, n, x, grid, conjugate=conj_flag)
+    for n, row in zip(ns, values):
+        for x, value in zip(xs, row):
             rows.append(
                 {
                     "function": f.name,
@@ -265,23 +272,14 @@ def _cmd_verify(args) -> int:
     A = _matrix_from(args.matrix_a, max(ns))
     B = _matrix_from(args.matrix_b, max(ns))
     theorem = args.theorem
-    reports: list[verify.BoundReport] = []
     if theorem in ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc"):
-        for n in ns:
-            for x in xs:
-                reports.append(verify.pointwise_report(theorem, f, A, B, x, n, grid))
+        reports = verify.pointwise_grid(theorem, f, A, B, ns, xs, grid)
     elif theorem in ("T3", "T4"):
         if theorem == "T4":
             A = summability.cesaro(max(ns))
-        for n in ns:
-            reports.append(
-                verify.norm_report(
-                    f, A, B, n, args.p, truncated=args.truncated, grid=grid, theorem_id=theorem
-                )
-            )
+        reports = verify.norm_grid(f, A, B, ns, args.p, args.truncated, grid, theorem)
     elif theorem == "COR":
-        for x in xs:
-            reports.extend(verify.corollary_decay(f, A, B, ns, x, grid))
+        reports = verify.corollary_grid(f, A, B, ns, xs, grid)
     else:
         raise DomainError(f"unknown theorem id {theorem!r}; choose from {verify.THEOREM_IDS}")
     columns = ["theorem", "function", "matrix_a", "matrix_b", "n", "x", "p", "lhs", "rhs", "ratio"]
@@ -385,11 +383,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (conj.ConvergenceError, SingularIntegrandError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
     except (
         DomainError,
+        functions.UnknownNameError,
         summability.MatrixValidationError,
         kernels.CutoffError,
         json.JSONDecodeError,

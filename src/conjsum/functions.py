@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,6 +32,13 @@ class SingularIntegrandError(ValueError):
 
 class DomainError(ValueError):
     """An argument fell outside the operation's stated domain."""
+
+
+class UnknownNameError(KeyError):
+    """A name the registry does not hold; a KeyError whose message prints unquoted."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
 
 
 @dataclass(frozen=True)
@@ -152,6 +160,16 @@ def _subdivide(boundaries: np.ndarray, parts: int) -> np.ndarray:
     return np.append(pts, boundaries[-1])
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values in increasing order, as np.unique gives them for finite floats.
+
+    np.unique's first call imports numpy.ma, about 15 ms of every CLI process.
+    Equal values are kept once, so inputs must not hold both 0.0 and -0.0.
+    """
+    out = np.sort(values)
+    return out[np.concatenate(([True], out[1:] != out[:-1]))]
+
+
 def _insert_points(boundaries: np.ndarray, points: Sequence[float]) -> np.ndarray:
     if not len(points):
         return boundaries
@@ -159,7 +177,7 @@ def _insert_points(boundaries: np.ndarray, points: Sequence[float]) -> np.ndarra
     extra = [p for p in points if a < p < b]
     if not extra:
         return boundaries
-    merged = np.unique(np.concatenate([boundaries, np.asarray(extra, dtype=float)]))
+    merged = sorted_unique(np.concatenate([boundaries, np.asarray(extra, dtype=float)]))
     # drop near-duplicates that would create zero-width panels
     keep = np.concatenate([[True], np.diff(merged) > 1e-15 * max(1.0, abs(b - a))])
     return merged[keep]
@@ -209,11 +227,13 @@ def integrate_periodic(
     return QuadratureResult(fine, abs(fine - coarse))
 
 
+@lru_cache(maxsize=256)
 def graded_boundaries(a: float, b: float, grid: GridSpec) -> np.ndarray:
-    """Panel boundaries on [a, b] graded dyadically toward a.
+    """Panel boundaries on [a, b] graded dyadically toward a, built once per (a, b, grid).
 
     Gap j spans [a + (b-a) 2^-(j+1), a + (b-a) 2^-j]; wide gaps get
     proportionally more panels so oscillatory integrands stay resolved.
+    The cached array is shared, so it is read-only.
     """
     length = b - a
     pieces = [np.array([b])]
@@ -224,8 +244,9 @@ def graded_boundaries(a: float, b: float, grid: GridSpec) -> np.ndarray:
         parts = max(2, int(math.ceil(per_gap_budget * 2.0 ** (-j))))
         pieces.append(np.linspace(hi, lo, parts + 1)[1:])
     pieces.append(np.array([a]))
-    bounds = np.concatenate(pieces)[::-1]
-    return np.unique(bounds)
+    bounds = sorted_unique(np.concatenate(pieces))
+    bounds.flags.writeable = False
+    return bounds
 
 
 def integrate_graded(
@@ -349,7 +370,7 @@ def by_name(name: str) -> PeriodicFunction:
         return _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown function {name!r}; registry has: {known}") from None
+        raise UnknownNameError(f"unknown function {name!r}; registry has: {known}") from None
 
 
 def psi_breakpoints(f: PeriodicFunction, x: float, lo: float = 0.0, hi: float = PI) -> list[float]:

@@ -42,6 +42,7 @@ from .functions import (
     PeriodicFunction,
     gl_panels,
     psi_breakpoints,
+    sorted_unique,
 )
 
 MODULUS_KINDS = ("w", "w_bar", "w_tilde", "w_tilde_bar")
@@ -91,7 +92,7 @@ def _bisect_roots(g, lo: np.ndarray, hi: np.ndarray, iters: int = 52) -> np.ndar
 
 
 def _panel_bounds(pieces: list[np.ndarray]) -> np.ndarray:
-    bounds = np.unique(np.concatenate(pieces))
+    bounds = sorted_unique(np.concatenate(pieces))
     return bounds[np.concatenate([[True], np.diff(bounds) > 1e-15])]
 
 
@@ -248,7 +249,7 @@ def _classical_t_set() -> np.ndarray:
         np.linspace(0.0, PI, 257)[1:],
         PI / (np.arange(129.0) + 1.0),
     ]
-    return np.unique(np.concatenate(pieces))
+    return sorted_unique(np.concatenate(pieces))
 
 
 def _increment_norms(f: PeriodicFunction, t: np.ndarray, p: float, kind: str, grid: GridSpec) -> np.ndarray:

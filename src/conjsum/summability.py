@@ -5,8 +5,10 @@ matrix a checker can only report the smallest empirical constant together
 with the first index tuple attaining it, so that is what ConditionReport carries.
 A ratio whose denominator vanishes while the numerator does not makes the
 condition unsatisfiable; the report then carries an infinite constant.
-Prefix sums are correctly rounded (exact_cumsum). Checkers 2.2, 3.2 and both
-remarks cost O(n^2); 2.21 does n^3/6 multiply-adds in numpy in O(n) Python steps.
+Prefix sums are correctly rounded (exact_cumsum), and each row's are computed
+once, when a checker first asks (TriangularMatrix.prefix_sums). Checkers 2.2,
+3.2 and both remarks cost O(n^2); 2.21 does n^3/6 multiply-adds in numpy in
+O(n) Python steps.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .kernels import partial_sum_table
 from .moduli import w_tilde
 
 ROW_SUM_TOL = 1e-9
+_FSUM_MARGIN = 1e-12  # row sums this close to ROW_SUM_TOL are decided by math.fsum
 DEFAULT_CHECKER_N_MAX = 128
 
 
@@ -81,19 +84,29 @@ class TriangularMatrix:
         return matrix
 
     def _adopt(self, dense: np.ndarray, name: str) -> None:
-        for i in range(len(dense)):
-            row = dense[i, : i + 1]
-            if not np.all(np.isfinite(row)):
+        # np.sum of a nonnegative row is within about 1e-15 of its fsum, so only a
+        # row near or past the tolerance needs the per-row checks and math.fsum
+        nonfinite = ~np.isfinite(dense).all(axis=1)
+        negative = (dense < 0.0).any(axis=1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            deviation = np.abs(dense.sum(axis=1) - 1.0)
+        unsure = ~(deviation < ROW_SUM_TOL - _FSUM_MARGIN)  # NaN included
+        for i in np.flatnonzero(nonfinite | negative | unsure).tolist():
+            if nonfinite[i]:
                 raise MatrixValidationError(f"{name}: row {i} has a non-finite entry")
-            if np.any(row < 0.0):
+            if negative[i]:
                 raise MatrixValidationError(f"{name}: row {i} has a negative entry")
-            total = math.fsum(row.tolist())
+            try:
+                total = math.fsum(dense[i, : i + 1].tolist())
+            except OverflowError:  # finite entries whose sum exceeds the largest double
+                total = math.inf
             if abs(total - 1.0) > ROW_SUM_TOL:
                 raise MatrixValidationError(
                     f"{name}: row {i} sums to {total!r}, expected 1 within {ROW_SUM_TOL}"
                 )
         dense.flags.writeable = False
         self.name, self.dense = name, dense
+        self._prefix_sums: dict[int, np.ndarray] = {}
 
     @property
     def n_max(self) -> int:
@@ -102,6 +115,15 @@ class TriangularMatrix:
     def row(self, n: int) -> np.ndarray:
         n = range(len(self.dense))[n]  # negative n counts from the last row
         return self.dense[n, : n + 1]
+
+    def prefix_sums(self, n: int) -> np.ndarray:
+        """exact_cumsum(row(n)), read-only, computed on the first request for row n."""
+        n = range(len(self.dense))[n]
+        sums = self._prefix_sums.get(n)
+        if sums is None:
+            sums = self._prefix_sums[n] = exact_cumsum(self.row(n))
+            sums.flags.writeable = False
+        return sums
 
     def entry(self, n: int, k: int) -> float:
         if k > n:
@@ -214,7 +236,7 @@ def check_condition_2_2(A: TriangularMatrix) -> ConditionReport:
     best, witness = 0.0, (0, 0)
     for n in range(A.n_max + 1):
         row = A.row(n)
-        prefix = exact_cumsum(row)
+        prefix = A.prefix_sums(n)
         denom = np.arange(1.0, n + 2.0) * row
         zero = denom == 0.0
         fails = zero & (prefix > 0.0)
@@ -264,7 +286,7 @@ def check_condition_3_2(B: TriangularMatrix) -> ConditionReport:
 
 def check_remark1_condition(A: TriangularMatrix, n: int) -> float:
     """sum_{r=0}^{n} sum_{k=0}^{r} a_{n,k}/(r+1); bounded in n for the weak estimate."""
-    return math.fsum((exact_cumsum(A.row(n)) / np.arange(1.0, n + 2.0)).tolist())
+    return math.fsum((A.prefix_sums(n) / np.arange(1.0, n + 2.0)).tolist())
 
 
 def check_remark2_condition(B: TriangularMatrix, n_max: int | None = None) -> float:

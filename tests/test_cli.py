@@ -53,6 +53,12 @@ class TestExitCodes:
         assert captured.out == ""
         assert "nan-row: row 1 has a non-finite entry" in captured.err
 
+    def test_check_matrix_overflowing_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "big", "rows": [[1.0], [1e308, 1e308]]}))
+        assert run_cli(["check-matrix", "--matrix-a", str(path), "--n", "1"]) == 2
+        assert "big: row 1 sums to inf, expected 1 within 1e-09" in capsys.readouterr().err
+
     def test_check_matrix_negative_n_names_flag(self, capsys):
         code = run_cli(["check-matrix", "--n", "-1"])
         assert code == 2
@@ -85,6 +91,26 @@ class TestExitCodes:
         assert run_cli(args) == 2
         err = capsys.readouterr().err
         assert source in err and "16384" in err
+
+    def test_non_integer_grid_env_names_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("CONJSUM_GRID_M", "abc")
+        assert run_cli(["coeffs", "--function", "sin", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: CONJSUM_GRID_M must be an integer, got 'abc'" in captured.err
+
+    def test_unknown_function_message_unquoted(self, capsys):
+        assert run_cli(["verify", "--theorem", "T1.5", "--function", "nosuch", "--n", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown function 'nosuch'; registry has: const, cos,")
+
+    def test_internal_key_error_is_not_a_configuration_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli.kernels, "fourier_coeffs", broken)
+        with pytest.raises(KeyError, match="internal"):
+            run_cli(["coeffs", "--function", "sin", "--n", "2"])
 
     def test_nan_p_exits_2(self, capsys):
         code = run_cli(["verify", "--theorem", "T3", "--function", "sin", "--n", "4", "--p", "nan"])

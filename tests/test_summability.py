@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from conjsum.functions import by_name
 from conjsum.kernels import CutoffError, conj_partial_sum, fourier_coeffs
+from conjsum import summability
 from conjsum.summability import (
+    ROW_SUM_TOL,
     MatrixValidationError,
     ab_transform,
     ab_weights,
@@ -21,6 +23,7 @@ from conjsum.summability import (
     check_remark1_condition,
     check_remark2_condition,
     delta_at_zero,
+    exact_cumsum,
     from_rows,
     identity_matrix,
     load_matrix_json,
@@ -112,6 +115,65 @@ class TestBuilders:
     def test_entry_above_diagonal_is_zero(self):
         C = cesaro(4)
         assert C.entry(2, 3) == 0.0
+
+
+class TestRowValidation:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1.0], [0.5, 0.6], [-0.1, 0.6, 0.5], [math.nan, 0.5, 0.25, 0.25]], "row 1 sums to 1.1,"),
+            ([[1.0], [0.5, 0.5], [-0.1, 1.1, 0.0], [1.0, 0.0, 0.0, math.inf]], "row 2 has a negative entry"),
+            ([[1.0], [0.5, 0.5], [0.2, 0.2, 0.2], [math.inf, -1.0, 0.0, 1.0]], "row 2 sums to 0.6"),
+            ([[1.0], [-1.0, math.nan], [2.0, 0.0, 0.0]], "row 1 has a non-finite entry"),
+        ],
+    )
+    def test_first_bad_row_is_reported(self, rows, message):
+        with pytest.raises(MatrixValidationError, match=message):
+            from_rows(rows)
+
+    def test_overflowing_row_sum_is_rejected(self):
+        with pytest.raises(MatrixValidationError, match="row 2 sums to inf,"):
+            from_rows([[1.0], [1.0, 0.0], [1.0, 1e308, 1e308]])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_row_sum_near_tolerance_decided_by_fsum(self, sign):
+        """Rows of ten entries near 1 +- ROW_SUM_TOL, where np.sum and fsum can round apart."""
+        rows = [[0.0] * i + [1.0] for i in range(9)]
+        last = 0.1 + sign * ROW_SUM_TOL
+        for _ in range(300):
+            last = np.nextafter(last, -np.inf)
+        decided, np_sum_disagrees = set(), 0
+        for _ in range(600):
+            row = [0.1] * 9 + [float(last)]
+            total = math.fsum(row)
+            accept = abs(total - 1.0) <= ROW_SUM_TOL
+            np_sum_disagrees += accept != (abs(float(np.sum(row)) - 1.0) <= ROW_SUM_TOL)
+            if accept:
+                assert from_rows(rows + [row]).n_max == 9
+            else:
+                with pytest.raises(MatrixValidationError, match=f"row 9 sums to {total!r},"):
+                    from_rows(rows + [row])
+            decided.add(accept)
+            last = np.nextafter(last, np.inf)
+        assert decided == {True, False}
+        assert np_sum_disagrees > 0
+
+    def test_prefix_sums_once_per_row(self, monkeypatch):
+        calls = []
+
+        def counting(values):
+            calls.append(len(values))
+            return exact_cumsum(values)
+
+        A = nordlund((np.arange(21.0) + 1.0) ** -0.5, 20)
+        monkeypatch.setattr(summability, "exact_cumsum", counting)
+        check_condition_2_2(A)
+        for n in range(A.n_max + 1):
+            check_remark1_condition(A, n)
+        assert sorted(calls) == list(range(1, 22))
+        assert np.array_equal(A.prefix_sums(-1), exact_cumsum(A.row(20)))
+        with pytest.raises(ValueError):
+            A.prefix_sums(3)[0] = 1.0
 
 
 class TestMatrixJson:
