@@ -2,7 +2,8 @@
 
 Every command resolves a RunConfig from flags, computes its table through the
 library and writes CSV or JSON.  Floats are serialized with 17 significant
-digits so every numeric field parses back to the identical double.  Rows are
+digits so every numeric field parses back to the identical double; JSON
+writes a non-finite float as null, CSV as nan or inf.  Rows are
 produced in sorted key order, never by completion order, so identical configs
 yield byte-identical files.
 
@@ -36,6 +37,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    # strict JSON has no NaN or Infinity: a non-finite float is written as null
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_rows(columns: Sequence[str], rows: Iterable[dict], out: str | None, fmt: str) -> None:
     rows = list(rows)
     if fmt == "csv":
@@ -45,7 +53,7 @@ def _write_rows(columns: Sequence[str], rows: Iterable[dict], out: str | None, f
         payload = "\n".join(text_rows) + "\n"
     else:
         payload = json.dumps(
-            [{c: row[c] for c in columns} for row in rows], indent=2, sort_keys=True
+            [{c: _json_value(row[c]) for c in columns} for row in rows], indent=2, sort_keys=True
         ) + "\n"
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:

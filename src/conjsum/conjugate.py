@@ -19,6 +19,7 @@ from .functions import (
     DomainError,
     GridSpec,
     PeriodicFunction,
+    SingularIntegrandError,
     eval_psi,
     integrate_graded,
     psi_breakpoints,
@@ -115,7 +116,7 @@ def deviation_kernel_form(
     full = integrate_graded(outer_part, 0.0, PI, grid, breakpoints=cuts)
     for q in (inner, outer, full):
         if not math.isfinite(q.value):
-            raise DomainError("kernel-form deviation integral is not finite")
+            raise SingularIntegrandError("kernel-form deviation integral is not finite")
     dev_truncated = (-inner.value + outer.value) / PI
     dev_full = full.value / PI
     return dev_truncated, dev_full

@@ -1,4 +1,8 @@
-"""Conjugate Dirichlet kernels, Fourier coefficients and (conjugate) partial sums."""
+"""Conjugate Dirichlet kernels, Fourier coefficients and (conjugate) partial sums.
+
+``fourier_coeffs`` sums its quadrature with one inverse FFT per Gauss node.
+numpy.fft is reached on the first build, so importing the package does not load it.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +14,13 @@ import numpy as np
 from .functions import (
     DEFAULT_GRID,
     PI,
+    TWO_PI,
     GridSpec,
     PeriodicFunction,
+    _gl_nodes,
+    _gl_weights,
     _insert_points,
+    gl_panels,
     gl_rule,
 )
 
@@ -21,12 +29,6 @@ DIRECT_SUM_CUTOFF = 1e-8
 SINGULAR_CUTOFF = 1e-12
 
 DEFAULT_COEFF_CUTOFF = 512
-
-# nu values per cos/sin block in fourier_coeffs.  One gemv over every nu rounds
-# differently under 1 and 2 BLAS threads; blocks of 32 give the one-thread bits
-# under both (checked for N <= 2000), and hold 32 rows of phases instead of N.
-_COEFF_ROWS = 32
-
 
 class SingularKernelError(ValueError):
     """The complementary kernel was evaluated at a multiple of 2*pi."""
@@ -108,39 +110,52 @@ def conj_dirichlet_matrix(k_max: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coefficient_boundaries(f: PeriodicFunction, N: int, grid: GridSpec) -> np.ndarray:
-    # enough panels that GL resolves e^{i N t}; breakpoints split exactly
-    panels = max(grid.m // 8, int(math.ceil(N * 1.3)), 16)
-    base = np.linspace(-PI, PI, panels + 1)
-    return _insert_points(base, f.breakpoints)
-
-
 def fourier_coeffs(
     f: PeriodicFunction, N: int, grid: GridSpec = DEFAULT_GRID
 ) -> FourierCoefficients:
     """Quadrature coefficients a_nu = (1/pi) int f cos(nu t), b_nu likewise with sin.
 
-    Never consults ``f.known_coeffs``; closed forms are for tests only.
+    8-node Gauss-Legendre on P uniform panels of [-pi, pi], with P > N so that
+    e^{i N t} is resolved.  The nodes are c_p + (h/2) s_j with centres
+    c_p = -pi + h (p + 1/2), so for each Gauss node s_j the sum over p is one
+    inverse FFT (Numerical Recipes 13.9); nu <= N < P do not alias.  A panel that
+    a breakpoint of f cuts is left out of the FFT and its sub-panels are summed
+    directly.  Never consults ``f.known_coeffs``; closed forms are for tests only.
     """
     if N < 0:
         raise ValueError("coefficient cutoff must be nonnegative")
-    nodes, weights = gl_rule(_coefficient_boundaries(f, max(N, 1), grid))
-    values = np.asarray(f(nodes), dtype=float) * weights
-    a0 = float(values.sum()) / PI
-    if N == 0:
-        empty = np.zeros(0)
-        return FourierCoefficients(a0=a0, a=empty, b=empty, N=0)
-    nu = np.arange(1, N + 1, dtype=float)
-    a, b = np.empty(N), np.empty(N)
-    start = 0
-    while start < N:
-        # the last block takes 33 rows rather than leave one: np.dot adds in another order than gemv
-        stop = N if N - start <= _COEFF_ROWS + 1 else start + _COEFF_ROWS
-        phases = np.multiply.outer(nu[start:stop], nodes)
-        a[start:stop] = np.cos(phases) @ values
-        b[start:stop] = np.sin(phases) @ values
-        start = stop
-    return FourierCoefficients(a0=a0, a=a / PI, b=b / PI, N=N)
+    panels = max(grid.m // 8, int(math.ceil(1.3 * max(N, 1))), 16)
+    assert panels > N, "nu = 1..N would alias on the panel grid"
+    h = TWO_PI / panels
+    nodes = (-PI + h * (np.arange(panels) + 0.5))[:, None] + 0.5 * h * _gl_nodes
+    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape) * (0.5 * h * _gl_weights)
+    # sub-panel boundaries of each panel a breakpoint cuts; a breakpoint within
+    # _insert_points' tolerance of a panel boundary lies on it and cuts nothing
+    tol = 1e-15 * TWO_PI
+    cut = {}
+    for t in f.breakpoints:
+        if -PI < t < PI:
+            p = min(int((t + PI) / h), panels - 1)
+            lo = -PI + p * h
+            if t - lo > tol and lo + h - t > tol:
+                cut[p] = _insert_points(np.array([lo, lo + h]), f.breakpoints)
+    values[list(cut)] = 0.0
+    nu = np.arange(N + 1)
+    # e^{i nu c_p} = (-1)^nu e^{2 pi i nu p / P} e^{i nu h / 2}: every phase below is under 2 pi
+    sums = np.fft.ifft(values, axis=0)[: N + 1] * panels
+    shift = np.exp(0.5j * h * np.multiply.outer(nu, 1.0 + _gl_nodes))
+    z = np.where(nu % 2, -1.0, 1.0) * (sums * shift).sum(axis=1)
+    if cut:
+        sub_nodes, sub_weights = gl_panels(
+            np.concatenate([b[:-1] for b in cut.values()]), np.concatenate([b[1:] for b in cut.values()])
+        )
+        sub_nodes = sub_nodes.ravel()
+        sub_values = (np.asarray(f(sub_nodes), dtype=float) * sub_weights.ravel())[:, None]
+        phases = np.multiply.outer(sub_nodes, nu)
+        # an elementwise product and sum, not a gemv: no bit depends on the BLAS thread count
+        z += (np.cos(phases) * sub_values).sum(axis=0) + 1j * (np.sin(phases) * sub_values).sum(axis=0)
+    z /= PI
+    return FourierCoefficients(a0=float(z[0].real), a=z[1:].real.copy(), b=z[1:].imag.copy(), N=N)
 
 
 def _check_order(c: FourierCoefficients, k: int):

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from conjsum.summability import cesaro, nordlund
 from conjsum.verify import pointwise_report
 
 PI = math.pi
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args):
@@ -315,3 +320,44 @@ class TestDeterminism:
         assert run_cli(args + ["--out", str(a)]) == 0
         assert run_cli(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+class TestStrictJson:
+    VERIFY = ["verify", "--function", "hat", "--matrix-a", "cesaro", "--matrix-b", "cesaro", "--n", "8"]
+
+    @pytest.mark.parametrize(
+        "args, key, want",
+        [
+            (VERIFY + ["--theorem", "T1.5", "--x", "0.7"], "p", [None]),
+            (VERIFY + ["--theorem", "T3", "--p", "2"], "x", [None]),
+            (["check-matrix", "--matrix-a", "delta0", "--matrix-b", "cesaro", "--n", "8"], "min_constant",
+             [1.0, None, 1.0]),
+            (["check-matrix", "--matrix-a", "identity", "--matrix-b", "cesaro", "--n", "8"], "min_constant",
+             [9.0, 1.0, None]),
+        ],
+    )
+    def test_non_finite_floats_are_null(self, args, key, want, tmp_path):
+        out = tmp_path / "out.json"
+        assert run_cli(args + ["--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text(), parse_constant=_refuse_constant)
+        assert [row[key] for row in rows][: len(want)] == want
+
+    def test_csv_keeps_non_finite_tokens(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run_cli(["check-matrix", "--matrix-a", "identity", "--matrix-b", "cesaro", "--n", "8",
+                        "--out", str(out)]) == 0
+        assert {r["condition"]: r["min_constant"] for r in read_csv(out)}["2.21"] == "inf"
+
+
+def test_import_loads_neither_fft_nor_ma():
+    # numpy.fft is imported on the first coefficient build; numpy.ma by np.unique's first call
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, conjsum.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'fft'], ['numpy', 'ma'])))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -11,9 +11,17 @@ from conjsum.conjugate import (
     default_x_grid,
     deviation_kernel_form,
 )
-from conjsum.functions import DomainError, by_name, corpus, eval_psi, integrate_graded
+from conjsum.functions import (
+    DomainError,
+    PeriodicFunction,
+    SingularIntegrandError,
+    by_name,
+    corpus,
+    eval_psi,
+    integrate_graded,
+)
 from conjsum.kernels import fourier_coeffs, conj_partial_sum
-from conjsum.summability import cesaro, identity_matrix
+from conjsum.summability import cesaro, delta_at_zero, identity_matrix
 from conjsum.verify import transform_value
 
 PI = math.pi
@@ -135,6 +143,14 @@ class TestDeviationKernelForm:
         c = fourier_coeffs(f, 5, grid)
         want = conj_partial_sum(c, 5, x) - conjugate_truncated(f, x, PI / 6, grid)
         assert dt == pytest.approx(want, abs=1e-6)
+
+    def test_overflowing_integral_is_a_numerical_failure(self, grid):
+        # at x = 0 with the delta0 mean kernel (0), the full integrand is 1.6e308 cos^2(t/2):
+        # finite at every node, but its integral over (0, pi] is 2.5e308
+        f = PeriodicFunction(name="huge-sine", eval=lambda t: 8e307 * np.sin(t))
+        D = delta_at_zero(1)
+        with pytest.raises(SingularIntegrandError, match="not finite"), np.errstate(over="ignore"):
+            deviation_kernel_form(f, D, D, 1, 0.0, grid)
 
     def test_direct_difference_agreement_sample(self, grid):
         C, I = cesaro(32), identity_matrix(32)

@@ -205,8 +205,8 @@ class TestCorpus:
         for f in all_functions:
             c = fourier_coeffs(f, 16, grid)
             known = f.known_coeffs
-            assert c.a0 == pytest.approx(known.a0, abs=1e-9)
+            assert c.a0 == pytest.approx(known.a0, abs=1e-13)
             for nu in range(1, 17):
                 a_nu, b_nu = known.pair(nu)
-                assert c.a[nu - 1] == pytest.approx(a_nu, abs=1e-9)
-                assert c.b[nu - 1] == pytest.approx(b_nu, abs=1e-9)
+                assert c.a[nu - 1] == pytest.approx(a_nu, abs=1e-13)
+                assert c.b[nu - 1] == pytest.approx(b_nu, abs=1e-13)

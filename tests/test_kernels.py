@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conjsum.functions import by_name, corpus
+from conjsum.functions import PeriodicFunction, _insert_points, by_name, corpus, gl_rule
 from conjsum.kernels import (
     CutoffError,
     SingularKernelError,
@@ -24,23 +24,35 @@ from conjsum.kernels import (
 PI = math.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# fourier_coeffs as one cos/sin matmul over every nu, the form the row blocks replaced
-ONE_MATMUL_CHECK = """
-import numpy as np
-from conjsum.functions import PI, DEFAULT_GRID, by_name, gl_rule
-from conjsum.kernels import _coefficient_boundaries, fourier_coeffs
+COEFF_NS = (1, 2, 5, 31, 32, 33, 65, 97, 128, 300, 512, 2000)
 
-for name in ("hat", "sawtooth", "sin3"):
-    f = by_name(name)
-    for N in (1, 2, 5, 31, 32, 33, 65, 97, 300):
-        nodes, weights = gl_rule(_coefficient_boundaries(f, N, DEFAULT_GRID))
-        values = np.asarray(f(nodes), dtype=float) * weights
-        phases = np.multiply.outer(np.arange(1, N + 1, dtype=float), nodes)
-        c = fourier_coeffs(f, N)
-        assert np.array_equal(c.a, (np.cos(phases) @ values) / PI), (name, N)
-        assert np.array_equal(c.b, (np.sin(phases) @ values) / PI), (name, N)
-print("ok")
-"""
+
+def direct_coeffs(fs, N: int, grid) -> list[np.ndarray]:
+    """[a0, a_1..a_N, b_1..b_N] of each f by one cos/sin matmul over every node.
+
+    The direct quadrature on the panels fourier_coeffs uses, with the breakpoints
+    inserted as boundaries.  Functions whose breakpoints leave the same boundaries
+    share one phase table, built 256 rows at a time to bound its memory.
+    """
+    panels = max(grid.m // 8, math.ceil(1.3 * max(N, 1)), 16)
+    base = np.linspace(-PI, PI, panels + 1)
+    groups = {}
+    for i, f in enumerate(fs):
+        bounds = _insert_points(base, f.breakpoints)
+        groups.setdefault(bounds.tobytes(), (bounds, []))[1].append(i)
+    out = [None] * len(fs)
+    for bounds, members in groups.values():
+        nodes, weights = gl_rule(bounds)
+        values = np.stack([np.asarray(fs[i](nodes), dtype=float) * weights for i in members], axis=1)
+        a, b = [], []
+        for start in range(0, N + 1, 256):
+            phases = np.multiply.outer(np.arange(start, min(start + 256, N + 1), dtype=float), nodes)
+            a.append(np.cos(phases) @ values)
+            b.append(np.sin(phases) @ values)
+        a, b = np.concatenate(a) / PI, np.concatenate(b) / PI
+        for col, i in enumerate(members):
+            out[i] = np.concatenate([a[:, col], b[1:, col]])
+    return out
 
 
 def run_python(args, blas_threads: int) -> subprocess.CompletedProcess:
@@ -154,8 +166,8 @@ class TestFourierCoeffs:
     def test_sawtooth_harmonics(self, grid):
         c = fourier_coeffs(by_name("sawtooth"), 32, grid)
         ks = np.arange(1, 33)
-        assert np.max(np.abs(c.b - 1.0 / ks)) < 1e-6
-        assert np.max(np.abs(c.a)) < 1e-6
+        assert np.max(np.abs(c.b - 1.0 / ks)) < 1e-13
+        assert np.max(np.abs(c.a)) < 1e-13
 
     def test_n_zero(self, grid):
         c = fourier_coeffs(by_name("const"), 0, grid)
@@ -169,10 +181,31 @@ class TestFourierCoeffs:
         assert len(one.stdout.splitlines()) == 702
         assert one.stdout == two.stdout
 
-    def test_row_blocks_equal_one_matmul(self):
-        done = run_python(["-c", ONE_MATMUL_CHECK], 1)
-        assert done.returncode == 0, done.stderr.decode()
-        assert done.stdout.strip() == b"ok"
+    def test_fft_matches_direct_quadrature(self, grid):
+        # odd and even panel counts; breakpoints on panel boundaries and inside panels
+        fs = [by_name(name) for name in ("const", "sin3", "sawtooth", "hat")]
+        for N in COEFF_NS:
+            for f, want in zip(fs, direct_coeffs(fs, N, grid)):
+                c = fourier_coeffs(f, N, grid)
+                got = np.concatenate([[c.a0], c.a, c.b])
+                assert np.max(np.abs(got - want)) <= 5e-14, (f.name, N)
+
+    def test_breakpoint_within_tolerance_of_panel_boundary_cuts_nothing(self, grid):
+        # at N = 32 the default grid has 128 panels, and -pi/2 is one of their boundaries
+        want = fourier_coeffs(by_name("cos"), 32, grid)
+        for t in (-PI / 2 - 2e-15, -PI / 2 + 2e-15):
+            got = fourier_coeffs(PeriodicFunction(name="cos", eval=np.cos, breakpoints=(t,)), 32, grid)
+            assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b), t
+
+    @pytest.mark.parametrize("N", [128, 512, 2000])
+    def test_corpus_matches_known_coeffs(self, N, all_functions, grid):
+        nu = np.arange(1, N + 1)
+        for f in all_functions:
+            c = fourier_coeffs(f, N, grid)
+            known = np.array([f.known_coeffs.pair(int(k)) for k in nu])
+            assert abs(c.a0 - f.known_coeffs.a0) <= 5e-14, f.name
+            assert np.max(np.abs(c.a - known[:, 0])) <= 5e-14, f.name
+            assert np.max(np.abs(c.b - known[:, 1])) <= 5e-14, f.name
 
 
 class TestPartialSums:
