@@ -57,6 +57,7 @@ from .summability import (
 from .conjugate import (
     ConvergenceError,
     conjugate_truncated,
+    conjugate_truncated_batch,
     conjugate_at,
     deviation_kernel_form,
     default_x_grid,

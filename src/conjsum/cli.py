@@ -140,16 +140,20 @@ def _cmd_conjugate(args) -> int:
     f = _function_from(args)
     grid = _grid_from(args)
     eps_list = args.eps if args.eps else DEFAULT_EPS
+    for eps in eps_list:
+        if not 0.0 < eps <= functions.PI:
+            raise DomainError(f"--eps must lie in (0, pi], got {eps}")
     rows = []
     for x in _x_values(args):
         limit = conj.conjugate_at(f, x, grid=grid)
-        for eps in eps_list:
+        truncated = conj.conjugate_truncated_batch(f, x, eps_list, grid).tolist()
+        for eps, value in zip(eps_list, truncated):
             rows.append(
                 {
                     "function": f.name,
                     "x": x,
                     "eps": eps,
-                    "conjugate_truncated": conj.conjugate_truncated(f, x, eps, grid),
+                    "conjugate_truncated": value,
                     "conjugate": limit,
                 }
             )

@@ -1,9 +1,11 @@
 """2*pi-periodic test functions, the shared quadrature engine and the corpus.
 
-Every other module integrates through the two entry points here:
+The engine is 8-node Gauss-Legendre panels (``gl_panels``, ``gl_rule``), the
+dyadically graded meshes of ``graded_boundaries`` for integrands with a
+1/t-type feature at the left endpoint, and two integrators built on them:
 ``integrate_periodic`` (smooth integrands, full periods get the spectrally
-accurate uniform trapezoid) and ``integrate_graded`` (integrands with a
-1/t-type feature at the left endpoint, handled by a dyadically graded mesh).
+accurate uniform trapezoid) and ``integrate_graded``.  The conjugate and the
+moduli keep per-x tables on these panels instead of calling an integrator.
 """
 
 from __future__ import annotations
@@ -300,6 +302,40 @@ def _hat_pair(nu: int) -> tuple[float, float]:
     return 2.0 * (1.0 - math.cos(nu * w)) / (PI * w * nu * nu), 0.0
 
 
+@lru_cache(maxsize=1)
+def _clausen_coeffs() -> np.ndarray:
+    """|B_2k| / (2k (2k+1)!) for k = 1..30, from exact Bernoulli numbers (Akiyama-Tanigawa)."""
+    from fractions import Fraction  # 10 ms of import that only this series needs
+
+    a, bernoulli = [], []
+    for m in range(61):
+        a.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        bernoulli.append(a[0])
+    return np.array([float(abs(bernoulli[m]) / (m * math.factorial(m + 1))) for m in range(2, 61, 2)])
+
+
+def _clausen2(t: np.ndarray) -> np.ndarray:
+    """Cl_2(t) = sum sin(nu t)/nu^2 = t - t ln|t| + sum_k c_k t^(2k+1) for t in (-pi, pi].
+
+    The series converges for |t| < 2 pi; after reduction to (-pi, pi] its 30th
+    term is below 1e-20.
+    """
+    t = _wrap_symmetric(t)
+    t2 = t * t
+    series = np.zeros_like(t)
+    for c in _clausen_coeffs()[::-1]:
+        series = series * t2 + c
+    return t - t * np.log(np.abs(np.where(t == 0.0, 1.0, t))) + t * t2 * series
+
+
+def _hat_conjugate(x: np.ndarray) -> np.ndarray:
+    """sum a_nu sin(nu x) for the hat's a_nu = 2(1 - cos(nu w))/(pi w nu^2)."""
+    w = _HAT_HALF_WIDTH
+    return 2.0 / (PI * w) * (_clausen2(x) - 0.5 * _clausen2(x + w) - 0.5 * _clausen2(x - w))
+
+
 def _single_mode_pair(mode: int, sine: bool):
     def pair(nu: int) -> tuple[float, float]:
         if nu != mode:
@@ -346,6 +382,7 @@ def _build_corpus() -> list[PeriodicFunction]:
             name="hat",
             eval=_hat,
             known_coeffs=KnownCoefficients(a0=0.5, pair=_hat_pair),
+            known_conjugate=KnownConjugate(eval=_hat_conjugate),
             breakpoints=(-_HAT_HALF_WIDTH, 0.0, _HAT_HALF_WIDTH),
         ),
     ]

@@ -288,8 +288,10 @@ def classical_modulus(
         raise DomainError(f"p must satisfy 1 <= p <= inf, got {p}")
     kind = "psi" if conjugate else "phi"
     t, norms = _classical_table(f, float(p), kind, grid)
-    mask = t <= delta
-    best = float(norms[mask].max()) if np.any(mask) else 0.0
+    k = int(np.searchsorted(t, delta, side="right"))  # t[:k] <= delta
+    best = float(norms[:k].max()) if k else 0.0
+    if k and t[k - 1] == delta:
+        return best  # delta is a node, whose norm the table already holds
     endpoint = float(_increment_norms(f, np.array([delta]), p, kind, grid)[0])
     return max(best, endpoint)
 

@@ -8,9 +8,11 @@ Both sides below RATIO_ZERO_TOL count as a vacuous 0/0 and report ratio 0.
 A command is evaluated over its whole (n, x) grid at once: the coefficients
 once, the AB weights once per n, and per x one partial-sum table and one
 modulus profile up to the largest n; each (n, x) value reads a prefix.  The
-conjugate quadratures are cached per (x, eps), and each builds its graded mesh
-once per eps (functions.graded_boundaries).  transform_value, lhs_theorem1,
-pointwise_report, norm_report and corollary_decay are the grid code at one n or x.
+conjugates come from one suffix-sum table per x (see conjugate): the truncated
+ones at every eps = pi/(n+1) of the grid in one batch per x.  transform_value,
+pointwise_report, norm_report and corollary_decay are the grid code at one n or
+x; lhs_theorem1 is the transform at one point against the cached scalar
+conjugate, which has the bits of the batch.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels, summability
-from .conjugate import conjugate_at, conjugate_truncated, default_x_grid
+from .conjugate import conjugate_at, conjugate_truncated, conjugate_truncated_batch, default_x_grid
 from .functions import DEFAULT_GRID, PI, GridSpec, PeriodicFunction
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, _check_order, fourier_coeffs
 from .moduli import classical_modulus, modulus_profile
@@ -108,6 +110,7 @@ class _Grid:
         self.f, self.A, self.B, self.grid, self.conjugate = f, A, B, grid, conjugate
         self.coeffs = coefficients(f, grid)
         self.top = min(max(ns, default=0), self.coeffs.N)
+        self.ns = sorted({n for n in ns if 0 <= n <= self.top})
         self._built: dict = {}
 
     def _once(self, key, build):
@@ -129,10 +132,15 @@ class _Grid:
         """|T~ f(x) - conjugate|, against the truncated or the full conjugate."""
         value = self.transform(n, x)
         if truncated:
-            target = conjugate_truncated(self.f, x, PI / (n + 1), self.grid)
+            target = self._once(("truncated", x), lambda: self._truncated(x))[n]
         else:
             target = conjugate_at(self.f, x, self.grid)
         return abs(value - target)
+
+    def _truncated(self, x: float) -> dict:
+        """n -> f~(x, pi/(n+1)) for every n of the grid that has a transform."""
+        values = conjugate_truncated_batch(self.f, x, PI / (np.array(self.ns) + 1.0), self.grid)
+        return dict(zip(self.ns, values.tolist()))
 
     def pointwise_modulus(self, x: float, kind: str) -> np.ndarray:
         """Averaged modulus of the given kind at x, for r = 0..top."""
@@ -214,7 +222,9 @@ def lhs_theorem1(
     grid: GridSpec = DEFAULT_GRID,
 ) -> float:
     """|T~ f(x) - conjugate|, against the truncated or the full conjugate."""
-    return _Grid(f, A, B, [n], grid).deviation(n, x, truncated)
+    value = transform_value(f, A, B, n, x, grid)
+    target = conjugate_truncated(f, x, PI / (n + 1), grid) if truncated else conjugate_at(f, x, grid)
+    return abs(value - target)
 
 
 _POINTWISE_IDS = ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc")

@@ -304,9 +304,9 @@ def test_criterion_9_kernel_form_cross_check():
                     trunc = conjugate_truncated(f, x, PI / (n + 1), GRID)
                     full = conjugate_at(f, x, grid=GRID)
                     worst = max(worst, abs(dt - (value - trunc)), abs(df - (value - full)))
-    ok = worst <= 1e-6
+    ok = worst <= 1e-13
     report(9, "kernel-form vs direct deviations", ok, f"worst |diff| {worst:.2e}")
-    assert worst <= 1e-6
+    assert worst <= 1e-13
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -124,6 +124,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert "p must satisfy" in captured.err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1", "4"])
+    def test_eps_outside_domain_names_flag(self, eps, capsys):
+        code = run_cli(["conjugate", "--function", "sin", "--x", "0.5", "--eps", "0.5", "--eps", eps])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --eps must lie in (0, pi], got {float(eps)}" in captured.err
+
+    def test_tiny_eps_exits_0(self, capsys):
+        assert run_cli(["conjugate", "--function", "sin", "--x", "0.5", "--eps", "1e-300"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 2
+        assert float(rows[1].split(",")[3]) == pytest.approx(-math.cos(0.5), abs=1e-12)
+
     @pytest.mark.parametrize(
         "args, flag",
         [

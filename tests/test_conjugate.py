@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conjsum.cli import DEFAULT_EPS
 from conjsum.conjugate import (
     CONJUGATE_TOL,
     ConvergenceError,
+    _truncated,
     conjugate_at,
     conjugate_truncated,
+    conjugate_truncated_batch,
     default_x_grid,
     deviation_kernel_form,
 )
@@ -19,12 +22,24 @@ from conjsum.functions import (
     corpus,
     eval_psi,
     integrate_graded,
+    psi_breakpoints,
 )
 from conjsum.kernels import fourier_coeffs, conj_partial_sum
 from conjsum.summability import cesaro, delta_at_zero, identity_matrix
 from conjsum.verify import transform_value
 
 PI = math.pi
+KERNEL_FORM_TOL = 1e-13  # kernel form against value - conjugate; 6.7e-16 measured
+
+# the eps each x is asked for: the CLI column, every pi/(n+1) of a verify grid, and a tiny one
+TABLE_EPS = np.array(sorted(set(DEFAULT_EPS) | {PI / (n + 1) for n in range(513)} | {1e-300}))
+
+
+def per_eps_quadrature(f, x, eps, grid):
+    """Reference: one graded quadrature of psi_x(t) (1/2) cot(t/2) over (eps, pi] for each (x, eps)."""
+    cuts = [b for b in psi_breakpoints(f, x) if b > eps]
+    q = integrate_graded(lambda t: eval_psi(f, x, t) * 0.5 / np.tan(0.5 * t), eps, PI, grid, breakpoints=cuts)
+    return -q.value / PI
 
 
 class TestTruncated:
@@ -64,6 +79,48 @@ class TestTruncated:
                 grid,
             ).value
             assert lhs <= bound * (1 + 1e-9) + 1e-12
+
+
+class TestSuffixTable:
+    def test_matches_per_eps_quadrature(self, grid):
+        # every (function, n <= 512) pair at one x, the CLI column and 1e-300 at every x
+        for i, x in enumerate(default_x_grid()):
+            eps = sorted(set(DEFAULT_EPS) | {1e-300} | {PI / (n + 1) for n in range(1 + i, 513, 30)})
+            for f in corpus():
+                want = [per_eps_quadrature(f, x, e, grid) for e in eps]
+                got = conjugate_truncated_batch(f, x, eps, grid)
+                assert np.max(np.abs(got - want)) <= 1e-14, (f.name, x)
+
+    def test_full_conjugate_matches_quadrature_from_zero(self, grid):
+        for f in corpus():
+            for x in default_x_grid()[::3]:
+                if not f.is_singular_at(x):
+                    assert abs(conjugate_at(f, x, grid) - per_eps_quadrature(f, x, 0.0, grid)) <= 1e-14
+
+    def test_batch_and_scalar_give_the_same_bits(self, grid):
+        for f in corpus():
+            for x in default_x_grid()[4::17]:
+                batch = conjugate_truncated_batch(f, x, TABLE_EPS, grid)
+                assert batch.tolist() == [conjugate_truncated(f, x, e, grid) for e in TABLE_EPS]
+                shuffled = np.random.default_rng(7).permutation(len(TABLE_EPS))
+                again = conjugate_truncated_batch(f, x, TABLE_EPS[shuffled], grid)
+                assert again.tolist() == batch[shuffled].tolist()
+
+    def test_every_eps_has_its_own_small_error_estimate(self, grid):
+        for f in corpus():
+            for x in default_x_grid():
+                values, est_errors = _truncated(f, x, TABLE_EPS, grid)
+                assert np.all(np.isfinite(values))
+                assert np.all(est_errors <= CONJUGATE_TOL), (f.name, x, est_errors.max())
+
+    def test_batch_rejects_eps_outside_domain(self, funcs):
+        for bad in (0.0, -1.0, 4.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="eps must lie in"):
+                conjugate_truncated_batch(funcs["sin"], 0.5, [0.5, bad])
+
+    def test_eps_pi_is_zero_in_a_batch(self, funcs):
+        got = conjugate_truncated_batch(funcs["sin"], 0.7, [PI, 0.5])
+        assert got[0] == 0.0 and math.copysign(1.0, got[0]) == 1.0
 
 
 class TestConjugateAt:
@@ -131,8 +188,8 @@ class TestDeviationKernelForm:
         x = PI / 3
         dt, df = deviation_kernel_form(f, C, C, 8, x, grid)
         value = transform_value(f, C, C, 8, x, grid)
-        assert dt == pytest.approx(value - conjugate_truncated(f, x, PI / 9, grid), abs=1e-6)
-        assert df == pytest.approx(value - conjugate_at(f, x, grid=grid), abs=1e-6)
+        assert dt == pytest.approx(value - conjugate_truncated(f, x, PI / 9, grid), abs=KERNEL_FORM_TOL)
+        assert df == pytest.approx(value - conjugate_at(f, x, grid=grid), abs=KERNEL_FORM_TOL)
 
     def test_identity_collapses_to_partial_sum(self, grid):
         # A = delta row at n, B = identity: the transform is S~_n itself
@@ -142,7 +199,7 @@ class TestDeviationKernelForm:
         dt, _ = deviation_kernel_form(f, I, I, 5, x, grid)
         c = fourier_coeffs(f, 5, grid)
         want = conj_partial_sum(c, 5, x) - conjugate_truncated(f, x, PI / 6, grid)
-        assert dt == pytest.approx(want, abs=1e-6)
+        assert dt == pytest.approx(want, abs=KERNEL_FORM_TOL)
 
     def test_overflowing_integral_is_a_numerical_failure(self, grid):
         # at x = 0 with the delta0 mean kernel (0), the full integrand is 1.6e308 cos^2(t/2):
@@ -162,5 +219,5 @@ class TestDeviationKernelForm:
                     value = transform_value(f, A, B, n, x, grid)
                     trunc = conjugate_truncated(f, x, PI / (n + 1), grid)
                     full = conjugate_at(f, x, grid=grid)
-                    assert dt == pytest.approx(value - trunc, abs=1e-6)
-                    assert df == pytest.approx(value - full, abs=1e-6)
+                    assert dt == pytest.approx(value - trunc, abs=KERNEL_FORM_TOL)
+                    assert df == pytest.approx(value - full, abs=KERNEL_FORM_TOL)

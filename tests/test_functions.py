@@ -197,7 +197,20 @@ class TestCorpus:
         assert float(hat(np.array(PI / 2))) == 0.0
         assert float(hat(np.array(PI))) == 0.0
         assert float(hat(np.array(PI / 4))) == pytest.approx(0.5)
-        assert hat.known_conjugate is None
+
+    def test_hat_conjugate_closed_form(self, funcs):
+        conj = funcs["hat"].known_conjugate
+        catalan = 0.91596559417721901505  # Cl_2(pi/2); Cl_2(0) = Cl_2(pi) = 0
+        assert conj.eval(np.array([PI / 2]))[0] == pytest.approx(4 * catalan / PI**2, abs=1e-15)
+        assert not funcs["hat"].is_singular_at(0.0)
+        x = np.linspace(-PI, PI, 41)
+        values = conj.eval(x)
+        assert np.max(np.abs(values + conj.eval(-x))) <= 1e-15
+        assert np.max(np.abs(values - conj.eval(x + 2 * PI))) <= 1e-14
+        # the conjugate series sum a_nu sin(nu x) to 20000 terms; its tail is below 8/(pi^2 20000)
+        nu = np.arange(1, 20001)
+        a = 2 * (1 - np.cos(nu * PI / 2)) / (PI * (PI / 2) * nu**2)
+        assert np.max(np.abs(np.sin(np.outer(x, nu)) @ a - values)) <= 4.1e-5
 
     def test_quadrature_matches_known_coefficients(self, all_functions, grid):
         from conjsum.kernels import fourier_coeffs

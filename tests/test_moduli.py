@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conjsum import moduli
 from conjsum.functions import DomainError, by_name, corpus
 from conjsum.moduli import (
     classical_modulus,
@@ -158,6 +159,28 @@ class TestClassicalModulus:
     def test_nan_p_rejected(self, grid):
         with pytest.raises(DomainError):
             classical_modulus(by_name("sin"), 1.0, math.nan, grid)
+
+    def test_node_delta_reads_the_table(self, grid, monkeypatch):
+        # the endpoint norm of a node delta is the table's norm there, bit for bit
+        t = moduli._classical_t_set()
+        deltas = np.concatenate([t[::9], PI / np.arange(1.0, 130.0, 16.0)])
+        cases = [(f, p, c) for f in corpus() for p in (1.0, 2.0, 3.0, math.inf) for c in (True, False)]
+        want = {}
+        for f, p, conjugate in cases:
+            kind = "psi" if conjugate else "phi"
+            norms = moduli._classical_table(f, p, kind, grid)[1]
+            for d in deltas:
+                endpoint = moduli._increment_norms(f, np.array([d]), p, kind, grid)[0]
+                want[f.name, p, conjugate, d] = max(float(norms[t <= d].max()), float(endpoint))
+        calls = []
+        original = moduli._increment_norms
+        monkeypatch.setattr(moduli, "_increment_norms", lambda *a: calls.append(a) or original(*a))
+        for f, p, conjugate in cases:
+            for d in deltas:
+                assert classical_modulus(f, float(d), p, grid, conjugate) == want[f.name, p, conjugate, d]
+        assert calls == []
+        classical_modulus(by_name("sin"), 0.3, 2.0, grid)
+        assert len(calls) == 1
 
     def test_nondecreasing_in_delta(self, grid):
         f = by_name("sawtooth")

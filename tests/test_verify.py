@@ -263,8 +263,8 @@ class TestKernelFormConsistency:
                 x = 5 * PI / 16
                 dt, df = deviation_kernel_form(f, A, B, n, x, grid)
                 assert abs(dt) == pytest.approx(
-                    lhs_theorem1(f, A, B, x, n, True, grid), abs=1e-6
+                    lhs_theorem1(f, A, B, x, n, True, grid), abs=1e-13
                 )
                 assert abs(df) == pytest.approx(
-                    lhs_theorem1(f, A, B, x, n, False, grid), abs=1e-6
+                    lhs_theorem1(f, A, B, x, n, False, grid), abs=1e-13
                 )
