@@ -13,16 +13,12 @@ from .functions import (
     by_name,
     eval_psi,
     eval_phi,
-    integrate_periodic,
     integrate_graded,
 )
 from .kernels import (
     FourierCoefficients,
-    conj_dirichlet,
     conj_dirichlet_complement,
     fourier_coeffs,
-    partial_sum,
-    conj_partial_sum,
     conj_partial_sum_integral,
 )
 from .moduli import (
@@ -65,12 +61,8 @@ from .conjugate import (
 from .verify import (
     BoundReport,
     rhs_theorem1,
-    rhs_remark1,
     rhs_theorem2,
     lhs_theorem1,
-    pointwise_report,
-    norm_report,
-    corollary_decay,
 )
 
 __version__ = "0.1.0"

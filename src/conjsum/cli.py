@@ -30,6 +30,10 @@ BUILTIN_MATRICES = ("cesaro", "identity", "delta0")
 # the conjugate command's default eps column: pi * 2**-j for j = 1..20
 DEFAULT_EPS = tuple(functions.PI * 2.0 ** (-j) for j in range(1, 21))
 
+# largest --n / --n-list, checked before anything is built: check-matrix holds dense
+# (n+1)^2 matrices, 134 MB each at 4096; verify and transform stop at the cutoff 512
+MAX_N = 4096
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -101,6 +105,8 @@ def _matrix_from(spec: str, n_max: int) -> summability.TriangularMatrix:
 def _nonnegative(flag: str, n: int) -> int:
     if n < 0:
         raise DomainError(f"{flag} must be nonnegative, got {n}")
+    if n > MAX_N:
+        raise DomainError(f"{flag} must be <= {MAX_N}, got {n}")
     return n
 
 
@@ -167,10 +173,10 @@ def _cmd_transform(args) -> int:
     f = _function_from(args)
     grid = _grid_from(args)
     ns = _n_values(args)
+    xs = _x_values(args)
     A = _matrix_from(args.matrix_a, max(ns))
     B = _matrix_from(args.matrix_b, max(ns))
     conj_flag = not args.plain
-    xs = _x_values(args)
     values = verify.transform_grid(f, A, B, ns, xs, grid, conjugate=conj_flag)
     rows = []
     for n, row in zip(ns, values):
@@ -230,6 +236,8 @@ def _cmd_moduli(args) -> int:
     grid = _grid_from(args)
     rows = []
     if args.delta is not None:
+        if not 0.0 < args.delta <= functions.PI:
+            raise DomainError(f"--delta must lie in (0, pi], got {args.delta}")
         op = _MODULUS_OPS[args.kind]
         for x in _x_values(args):
             rows.append(
@@ -281,6 +289,8 @@ def _cmd_verify(args) -> int:
     grid = _grid_from(args)
     ns = _n_values(args)
     xs = _x_values(args)
+    if not args.p >= 1:
+        raise DomainError(f"--p must satisfy 1 <= p <= inf, got {args.p}")
     A = _matrix_from(args.matrix_a, max(ns))
     B = _matrix_from(args.matrix_b, max(ns))
     theorem = args.theorem
@@ -290,10 +300,8 @@ def _cmd_verify(args) -> int:
         if theorem == "T4":
             A = summability.cesaro(max(ns))
         reports = verify.norm_grid(f, A, B, ns, args.p, args.truncated, grid, theorem)
-    elif theorem == "COR":
+    else:  # COR; argparse admits only verify.THEOREM_IDS
         reports = verify.corollary_grid(f, A, B, ns, xs, grid)
-    else:
-        raise DomainError(f"unknown theorem id {theorem!r}; choose from {verify.THEOREM_IDS}")
     columns = ["theorem", "function", "matrix_a", "matrix_b", "n", "x", "p", "lhs", "rhs", "ratio"]
     _write_rows(columns, (_report_row(r) for r in reports), args.out, args.format)
     return 0

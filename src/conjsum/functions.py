@@ -2,10 +2,11 @@
 
 The engine is 8-node Gauss-Legendre panels (``gl_panels``, ``gl_rule``), the
 dyadically graded meshes of ``graded_boundaries`` for integrands with a
-1/t-type feature at the left endpoint, and two integrators built on them:
-``integrate_periodic`` (smooth integrands, full periods get the spectrally
-accurate uniform trapezoid) and ``integrate_graded``.  The conjugate and the
-moduli keep per-x tables on these panels instead of calling an integrator.
+1/t-type feature at the left endpoint, and ``integrate_graded`` on those
+meshes.  The conjugate and the moduli keep per-x tables on these panels
+instead of calling an integrator.  ``eval_psi`` and ``eval_phi`` are the one
+definition of the increments psi_x and phi_x; x may be an array that
+broadcasts against t.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ _gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_GL_POINTS)
 # At this m the moduli node table takes about 104 MB and each 400*m increment
 # array of the classical moduli about 52 MB.
 MAX_GRID_M = 2**14
+# Depth 64 grades down to pi * 2**-64 = 1.7e-19; near depth 1050, t/2 underflows to 0 at the finest nodes.
+MAX_GRID_REFINEMENT = 64
 
 
 class SingularIntegrandError(ValueError):
@@ -45,7 +48,7 @@ class UnknownNameError(KeyError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Quadrature resolution: m nodes per period (16 <= m <= 2**14), dyadic grading depth."""
+    """Quadrature resolution: m nodes per period (16 <= m <= 2**14), dyadic grading depth (1 to 64)."""
 
     m: int = 1024
     refinement: int = 24
@@ -59,6 +62,8 @@ class GridSpec:
             raise DomainError(f"grid m must be even, got {self.m}")
         if self.refinement < 1:
             raise DomainError(f"refinement must be positive, got {self.refinement}")
+        if self.refinement > MAX_GRID_REFINEMENT:
+            raise DomainError(f"refinement must be <= {MAX_GRID_REFINEMENT}, got {self.refinement}")
 
 
 DEFAULT_GRID = GridSpec()
@@ -116,16 +121,16 @@ class PeriodicFunction:
 
 
 def eval_psi(f: PeriodicFunction, x: float, t):
-    """Odd increment f(x+t) - f(x-t)."""
+    """Odd increment psi_x(t) = f(x+t) - f(x-t)."""
     t = np.asarray(t, dtype=float)
     out = f(x + t) - f(x - t)
     return float(out) if out.ndim == 0 else out
 
 
 def eval_phi(f: PeriodicFunction, x: float, t):
-    """Even second difference f(x+t) + f(x-t) - 2 f(x)."""
+    """Even second difference phi_x(t) = f(x+t) + f(x-t) - 2 f(x)."""
     t = np.asarray(t, dtype=float)
-    out = f(x + t) + f(x - t) - 2.0 * float(f(x))
+    out = f(x + t) + f(x - t) - 2.0 * f(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -190,43 +195,6 @@ def _composite_value(g, boundaries: np.ndarray) -> float:
     values = np.asarray(g(nodes), dtype=float)
     _check_finite(values)
     return float(np.dot(weights, values))
-
-
-def _trapezoid_period(g, a: float, m: int) -> float:
-    h = TWO_PI / m
-    nodes = a + h * np.arange(m)
-    values = np.asarray(g(nodes), dtype=float)
-    _check_finite(values)
-    return h * float(np.sum(values))
-
-
-def integrate_periodic(
-    g: Callable[[np.ndarray], np.ndarray],
-    grid: GridSpec = DEFAULT_GRID,
-    a: float = -PI,
-    b: float = PI,
-    breakpoints: Sequence[float] = (),
-) -> QuadratureResult:
-    """Composite-rule integral of g over [a, b].
-
-    A full period without breakpoints uses the uniform trapezoid rule, which
-    is spectrally accurate for smooth periodic integrands; any other interval
-    uses composite Gauss-Legendre panels split at the given breakpoints.
-    The error estimate comes from comparing against a halved mesh.
-    """
-    if b <= a:
-        raise DomainError("integration interval is empty")
-    full_period = abs((b - a) - TWO_PI) < 1e-12
-    if full_period and not breakpoints:
-        fine = _trapezoid_period(g, a, grid.m)
-        coarse = _trapezoid_period(g, a, grid.m // 2)
-        return QuadratureResult(fine, abs(fine - coarse))
-    panels = max(2, grid.m // _GL_POINTS)
-    base = np.linspace(a, b, panels + 1)
-    base = _insert_points(base, breakpoints)
-    coarse = _composite_value(g, base)
-    fine = _composite_value(g, _subdivide(base, 2))
-    return QuadratureResult(fine, abs(fine - coarse))
 
 
 @lru_cache(maxsize=256)

@@ -1,5 +1,7 @@
 """Conjugate Dirichlet kernels, Fourier coefficients and (conjugate) partial sums.
 
+The kernel rows k = 0..k_max (``conj_dirichlet_matrix``) and the partial sums
+k = 0..n (``partial_sum_table``) each come from one evaluator; order k is row k.
 ``fourier_coeffs`` sums its quadrature with one inverse FFT per Gauss node.
 numpy.fft is reached on the first build, so importing the package does not load it.
 """
@@ -54,33 +56,6 @@ class FourierCoefficients:
             raise ValueError("coefficients must be finite")
 
 
-def _direct_conj_dirichlet(k: int, t: np.ndarray) -> np.ndarray:
-    nu = np.arange(k + 1, dtype=float)
-    return np.sin(np.multiply.outer(t, nu)).sum(axis=-1)
-
-
-def conj_dirichlet(k: int, t):
-    """Kernel sum_{nu=0}^{k} sin(nu t), via the closed cosine-difference form.
-
-    Falls back to direct summation where |sin(t/2)| < 1e-8 (the closed form
-    is 0/0 at multiples of 2*pi while the sum is finite, and 0 there).
-    """
-    if k < 0:
-        raise ValueError("kernel order must be nonnegative")
-    t_arr = np.asarray(t, dtype=float)
-    s = np.sin(0.5 * t_arr)
-    near = np.abs(s) < DIRECT_SUM_CUTOFF
-    denom = np.where(near, 1.0, 2.0 * s)
-    out = (np.cos(0.5 * t_arr) - np.cos((2 * k + 1) * 0.5 * t_arr)) / denom
-    if np.any(near):
-        direct = _direct_conj_dirichlet(k, np.atleast_1d(t_arr)[np.atleast_1d(near)])
-        if out.ndim == 0:
-            out = np.asarray(direct[0])
-        else:
-            out[near] = direct
-    return float(out) if out.ndim == 0 else out
-
-
 def conj_dirichlet_complement(k: int, t):
     """Kernel (1/2)cot(t/2) - sum sin(nu t) = cos((2k+1)t/2) / (2 sin(t/2))."""
     if k < 0:
@@ -96,7 +71,9 @@ def conj_dirichlet_complement(k: int, t):
 
 
 def conj_dirichlet_matrix(k_max: int, t: np.ndarray) -> np.ndarray:
-    """Rows k = 0..k_max of the conjugate Dirichlet kernel at the given t."""
+    """Rows k = 0..k_max of sum_{nu=0}^{k} sin(nu t) at the given t: the closed form, or the direct sum."""
+    if k_max < 0:
+        raise ValueError("kernel order must be nonnegative")
     t = np.asarray(t, dtype=float)
     s = np.sin(0.5 * t)
     near = np.abs(s) < DIRECT_SUM_CUTOFF
@@ -165,22 +142,6 @@ def _check_order(c: FourierCoefficients, k: int):
         raise CutoffError(f"order {k} exceeds coefficient cutoff N={c.N}")
 
 
-def partial_sum(c: FourierCoefficients, k: int, x: float) -> float:
-    """S_k f(x) = a0/2 + sum_{nu<=k} (a_nu cos nu x + b_nu sin nu x)."""
-    _check_order(c, k)
-    nu = np.arange(1, k + 1, dtype=float)
-    terms = c.a[:k] * np.cos(nu * x) + c.b[:k] * np.sin(nu * x)
-    return 0.5 * c.a0 + math.fsum(terms.tolist())
-
-
-def conj_partial_sum(c: FourierCoefficients, k: int, x: float) -> float:
-    """Conjugate partial sum sum_{nu<=k} (a_nu sin nu x - b_nu cos nu x); 0 for k=0."""
-    _check_order(c, k)
-    nu = np.arange(1, k + 1, dtype=float)
-    terms = c.a[:k] * np.sin(nu * x) - c.b[:k] * np.cos(nu * x)
-    return math.fsum(terms.tolist())
-
-
 def partial_sum_table(c: FourierCoefficients, n: int, x: float, conjugate: bool) -> np.ndarray:
     """S~_k f(x) (or S_k f(x)) for k = 0..n in one pass."""
     _check_order(c, n)
@@ -205,14 +166,10 @@ def conj_partial_sum_integral(
         raise ValueError("partial-sum order must be nonnegative")
     panels = max(grid.m // 8, 4 * (k + 1), 16)
     base = np.linspace(-PI, PI, panels + 1)
-    shifted = sorted({b for t0 in f.breakpoints for b in ((t0 - x) % (2 * PI),)})
-    cuts = []
-    for t0 in shifted:
-        for cand in (t0, t0 - 2 * PI):
-            if -PI < cand < PI:
-                cuts.append(cand)
-    nodes, weights = gl_rule(_insert_points(base, cuts))
-    kernel = conj_dirichlet(k, nodes)
+    # t where f(x + t) reaches a breakpoint; _insert_points keeps those inside (-pi, pi)
+    shifted = [(t0 - x) % TWO_PI for t0 in f.breakpoints]
+    nodes, weights = gl_rule(_insert_points(base, shifted + [t - TWO_PI for t in shifted]))
+    kernel = conj_dirichlet_matrix(k, nodes)[k]
     values = np.asarray(f(x + nodes), dtype=float)
     return float(-np.dot(weights, values * kernel) / PI)
 
@@ -221,12 +178,9 @@ __all__ = [
     "FourierCoefficients",
     "SingularKernelError",
     "CutoffError",
-    "conj_dirichlet",
     "conj_dirichlet_complement",
     "conj_dirichlet_matrix",
     "fourier_coeffs",
-    "partial_sum",
-    "conj_partial_sum",
     "partial_sum_table",
     "conj_partial_sum_integral",
     "DEFAULT_COEFF_CUTOFF",

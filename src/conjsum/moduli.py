@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -40,6 +40,8 @@ from .functions import (
     DomainError,
     GridSpec,
     PeriodicFunction,
+    eval_phi,
+    eval_psi,
     gl_panels,
     psi_breakpoints,
     sorted_unique,
@@ -51,6 +53,8 @@ MODULUS_KINDS = ("w", "w_bar", "w_tilde", "w_tilde_bar")
 # its uniform part stops at 512 panels so that its size is linear in m.
 _TABLE_ROWS = 32
 _TABLE_MAX_PANELS = 512
+
+_INCREMENTS = {"psi": eval_psi, "phi": eval_phi}
 
 
 @dataclass(frozen=True)
@@ -66,17 +70,10 @@ class ModulusProfile:
         return PI / (np.arange(len(self.values)) + 1.0)
 
 
-def _increment(f: PeriodicFunction, x, kind: str):
-    """t -> psi_x(t) (or phi_x(t)); x is a float or an array that broadcasts against t."""
-    if kind == "psi":
-        return lambda t: f(x + t) - f(x - t)
-    fx2 = 2.0 * f(x)
-    return lambda t: f(x + t) + f(x - t) - fx2
-
-
 def _abs_increment(f: PeriodicFunction, x, kind: str):
-    signed = _increment(f, x, kind)
-    return lambda t: np.abs(signed(t))
+    """t -> |psi_x(t)| (or |phi_x(t)|); x is a float or an array that broadcasts against t."""
+    increment = _INCREMENTS[kind]
+    return lambda t: np.abs(increment(f, x, t))
 
 
 def _bisect_roots(g, lo: np.ndarray, hi: np.ndarray, iters: int = 52) -> np.ndarray:
@@ -152,7 +149,7 @@ class _AbsCumulative:
 @lru_cache(maxsize=4096)
 def _cumulative(f: PeriodicFunction, x: float, kind: str, grid: GridSpec) -> _AbsCumulative:
     """One x: master boundaries plus psi's jumps and the roots of the increment."""
-    signed = _increment(f, x, kind)
+    signed = partial(_INCREMENTS[kind], f, x)
     breaks = np.asarray(psi_breakpoints(f, x), dtype=float)
     bounds = _panel_bounds(_master_pieces(grid.m // 2, grid.refinement) + [breaks])
     vals = np.asarray(signed(bounds[1:]), dtype=float)
@@ -227,20 +224,27 @@ def _x_nodes(grid: GridSpec) -> np.ndarray:
     return -PI + TWO_PI / grid.m * np.arange(grid.m)
 
 
-def lp_norm(g, p: float, grid: GridSpec = DEFAULT_GRID) -> float:
-    """Quadrature L^p norm of g over [-pi, pi]; p = inf is the grid maximum."""
+def _check_p(p: float):
     if not p >= 1:
         raise DomainError(f"p must satisfy 1 <= p <= inf, got {p}")
-    nodes = _x_nodes(grid)
-    values = np.abs(np.asarray(g(nodes), dtype=float))
-    if math.isinf(p):
-        return float(values.max())
+
+
+def _lp_norms(values: np.ndarray, p: float, grid: GridSpec) -> np.ndarray:
+    """L^p norms over the last axis of values >= 0 sampled on the uniform x nodes."""
     h = TWO_PI / grid.m
+    if math.isinf(p):
+        return values.max(axis=-1)
     if p == 1:
-        return float(h * values.sum())
+        return h * values.sum(axis=-1)
     if p == 2:
-        return float(math.sqrt(h * float(np.dot(values, values))))
-    return float((h * np.sum(values**p)) ** (1.0 / p))
+        return np.sqrt(h * np.sum(values**2, axis=-1))
+    return (h * np.sum(values**p, axis=-1)) ** (1.0 / p)
+
+
+def lp_norm(g, p: float, grid: GridSpec = DEFAULT_GRID) -> float:
+    """Quadrature L^p norm of g over [-pi, pi]; p = inf is the grid maximum."""
+    _check_p(p)
+    return float(_lp_norms(np.abs(np.asarray(g(_x_nodes(grid)), dtype=float)), p, grid))
 
 
 def _classical_t_set() -> np.ndarray:
@@ -253,20 +257,8 @@ def _classical_t_set() -> np.ndarray:
 
 
 def _increment_norms(f: PeriodicFunction, t: np.ndarray, p: float, kind: str, grid: GridSpec) -> np.ndarray:
-    x = _x_nodes(grid)
-    if kind == "psi":
-        values = np.abs(f(x[None, :] + t[:, None]) - f(x[None, :] - t[:, None]))
-    else:
-        fx = np.asarray(f(x), dtype=float)
-        values = np.abs(f(x[None, :] + t[:, None]) + f(x[None, :] - t[:, None]) - 2.0 * fx)
-    h = TWO_PI / grid.m
-    if math.isinf(p):
-        return values.max(axis=1)
-    if p == 1:
-        return h * values.sum(axis=1)
-    if p == 2:
-        return np.sqrt(h * np.sum(values**2, axis=1))
-    return (h * np.sum(values**p, axis=1)) ** (1.0 / p)
+    """L^p norm in x of the increment at each t."""
+    return _lp_norms(np.abs(_INCREMENTS[kind](f, _x_nodes(grid)[None, :], t[:, None])), p, grid)
 
 
 @lru_cache(maxsize=256)
@@ -284,8 +276,7 @@ def classical_modulus(
 ) -> float:
     """sup over 0 < t <= delta of the L^p norm in x of psi (phi if conjugate=False)."""
     _check_delta(delta)
-    if not p >= 1:
-        raise DomainError(f"p must satisfy 1 <= p <= inf, got {p}")
+    _check_p(p)
     kind = "psi" if conjugate else "phi"
     t, norms = _classical_table(f, float(p), kind, grid)
     k = int(np.searchsorted(t, delta, side="right"))  # t[:k] <= delta

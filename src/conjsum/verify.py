@@ -9,10 +9,10 @@ A command is evaluated over its whole (n, x) grid at once: the coefficients
 once, the AB weights once per n, and per x one partial-sum table and one
 modulus profile up to the largest n; each (n, x) value reads a prefix.  The
 conjugates come from one suffix-sum table per x (see conjugate): the truncated
-ones at every eps = pi/(n+1) of the grid in one batch per x.  transform_value,
-pointwise_report, norm_report and corollary_decay are the grid code at one n or
-x; lhs_theorem1 is the transform at one point against the cached scalar
-conjugate, which has the bits of the batch.
+ones at every eps = pi/(n+1) of the grid in one batch per x.  One n or x is a
+grid of one.  For library callers, transform_value is summability.ab_transform,
+whose bits the grid's prefix reads, and lhs_theorem1 compares it with the
+cached scalar conjugate, which has the bits of the batch.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import kernels, summability
 from .conjugate import conjugate_at, conjugate_truncated, conjugate_truncated_batch, default_x_grid
 from .functions import DEFAULT_GRID, PI, GridSpec, PeriodicFunction
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, _check_order, fourier_coeffs
-from .moduli import classical_modulus, modulus_profile
+from .moduli import _check_p, classical_modulus, modulus_profile
 from .summability import TriangularMatrix, exact_cumsum
 
 THEOREM_IDS = ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc", "T3", "T4", "COR")
@@ -81,10 +81,6 @@ def _remark1_weights(A: TriangularMatrix, n: int) -> np.ndarray:
 def _remark1_sum(weights: np.ndarray, n: int, inner: np.ndarray) -> float:
     # np.cumsum adds in index order, so the total rounds like a running sum
     return float(np.cumsum(weights * inner[: n + 1])[-1] + inner[n])
-
-
-def _remark1_expression(A: TriangularMatrix, n: int, values: np.ndarray) -> float:
-    return _remark1_sum(_remark1_weights(A, n), n, _averaged_modulus(values))
 
 
 class _Grid:
@@ -185,7 +181,8 @@ def transform_value(
     grid: GridSpec = DEFAULT_GRID,
     conjugate: bool = True,
 ) -> float:
-    return _Grid(f, A, B, [n], grid, conjugate).transform(n, x)
+    """T~_{n,A,B} f(x) at one point; the grid's transform reads the same bits from its prefix."""
+    return summability.ab_transform(coefficients(f, grid), A, B, n, x, conjugate)
 
 
 def rhs_theorem1(
@@ -194,14 +191,6 @@ def rhs_theorem1(
     """sum_r a_{n,r} [ (1/(r+1)) sum_{k<=r} bar-w~_x(pi/(k+1)) ]."""
     values = modulus_profile(f, x, n, "w_tilde_bar", grid).values
     return _row_mean(A, n, _averaged_modulus(values))
-
-
-def rhs_remark1(
-    f: PeriodicFunction, A: TriangularMatrix, x: float, n: int, grid: GridSpec = DEFAULT_GRID
-) -> float:
-    """The sharper plain-modulus expression, no prefix-dominance assumption."""
-    values = modulus_profile(f, x, n, "w_tilde", grid).values
-    return _remark1_expression(A, n, values)
 
 
 def rhs_theorem2(
@@ -261,19 +250,6 @@ def pointwise_grid(
     return reports
 
 
-def pointwise_report(
-    theorem_id: str,
-    f: PeriodicFunction,
-    A: TriangularMatrix,
-    B: TriangularMatrix,
-    x: float,
-    n: int,
-    grid: GridSpec = DEFAULT_GRID,
-) -> BoundReport:
-    """One pointwise BoundReport for T1.51, T1.5, R1.6, T2 or T2.trunc."""
-    return pointwise_grid(theorem_id, f, A, B, [n], [x], grid)[0]
-
-
 def norm_grid(
     f: PeriodicFunction,
     A: TriangularMatrix,
@@ -289,8 +265,7 @@ def norm_grid(
     The lhs norm is discrete over the default evaluation grid (weight pi/16
     per point, max for p = inf); the rhs uses the classical L^p moduli.
     """
-    if not p >= 1:
-        raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
+    _check_p(p)
     g = _Grid(f, A, B, ns, grid)
     xs = default_x_grid()
     reports = []
@@ -310,20 +285,6 @@ def norm_grid(
         }
         reports.append(BoundReport(theorem_id, n, None, lhs, rhs, ratio_of(lhs, rhs), metadata))
     return reports
-
-
-def norm_report(
-    f: PeriodicFunction,
-    A: TriangularMatrix,
-    B: TriangularMatrix,
-    n: int,
-    p: float,
-    truncated: bool,
-    grid: GridSpec = DEFAULT_GRID,
-    theorem_id: str = "T3",
-) -> BoundReport:
-    """One L^p-level report; see norm_grid."""
-    return norm_grid(f, A, B, [n], p, truncated, grid, theorem_id)[0]
 
 
 def corollary_grid(
@@ -354,18 +315,6 @@ def corollary_grid(
     return reports
 
 
-def corollary_decay(
-    f: PeriodicFunction,
-    A: TriangularMatrix,
-    B: TriangularMatrix,
-    n_list: Sequence[int],
-    x: float,
-    grid: GridSpec = DEFAULT_GRID,
-) -> list[BoundReport]:
-    """corollary_grid at one x."""
-    return corollary_grid(f, A, B, n_list, [x], grid)
-
-
 __all__ = [
     "BoundReport",
     "THEOREM_IDS",
@@ -376,13 +325,9 @@ __all__ = [
     "transform_grid",
     "transform_value",
     "rhs_theorem1",
-    "rhs_remark1",
     "rhs_theorem2",
     "lhs_theorem1",
     "pointwise_grid",
-    "pointwise_report",
     "norm_grid",
-    "norm_report",
     "corollary_grid",
-    "corollary_decay",
 ]

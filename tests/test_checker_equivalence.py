@@ -28,7 +28,7 @@ from conjsum.summability import (
     identity_matrix,
     nordlund,
 )
-from conjsum.verify import _remark1_expression
+from conjsum.verify import _averaged_modulus, _remark1_sum, _remark1_weights
 
 
 def ref_ab_weights(A, B, n):
@@ -143,9 +143,8 @@ def assert_matches_reference(A, B):
     for n in range(n_hi + 1):
         assert np.array_equal(ab_weights(A, B, n), ref_ab_weights(A, B, n))
         assert check_remark1_condition(A, n) == ref_remark1(A, n)
-        assert _remark1_expression(A, n, values[: n + 1]) == ref_remark1_expression(
-            A, n, values[: n + 1]
-        )
+        got = _remark1_sum(_remark1_weights(A, n), n, _averaged_modulus(values[: n + 1]))
+        assert got == ref_remark1_expression(A, n, values[: n + 1])
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 17, 128])

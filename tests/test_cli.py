@@ -12,7 +12,7 @@ from conjsum import cli
 from conjsum.conjugate import ConvergenceError
 from conjsum.functions import by_name
 from conjsum.summability import cesaro, nordlund
-from conjsum.verify import pointwise_report
+from conjsum.verify import pointwise_grid
 
 PI = math.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -122,7 +122,7 @@ class TestExitCodes:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "p must satisfy" in captured.err
+        assert "error: --p must satisfy 1 <= p <= inf, got nan" in captured.err
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1", "4"])
     def test_eps_outside_domain_names_flag(self, eps, capsys):
@@ -151,6 +151,44 @@ class TestExitCodes:
     def test_negative_order_names_flag(self, args, flag, capsys):
         assert run_cli(args) == 2
         assert f"error: {flag} must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["coeffs", "--function", "sin", "--n", "4097"], "--n"),
+            (["moduli", "--function", "sin", "--x", "0.5", "--n", "4097"], "--n"),
+            (["verify", "--theorem", "T1.5", "--function", "sin", "--n-list", "8", "4097", "--x", "0.5"], "--n-list"),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_order_above_bound_names_flag(self, args, flag, capsys):
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be <= {cli.MAX_N}, got 4097\n"
+
+    def test_huge_check_matrix_n_exits_2_before_allocating(self):
+        # at n = 100000 the dense matrices alone would need 74.5 GiB; 3 GB of address space
+        # makes an allocation fail fast instead of exhausting memory
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "conjsum.cli", "check-matrix", "--n", "100000"],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_address_space,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == f"error: --n must be <= {cli.MAX_N}, got 100000\n"
+
+    def test_grid_refinement_above_bound_names_flag(self, capsys):
+        assert run_cli(["moduli", "--function", "sin", "--x", "0.5", "--grid-refinement", "65"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--grid-refinement" in captured.err and "refinement must be <= 64, got 65" in captured.err
 
     def test_conjugate_near_jump_exits_1(self, capsys):
         code = run_cli(["conjugate", "--function", "sawtooth", "--x", "1e-9", "--eps", "0.5"])
@@ -195,7 +233,7 @@ class TestOutputs:
              "--matrix-b", "cesaro", "--n", "8", "--x", repr(x), "--out", str(out)]
         ) == 0
         row = read_csv(out)[0]
-        rep = pointwise_report("T1.5", by_name("sin"), cesaro(8), cesaro(8), x, 8, grid)
+        (rep,) = pointwise_grid("T1.5", by_name("sin"), cesaro(8), cesaro(8), [8], [x], grid)
         assert float(row["lhs"]) == rep.lhs
         assert float(row["rhs"]) == rep.rhs
         assert float(row["ratio"]) == rep.ratio
@@ -213,12 +251,13 @@ class TestOutputs:
         want = w_tilde_bar(by_name("cos"), PI / 2, 1.0, grid)
         assert float(row["value"]) == pytest.approx(want, abs=1e-15)
 
-    def test_moduli_delta_out_of_range_exits_2(self, tmp_path):
+    def test_moduli_delta_out_of_range_exits_2(self, tmp_path, capsys):
         code = run_cli(
             ["moduli", "--function", "cos", "--x", "0.5", "--delta", "4.0",
              "--out", str(tmp_path / "m.csv")]
         )
         assert code == 2
+        assert "error: --delta must lie in (0, pi], got 4.0" in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "m.json"

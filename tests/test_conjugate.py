@@ -24,7 +24,7 @@ from conjsum.functions import (
     integrate_graded,
     psi_breakpoints,
 )
-from conjsum.kernels import fourier_coeffs, conj_partial_sum
+from conjsum.kernels import fourier_coeffs, partial_sum_table
 from conjsum.summability import cesaro, delta_at_zero, identity_matrix
 from conjsum.verify import transform_value
 
@@ -198,7 +198,7 @@ class TestDeviationKernelForm:
         x = 1.0
         dt, _ = deviation_kernel_form(f, I, I, 5, x, grid)
         c = fourier_coeffs(f, 5, grid)
-        want = conj_partial_sum(c, 5, x) - conjugate_truncated(f, x, PI / 6, grid)
+        want = partial_sum_table(c, 5, x, conjugate=True)[5] - conjugate_truncated(f, x, PI / 6, grid)
         assert dt == pytest.approx(want, abs=KERNEL_FORM_TOL)
 
     def test_overflowing_integral_is_a_numerical_failure(self, grid):

@@ -14,7 +14,6 @@ from conjsum.functions import (
     eval_phi,
     eval_psi,
     integrate_graded,
-    integrate_periodic,
 )
 
 PI = math.pi
@@ -97,46 +96,37 @@ class TestGridSpec:
         with pytest.raises(DomainError, match="16384"):
             GridSpec(m=2**14 + 2)
 
+    def test_rejects_refinement_above_cap(self):
+        assert GridSpec(refinement=64).refinement == 64
+        with pytest.raises(DomainError, match="refinement must be <= 64, got 65"):
+            GridSpec(refinement=65)
+
 
 class TestIntegratePeriodic:
+    """Periodic integrands over half a period, on the graded integrator."""
+
     def test_sine_half_period(self):
-        r = integrate_periodic(np.sin, GridSpec(m=64), a=0.0, b=PI)
+        r = integrate_graded(np.sin, 0.0, PI, GridSpec(m=64))
         assert abs(r.value - 2.0) < 1e-10
-
-    def test_constant_full_period(self, grid):
-        r = integrate_periodic(lambda t: np.ones_like(t), grid)
-        assert r.value == pytest.approx(2 * PI, abs=1e-12)
-
-    def test_cosine_full_period(self, grid):
-        r = integrate_periodic(np.cos, grid)
-        assert abs(r.value) < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16, 32])
     def test_trig_monomials_cancel(self, k):
         g = GridSpec(m=max(64, 4 * k))
-        assert abs(integrate_periodic(lambda t: np.cos(k * t), g).value) < 1e-10
-        assert abs(integrate_periodic(lambda t: np.sin(k * t), g).value) < 1e-10
+        assert abs(integrate_graded(lambda t: np.cos(k * t), 0.0, PI, g).value) < 1e-10
+        assert abs(integrate_graded(lambda t: np.sin(2 * k * t), 0.0, PI, g).value) < 1e-10
 
     def test_singular_integrand_raises(self):
-        # the uniform full-period mesh hits t = 0 where 1/t blows up
-        with np.errstate(divide="ignore"), pytest.raises(SingularIntegrandError):
-            integrate_periodic(lambda t: 1.0 / t, GridSpec(m=64))
+        # the graded nodes approach t = 0, where t**-400 overflows
+        with np.errstate(over="ignore"), pytest.raises(SingularIntegrandError):
+            integrate_graded(lambda t: t**-400.0, 0.0, PI)
 
-    def test_empty_interval_rejected(self, grid):
+    def test_empty_interval_rejected(self):
         with pytest.raises(DomainError):
-            integrate_periodic(np.sin, grid, a=1.0, b=1.0)
-
-    def test_mesh_halving_reduces_error_trapezoid(self):
-        g = lambda t: 1.0 / (2.0 + np.cos(t))
-        e16 = integrate_periodic(g, GridSpec(m=16)).est_error
-        e32 = integrate_periodic(g, GridSpec(m=32)).est_error
-        assert e32 < e16
+            integrate_graded(np.sin, 1.0, 1.0)
 
     def test_mesh_halving_reduces_error_panels(self):
         g = lambda t: np.exp(np.sin(3 * t))
-        errs = [
-            integrate_periodic(g, GridSpec(m=m), a=0.0, b=PI).est_error for m in (16, 32, 64)
-        ]
+        errs = [integrate_graded(g, 0.0, PI, GridSpec(m=m)).est_error for m in (32, 64, 128)]
         assert errs[1] < errs[0] and errs[2] < errs[1]
 
 

@@ -11,13 +11,10 @@ from conjsum.functions import PeriodicFunction, _insert_points, by_name, corpus,
 from conjsum.kernels import (
     CutoffError,
     SingularKernelError,
-    conj_dirichlet,
     conj_dirichlet_complement,
     conj_dirichlet_matrix,
-    conj_partial_sum,
     conj_partial_sum_integral,
     fourier_coeffs,
-    partial_sum,
     partial_sum_table,
 )
 
@@ -67,6 +64,11 @@ def direct_kernel(k: int, t: float) -> float:
     return math.fsum(math.sin(nu * t) for nu in range(k + 1))
 
 
+def kernel_row(k: int, t) -> np.ndarray:
+    """Row k of conj_dirichlet_matrix at the points t."""
+    return conj_dirichlet_matrix(k, np.atleast_1d(np.asarray(t, dtype=float)))[k]
+
+
 def kernel_grid():
     t = PI * np.arange(1, 513) / 512.0
     return t[np.abs(np.sin(t / 2)) >= 1e-6]
@@ -74,38 +76,40 @@ def kernel_grid():
 
 class TestConjDirichlet:
     def test_vanishes_at_zero(self):
-        assert conj_dirichlet(5, 0.0) == 0.0
+        assert kernel_row(5, 0.0)[0] == 0.0
 
     def test_small_order_frozen(self):
         # direct summation: sin(pi/2) + sin(pi) = 1
-        assert conj_dirichlet(2, PI / 2) == pytest.approx(1.0, abs=1e-12)
+        assert kernel_row(2, PI / 2)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_matches_direct_sum(self):
         t = 0.37
-        assert conj_dirichlet(64, t) == pytest.approx(direct_kernel(64, t), abs=1e-10)
+        assert kernel_row(64, t)[0] == pytest.approx(direct_kernel(64, t), abs=1e-10)
 
     @pytest.mark.parametrize("k", [0, 1, 7, 33, 128])
     def test_grid_agreement(self, k):
         t = kernel_grid()[::17]
-        got = conj_dirichlet(k, t)
+        got = kernel_row(k, t)
         want = np.array([direct_kernel(k, float(ti)) for ti in t])
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_near_singular_fallback(self):
         # |sin(t/2)| < 1e-8 switches to the direct sum; at t = 2*pi that is 0
-        assert conj_dirichlet(12, 2 * PI) == pytest.approx(0.0, abs=1e-12)
+        assert kernel_row(12, 2 * PI)[0] == pytest.approx(0.0, abs=1e-12)
         t = 1e-9
-        assert conj_dirichlet(12, t) == pytest.approx(direct_kernel(12, t), abs=1e-12)
+        assert kernel_row(12, t)[0] == pytest.approx(direct_kernel(12, t), abs=1e-12)
 
     def test_matrix_rows_match_scalar(self):
-        t = kernel_grid()[::31]
+        # row k does not depend on how many rows are built, near 2*pi included
+        t = np.concatenate([kernel_grid()[::31], [2 * PI, 1e-9, -3e-9]])
         mat = conj_dirichlet_matrix(16, t)
         for k in (0, 3, 16):
-            assert np.max(np.abs(mat[k] - conj_dirichlet(k, t))) < 1e-12
+            assert np.array_equal(mat[k], kernel_row(k, t))
+            assert np.max(np.abs(mat[k] - [direct_kernel(k, float(ti)) for ti in t])) < 1e-12
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            conj_dirichlet(-1, 0.5)
+            conj_dirichlet_matrix(-1, np.array([0.5]))
 
 
 class TestConjDirichletComplement:
@@ -138,11 +142,11 @@ class TestLemma1Bounds:
         t_wide = np.linspace(-2 * PI, 2 * PI, 257)
         t_wide = t_wide[np.abs(np.sin(t_wide / 2)) >= 1e-6]
         for k in (0, 1, 5, 32, 128):
-            d = np.abs(conj_dirichlet(k, t_half))
+            d = np.abs(kernel_row(k, t_half))
             dc = np.abs(np.array([conj_dirichlet_complement(k, float(t)) for t in t_half]))
             assert np.all(dc <= PI / (2 * t_half) * slack)
             assert np.all(d <= PI / t_half * slack)
-            dw = np.abs(conj_dirichlet(k, t_wide))
+            dw = np.abs(kernel_row(k, t_wide))
             assert np.all(dw <= 0.5 * k * (k + 1) * np.abs(t_wide) * slack + 1e-15)
             assert np.all(dw <= (k + 1) * slack)
 
@@ -211,45 +215,37 @@ class TestFourierCoeffs:
 class TestPartialSums:
     def test_order_zero_is_mean(self, grid):
         c = fourier_coeffs(by_name("hat"), 4, grid)
-        assert partial_sum(c, 0, 0.123) == pytest.approx(c.a0 / 2)
+        assert partial_sum_table(c, 0, 0.123, conjugate=False)[0] == pytest.approx(c.a0 / 2)
 
     def test_cosine_reproduced(self, grid):
         c = fourier_coeffs(by_name("cos"), 4, grid)
-        assert partial_sum(c, 1, 0.4) == pytest.approx(math.cos(0.4), abs=1e-10)
+        assert partial_sum_table(c, 1, 0.4, conjugate=False)[1] == pytest.approx(math.cos(0.4), abs=1e-10)
 
     def test_sawtooth_partial_frozen(self, grid):
         # series oracle: sum_{nu<=8} sin(nu pi/2)/nu
         c = fourier_coeffs(by_name("sawtooth"), 8, grid)
-        assert partial_sum(c, 8, PI / 2) == pytest.approx(0.7238095238095238, abs=1e-6)
+        assert partial_sum_table(c, 8, PI / 2, conjugate=False)[8] == pytest.approx(0.7238095238095238, abs=1e-6)
 
     def test_conjugate_empty_sum(self, grid):
         c = fourier_coeffs(by_name("sin"), 4, grid)
-        assert conj_partial_sum(c, 0, 1.23) == 0.0
+        assert partial_sum_table(c, 0, 1.23, conjugate=True)[0] == 0.0
 
     def test_conjugate_of_sine(self, grid):
         c = fourier_coeffs(by_name("sin"), 4, grid)
+        table = partial_sum_table(c, 4, 1.1, conjugate=True)
         for k in (1, 2, 4):
-            assert conj_partial_sum(c, k, 1.1) == pytest.approx(-math.cos(1.1), abs=1e-10)
+            assert table[k] == pytest.approx(-math.cos(1.1), abs=1e-10)
 
     def test_conjugate_of_cosine(self, grid):
         c = fourier_coeffs(by_name("cos"), 4, grid)
-        assert conj_partial_sum(c, 1, 2.0) == pytest.approx(math.sin(2.0), abs=1e-10)
+        assert partial_sum_table(c, 1, 2.0, conjugate=True)[1] == pytest.approx(math.sin(2.0), abs=1e-10)
 
     def test_cutoff_error(self, grid):
         c = fourier_coeffs(by_name("sin"), 4, grid)
         with pytest.raises(CutoffError):
-            partial_sum(c, 5, 0.0)
+            partial_sum_table(c, 5, 0.0, conjugate=False)
         with pytest.raises(CutoffError):
-            conj_partial_sum(c, 5, 0.0)
-
-    def test_table_matches_scalar(self, grid):
-        c = fourier_coeffs(by_name("sawtooth"), 16, grid)
-        x = 0.9
-        table_c = partial_sum_table(c, 16, x, conjugate=True)
-        table_p = partial_sum_table(c, 16, x, conjugate=False)
-        for k in (0, 1, 9, 16):
-            assert table_c[k] == pytest.approx(conj_partial_sum(c, k, x), abs=1e-13)
-            assert table_p[k] == pytest.approx(partial_sum(c, k, x), abs=1e-13)
+            partial_sum_table(c, 5, 0.0, conjugate=True)
 
 
 class TestConjPartialSumIntegral:
@@ -266,12 +262,12 @@ class TestConjPartialSumIntegral:
         f = by_name("sawtooth")
         c = fourier_coeffs(f, 16, grid)
         got = conj_partial_sum_integral(f, 16, PI / 3, grid)
-        assert got == pytest.approx(conj_partial_sum(c, 16, PI / 3), abs=1e-6)
+        assert got == pytest.approx(partial_sum_table(c, 16, PI / 3, conjugate=True)[16], abs=1e-6)
 
     @pytest.mark.parametrize("k", [1, 8, 32])
     def test_corpus_agreement(self, k, grid):
         for f in corpus():
             c = fourier_coeffs(f, k, grid)
-            want = conj_partial_sum(c, k, -0.55)
+            want = partial_sum_table(c, k, -0.55, conjugate=True)[k]
             got = conj_partial_sum_integral(f, k, -0.55, grid)
             assert got == pytest.approx(want, abs=1e-6)

@@ -8,19 +8,29 @@ from conjsum.functions import by_name, corpus
 from conjsum.moduli import modulus_profile
 from conjsum.summability import cesaro, identity_matrix
 from conjsum.verify import (
-    corollary_decay,
+    _averaged_modulus,
+    _remark1_sum,
+    _remark1_weights,
+    corollary_grid,
     lhs_theorem1,
-    norm_report,
-    pointwise_report,
+    norm_grid,
+    pointwise_grid,
     ratio_of,
-    rhs_remark1,
     rhs_theorem1,
     rhs_theorem2,
     transform_value,
-    _remark1_expression,
 )
 
 PI = math.pi
+
+
+def remark1_rhs(f, A, x, n, grid):
+    """The R1.6 right-hand side at one (n, x), as pointwise_grid reports it."""
+    return pointwise_grid("R1.6", f, A, A, [n], [x], grid)[0].rhs
+
+
+def remark1_expression(A, n, values):
+    return _remark1_sum(_remark1_weights(A, n), n, _averaged_modulus(values))
 
 
 class TestRatioPolicy:
@@ -60,13 +70,13 @@ class TestRhsTheorem1:
 
 class TestRhsRemark1:
     def test_constant_gives_zero(self, grid):
-        assert rhs_remark1(by_name("const"), cesaro(4), 1.0, 4, grid) < 1e-12
+        assert remark1_rhs(by_name("const"), cesaro(4), 1.0, 4, grid) < 1e-12
 
     def test_n_zero_collapse(self, grid):
         # a_{0,0} w~(pi) + w~(pi) = 2 w~(pi)
         f, x = by_name("sin"), 0.5
         values = modulus_profile(f, x, 0, "w_tilde", grid).values
-        got = rhs_remark1(f, cesaro(0), x, 0, grid)
+        got = remark1_rhs(f, cesaro(0), x, 0, grid)
         assert got == pytest.approx(2 * values[0], rel=1e-13)
 
     def test_cesaro_brute_force(self, grid):
@@ -78,7 +88,7 @@ class TestRhsRemark1:
         want = math.fsum(
             (a + (r * a) / (r + 1)) * inner[r] for r in range(n + 1)
         ) + inner[n]
-        assert rhs_remark1(f, C, x, n, grid) == pytest.approx(want, rel=1e-12)
+        assert remark1_rhs(f, C, x, n, grid) == pytest.approx(want, rel=1e-12)
 
     def test_uses_plain_not_bar_moduli(self, grid):
         # swapping bar values in changes the expression where they differ
@@ -86,10 +96,10 @@ class TestRhsRemark1:
         C = cesaro(n)
         plain = modulus_profile(f, x, n, "w_tilde", grid).values
         bar = modulus_profile(f, x, n, "w_tilde_bar", grid).values
-        assert _remark1_expression(C, n, plain) == pytest.approx(
-            rhs_remark1(f, C, x, n, grid), rel=1e-13
+        assert remark1_expression(C, n, plain) == pytest.approx(
+            remark1_rhs(f, C, x, n, grid), rel=1e-13
         )
-        assert _remark1_expression(C, n, bar) > _remark1_expression(C, n, plain)
+        assert remark1_expression(C, n, bar) > remark1_expression(C, n, plain)
 
 
 class TestRhsTheorem2:
@@ -131,17 +141,18 @@ class TestLhsTheorem1:
         # A = delta row, B = identity: |S~_n f - conjugate|
         f, n, x = by_name("cos"), 5, 1.0
         I = identity_matrix(n)
-        from conjsum.kernels import conj_partial_sum
+        from conjsum.kernels import partial_sum_table
         from conjsum.verify import coefficients
 
-        want = abs(conj_partial_sum(coefficients(f, grid), n, x) - conjugate_at(f, x, grid=grid))
+        sums = partial_sum_table(coefficients(f, grid), n, x, conjugate=True)
+        want = abs(sums[n] - conjugate_at(f, x, grid=grid))
         assert lhs_theorem1(f, I, I, x, n, False, grid) == pytest.approx(want, abs=1e-12)
 
 
 class TestPointwiseReport:
     def test_report_fields(self, grid):
         C = cesaro(8)
-        rep = pointwise_report("T1.5", by_name("sin"), C, C, PI / 3, 8, grid)
+        (rep,) = pointwise_grid("T1.5", by_name("sin"), C, C, [8], [PI / 3], grid)
         assert rep.theorem_id == "T1.5"
         assert rep.n == 8 and rep.x == PI / 3
         assert rep.lhs >= 0 and rep.rhs >= 0
@@ -151,32 +162,32 @@ class TestPointwiseReport:
     def test_unknown_theorem(self, grid):
         C = cesaro(4)
         with pytest.raises(ValueError):
-            pointwise_report("T9", by_name("sin"), C, C, 0.1, 4, grid)
+            pointwise_grid("T9", by_name("sin"), C, C, [4], [0.1], grid)
 
     def test_constant_reports_zero_ratio(self, grid):
         C = cesaro(4)
         for theorem in ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc"):
-            rep = pointwise_report(theorem, by_name("const"), C, C, 0.7, 4, grid)
+            (rep,) = pointwise_grid(theorem, by_name("const"), C, C, [4], [0.7], grid)
             assert rep.ratio == 0.0
 
 
 class TestNormReport:
     def test_constant_zero(self, grid):
         C = cesaro(4)
-        rep = norm_report(by_name("const"), C, C, 4, 2.0, False, grid)
+        (rep,) = norm_grid(by_name("const"), C, C, [4], 2.0, False, grid)
         assert rep.lhs < 1e-12 and rep.rhs < 1e-12 and rep.ratio == 0.0
 
     def test_sup_norm_is_grid_max(self, grid):
         f = by_name("sin")
         C = cesaro(8)
-        rep = norm_report(f, C, C, 8, math.inf, False, grid)
+        (rep,) = norm_grid(f, C, C, [8], math.inf, False, grid)
         want = max(lhs_theorem1(f, C, C, x, 8, False, grid) for x in default_x_grid())
         assert rep.lhs == pytest.approx(want, abs=1e-10)
 
     def test_l2_brute_force(self, grid):
         f = by_name("sin")
         C = cesaro(8)
-        rep = norm_report(f, C, C, 8, 2.0, True, grid)
+        (rep,) = norm_grid(f, C, C, [8], 2.0, True, grid)
         devs = [lhs_theorem1(f, C, C, x, 8, True, grid) for x in default_x_grid()]
         want = math.sqrt(PI / 16 * math.fsum(d * d for d in devs))
         assert rep.lhs == pytest.approx(want, rel=1e-12)
@@ -184,19 +195,19 @@ class TestNormReport:
 
     def test_p_validation(self, grid):
         with pytest.raises(ValueError):
-            norm_report(by_name("sin"), cesaro(4), cesaro(4), 4, 0.5, False, grid)
+            norm_grid(by_name("sin"), cesaro(4), cesaro(4), [4], 0.5, False, grid)
 
 
 class TestCorollaryDecay:
     def test_constant_all_zero(self, grid):
         C = cesaro(32)
-        reps = corollary_decay(by_name("const"), C, C, [4, 8, 16], 0.4, grid)
+        reps = corollary_grid(by_name("const"), C, C, [4, 8, 16], [0.4], grid)
         assert all(r.lhs < 1e-12 for r in reps)
         assert all(r.ratio == 0.0 for r in reps)
 
     def test_sine_strictly_decreasing(self, grid):
         C = cesaro(128)
-        reps = corollary_decay(by_name("sin"), C, C, [16, 32, 64, 128], PI / 3, grid)
+        reps = corollary_grid(by_name("sin"), C, C, [16, 32, 64, 128], [PI / 3], grid)
         devs = [r.lhs for r in reps]
         assert all(b < a for a, b in zip(devs, devs[1:]))
         assert reps[0].ratio == pytest.approx(1.0)
@@ -205,14 +216,14 @@ class TestCorollaryDecay:
 
     def test_sawtooth_decreasing_trend(self, grid):
         C = cesaro(64)
-        reps = corollary_decay(by_name("sawtooth"), C, C, [8, 16, 32, 64], PI / 2, grid)
+        reps = corollary_grid(by_name("sawtooth"), C, C, [8, 16, 32, 64], [PI / 2], grid)
         devs = [r.lhs for r in reps]
         assert devs[-1] < devs[0]
 
     def test_requires_increasing_n(self, grid):
         C = cesaro(16)
         with pytest.raises(ValueError):
-            corollary_decay(by_name("sin"), C, C, [8, 8], 0.3, grid)
+            corollary_grid(by_name("sin"), C, C, [8, 8], [0.3], grid)
 
 
 class TestRatioStability:
@@ -227,7 +238,7 @@ class TestRatioStability:
             best = 0.0
             for f in corpus():
                 for x in default_x_grid()[::3]:
-                    rhs = rhs_remark1(f, C, x, n, grid)
+                    rhs = remark1_rhs(f, C, x, n, grid)
                     for truncated in (True, False):
                         r = ratio_of(lhs_theorem1(f, C, C, x, n, truncated, grid), rhs)
                         assert math.isfinite(r)
@@ -244,7 +255,7 @@ class TestRatioStability:
             for n in self.NS:
                 best = 0.0
                 for f in corpus():
-                    rep = norm_report(f, A, B, n, p, truncated=False, grid=grid)
+                    (rep,) = norm_grid(f, A, B, [n], p, truncated=False, grid=grid)
                     if math.isfinite(rep.ratio):
                         best = max(best, rep.ratio)
                 per_n.append(best)
