@@ -314,11 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, function_required=True):
-        if function_required:
+    def common(p, function=True):
+        # the quadrature grid integrates the function, so a command without one has no grid flags
+        if function:
             p.add_argument("--function", required=True, help="registry name (see 'conjsum list')")
-        p.add_argument("--grid-m", type=int, default=None, help="quadrature nodes per period (env CONJSUM_GRID_M)")
-        p.add_argument("--grid-refinement", type=int, default=functions.DEFAULT_GRID.refinement)
+            p.add_argument("--grid-m", type=int, default=None, help="quadrature nodes per period (env CONJSUM_GRID_M)")
+            p.add_argument("--grid-refinement", type=int, default=functions.DEFAULT_GRID.refinement)
         p.add_argument("--out", default=None, help="output path (stdout if omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check-matrix",
         help="condition reports (columns: condition,matrix_a,matrix_b,min_constant,witness)",
     )
-    common(p, function_required=False)
+    common(p, function=False)
     p.add_argument("--matrix-a", default="cesaro")
     p.add_argument("--matrix-b", default="identity")
     p.add_argument("--n", type=int, default=None, help="checker n_max (default 128)")

@@ -1,18 +1,18 @@
-"""Truncated and full conjugate function from one suffix-sum table per x.
+"""Truncated and full conjugate function from one pair of panel-sum tables per x.
 
 Both integrate psi_x(t) (1/2) cot(t/2) over (eps, pi]; the full conjugate is
 the eps = 0 case, whose integrand is bounded at t -> 0 wherever f is
 Dini-continuous at x.  One mesh per (f, x, grid), graded_boundaries(0, pi)
-with psi's breakpoints inserted, holds the suffix sums of its panel integrals
-twice: with the 8-node Gauss-Legendre rule on each panel (coarse) and on both
+with psi's breakpoints inserted, holds two ``PanelSums`` anchored at pi: one
+with the 8-node Gauss-Legendre rule on each panel (coarse) and one on both
 halves of it (fine).  The full conjugate is the fine total; a truncated one is
-the suffix from the first boundary above eps plus the partial panel [eps, b],
-so every eps of an x shares one mesh.  |fine - coarse| is each value's error
+the sum from the first boundary above eps plus the partial panel [eps, b], so
+every eps of an x shares one mesh.  |fine - coarse| is each value's error
 estimate; for the full conjugate it is the divergence signal, and above
 CONJUGATE_TOL conjugate_at raises.
 
-deviation_kernel_form reads its three integrals from one fine pass on the
-same kind of mesh, with h = pi/(n+1) inserted as a boundary.
+deviation_kernel_form integrates both of its kernel integrands in one fine
+``PanelSums`` on the same kind of mesh, with h = pi/(n+1) inserted as a boundary.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from .functions import (
     PI,
     DomainError,
     GridSpec,
+    PanelSums,
     PeriodicFunction,
     SingularIntegrandError,
-    _check_finite,
     _insert_points,
     eval_psi,
-    gl_panels,
+    fine_rule,
     graded_boundaries,
     psi_breakpoints,
 )
@@ -60,65 +60,21 @@ def _mesh(f: PeriodicFunction, x: float, grid: GridSpec, cuts=()) -> np.ndarray:
     return _insert_points(graded_boundaries(0.0, PI, grid), list(cuts) + psi_breakpoints(f, x))
 
 
-def _fine_rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 8-node rule on both halves of each panel [lo[k], hi[k]], one row of 16 per panel."""
-    mid = lo + 0.5 * (hi - lo)
-    (n1, w1), (n2, w2) = gl_panels(lo, mid), gl_panels(mid, hi)
-    return np.hstack((n1, n2)), np.hstack((w1, w2))
-
-
-def _panel_integrals(g, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    values = g(nodes)
-    _check_finite(values)
-    # vecdot adds each panel in np.dot's order, so a panel gives the same bits in any batch
-    return np.vecdot(weights, values)
-
-
-def _suffix_sums(panels: np.ndarray) -> np.ndarray:
-    """s[i] = the sum of panels[i:], added from pi downward; s[-1] = 0."""
-    return np.concatenate((np.cumsum(panels[::-1])[::-1], [0.0]))
-
-
-class _SuffixTable:
-    """Integrals of g over [bounds[i], pi] at every boundary, and over [eps, pi] for any eps.
-
-    g maps a (k, nodes) array of t in (0, pi] to the integrand's values.
-    """
-
-    def __init__(self, g, bounds: np.ndarray):
-        self._g = g
-        self.bounds = bounds
-        lo, hi = bounds[:-1], bounds[1:]
-        self.fine = _suffix_sums(_panel_integrals(g, *_fine_rule(lo, hi)))
-        self.coarse = _suffix_sums(_panel_integrals(g, *gl_panels(lo, hi)))
-
-    def integrals(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(fine integral over [eps, pi], |fine - coarse|) for each eps in [0, pi]."""
-        i = np.searchsorted(self.bounds, eps, side="right") - 1
-        fine, coarse = self.fine[i], self.coarse[i]
-        off = np.flatnonzero(self.bounds[i] != eps)
-        if len(off):
-            above = i[off] + 1
-            lo, hi = eps[off], self.bounds[above]
-            fine[off] = self.fine[above] + _panel_integrals(self._g, *_fine_rule(lo, hi))
-            coarse[off] = self.coarse[above] + _panel_integrals(self._g, *gl_panels(lo, hi))
-        return fine, np.abs(fine - coarse)
-
-
 @lru_cache(maxsize=4096)
-def _table(f: PeriodicFunction, x: float, grid: GridSpec) -> _SuffixTable:
-    """The conjugate integrand psi_x(t) (1/2) cot(t/2) on the mesh for (f, x, grid)."""
+def _table(f: PeriodicFunction, x: float, grid: GridSpec) -> tuple[PanelSums, PanelSums]:
+    """Fine and coarse sums from pi of psi_x(t) (1/2) cot(t/2) on the mesh for (f, x, grid)."""
 
     def integrand(t):
         return eval_psi(f, x, t) * 0.5 / np.tan(0.5 * t)
 
-    return _SuffixTable(integrand, _mesh(f, x, grid))
+    bounds = _mesh(f, x, grid)
+    return PanelSums(integrand, bounds, fine_rule, from_top=True), PanelSums(integrand, bounds, from_top=True)
 
 
 def _truncated(f: PeriodicFunction, x: float, eps: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """(-(1/pi) int_eps^pi psi_x(t) (1/2) cot(t/2) dt, its error estimate) at each eps; 0 at eps = pi."""
-    fine, est_error = _table(f, x, grid).integrals(eps)
-    return np.where(eps == PI, 0.0, -fine / PI), est_error / PI
+    fine, coarse = (table.at(eps) for table in _table(f, x, grid))
+    return np.where(eps == PI, 0.0, -fine / PI), np.abs(fine - coarse) / PI
 
 
 @lru_cache(maxsize=100000)
@@ -185,13 +141,17 @@ def deviation_kernel_form(
     weights = ab_weights(A, B, n)
     h = PI / (n + 1)
     bounds = _mesh(f, x, grid, cuts=[h])
-    nodes, node_weights = _fine_rule(bounds[:-1], bounds[1:])
-    psi = eval_psi(f, x, nodes)
-    kernel = (weights @ conj_dirichlet_matrix(n, nodes.ravel())).reshape(nodes.shape)
-    inner = np.vecdot(node_weights, psi * kernel)
-    outer = _suffix_sums(np.vecdot(node_weights, psi * (0.5 / np.tan(0.5 * nodes) - kernel)))
     below = int(np.argmin(np.abs(bounds - h)))  # h itself, or the boundary that stood in for it
-    dev_truncated = (-inner[:below].sum() + outer[below]) / PI
+
+    def integrands(t):
+        psi = eval_psi(f, x, t)
+        kernel = (weights @ conj_dirichlet_matrix(n, t.ravel())).reshape(t.shape)
+        # psi K is kept below h only, so its total is its integral over (0, h]
+        inner = np.where(t < bounds[below], psi * kernel, 0.0)
+        return np.stack((inner, psi * (0.5 / np.tan(0.5 * t) - kernel)))
+
+    inner, outer = PanelSums(integrands, bounds, fine_rule, from_top=True).cum
+    dev_truncated = (-inner[0] + outer[below]) / PI
     dev_full = outer[0] / PI
     if not (np.isfinite(dev_truncated) and np.isfinite(dev_full)):
         raise SingularIntegrandError("kernel-form deviation integral is not finite")

@@ -1,12 +1,13 @@
 """2*pi-periodic test functions, the shared quadrature engine and the corpus.
 
-The engine is 8-node Gauss-Legendre panels (``gl_panels``, ``gl_rule``), the
-dyadically graded meshes of ``graded_boundaries`` for integrands with a
-1/t-type feature at the left endpoint, and ``integrate_graded`` on those
-meshes.  The conjugate and the moduli keep per-x tables on these panels
-instead of calling an integrator.  ``eval_psi`` and ``eval_phi`` are the one
-definition of the increments psi_x and phi_x; x may be an array that
-broadcasts against t.
+The engine is 8-node Gauss-Legendre panels (``gl_panels``, ``gl_rule``, and
+``fine_rule`` on both halves of each panel), the dyadically graded meshes of
+``graded_boundaries`` for integrands with a 1/t-type feature at the left
+endpoint, and ``PanelSums``: running sums of panel integrals from one anchored
+end of a mesh, with an optional leading x axis.  The conjugate (anchored at pi),
+the moduli (anchored at 0) and ``integrate_graded`` (the totals) all integrate
+through it.  ``eval_psi`` and ``eval_phi`` are the one definition of the
+increments psi_x and phi_x; x may be an array that broadcasts against t.
 """
 
 from __future__ import annotations
@@ -151,20 +152,60 @@ def gl_rule(boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), weights.ravel()
 
 
-def _check_finite(values: np.ndarray):
-    if not np.all(np.isfinite(values)):
-        raise SingularIntegrandError(
-            "integrand is not finite at a quadrature node; "
-            "use the graded integrator for endpoint singularities"
-        )
+def fine_rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 8-node rule on both halves of each panel [lo[k], hi[k]], one row of 16 per panel."""
+    mid = lo + 0.5 * (hi - lo)
+    (n1, w1), (n2, w2) = gl_panels(lo, mid), gl_panels(mid, hi)
+    return np.hstack((n1, n2)), np.hstack((w1, w2))
 
 
-def _subdivide(boundaries: np.ndarray, parts: int) -> np.ndarray:
-    steps = np.linspace(0.0, 1.0, parts + 1)[:-1]
-    lo = boundaries[:-1, None]
-    hi = boundaries[1:, None]
-    pts = (lo + (hi - lo) * steps).ravel()
-    return np.append(pts, boundaries[-1])
+class PanelSums:
+    """Integrals of g from one anchored end of a mesh to each boundary, and to any t.
+
+    ``cum[..., i]`` integrates g over [bounds[0], bounds[i]], or over
+    [bounds[i], bounds[-1]] when ``from_top``.  The sums run from the anchor,
+    so a short integral beside it is never a total minus a long one.  g maps a
+    (panels, nodes) array of t to its values, with a leading x axis if g has
+    one; ``rule`` is ``gl_panels`` or ``fine_rule``.  ``cum`` may be passed in
+    already filled, as the moduli node table does block by block.
+    """
+
+    def __init__(self, g, bounds: np.ndarray, rule=gl_panels, from_top: bool = False, cum=None):
+        self.g, self.bounds, self.rule, self.from_top = g, bounds, rule, from_top
+        if cum is None:
+            panels = self._integrals(bounds[:-1], bounds[1:])
+            zero = np.zeros(panels.shape[:-1] + (1,))
+            if from_top:
+                cum = np.concatenate((np.cumsum(panels[..., ::-1], axis=-1)[..., ::-1], zero), axis=-1)
+            else:
+                cum = np.concatenate((zero, np.cumsum(panels, axis=-1)), axis=-1)
+        self.cum = cum
+
+    def _integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        nodes, weights = self.rule(lo, hi)
+        values = self.g(nodes)
+        if not np.all(np.isfinite(values)):
+            raise SingularIntegrandError("integrand is not finite at a quadrature node")
+        # vecdot adds each panel in np.dot's order, so a panel gives the same bits in any batch
+        return np.vecdot(weights, values)
+
+    def at(self, t) -> np.ndarray:
+        """The integral between the anchor and each t in [bounds[0], bounds[-1]].
+
+        A t on a boundary reads cum there; any other t adds the partial panel
+        between it and the panel's boundary on the anchor's side.
+        """
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self.bounds, t, side="right") - 1
+        out = self.cum[..., i]
+        off = np.flatnonzero(self.bounds[i] != t)
+        if len(off):
+            below = i[off]
+            if self.from_top:
+                out[..., off] = self.cum[..., below + 1] + self._integrals(t[off], self.bounds[below + 1])
+            else:
+                out[..., off] = self.cum[..., below] + self._integrals(self.bounds[below], t[off])
+        return out
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -188,13 +229,6 @@ def _insert_points(boundaries: np.ndarray, points: Sequence[float]) -> np.ndarra
     # drop near-duplicates that would create zero-width panels
     keep = np.concatenate([[True], np.diff(merged) > 1e-15 * max(1.0, abs(b - a))])
     return merged[keep]
-
-
-def _composite_value(g, boundaries: np.ndarray) -> float:
-    nodes, weights = gl_rule(boundaries)
-    values = np.asarray(g(nodes), dtype=float)
-    _check_finite(values)
-    return float(np.dot(weights, values))
 
 
 @lru_cache(maxsize=256)
@@ -228,13 +262,15 @@ def integrate_graded(
 ) -> QuadratureResult:
     """Integral of g over [a, b] with nodes accumulating toward a.
 
-    g must be finite on (a, b]; the Gauss nodes never touch the endpoints.
+    The value is the fine total of a PanelSums on the graded mesh and its
+    error estimate the distance to the coarse total.  g must be finite on
+    (a, b]; the Gauss nodes never touch the endpoints.
     """
     if not (0.0 <= a < b <= PI + 1e-12):
         raise DomainError(f"graded integration requires 0 <= a < b <= pi, got [{a}, {b}]")
-    base = _insert_points(graded_boundaries(a, b, grid), breakpoints)
-    coarse = _composite_value(g, base)
-    fine = _composite_value(g, _subdivide(base, 2))
+    bounds = _insert_points(graded_boundaries(a, b, grid), breakpoints)
+    fine = float(PanelSums(g, bounds, fine_rule).cum[-1])
+    coarse = float(PanelSums(g, bounds).cum[-1])
     return QuadratureResult(fine, abs(fine - coarse))
 
 

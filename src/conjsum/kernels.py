@@ -1,6 +1,6 @@
 """Conjugate Dirichlet kernels, Fourier coefficients and (conjugate) partial sums.
 
-The kernel rows k = 0..k_max (``conj_dirichlet_matrix``) and the partial sums
+The kernel rows k = k_min..k_max (``conj_dirichlet_matrix``) and the partial sums
 k = 0..n (``partial_sum_table``) each come from one evaluator; order k is row k.
 ``fourier_coeffs`` sums its quadrature with one inverse FFT per Gauss node.
 numpy.fft is reached on the first build, so importing the package does not load it.
@@ -70,20 +70,20 @@ def conj_dirichlet_complement(k: int, t):
     return float(out) if out.ndim == 0 else out
 
 
-def conj_dirichlet_matrix(k_max: int, t: np.ndarray) -> np.ndarray:
-    """Rows k = 0..k_max of sum_{nu=0}^{k} sin(nu t) at the given t: the closed form, or the direct sum."""
-    if k_max < 0:
-        raise ValueError("kernel order must be nonnegative")
+def conj_dirichlet_matrix(k_max: int, t: np.ndarray, k_min: int = 0) -> np.ndarray:
+    """Rows k = k_min..k_max of sum_{nu=0}^{k} sin(nu t) at the given t: the closed form, or the direct sum."""
+    if not 0 <= k_min <= k_max:
+        raise ValueError("kernel orders must satisfy 0 <= k_min <= k_max")
     t = np.asarray(t, dtype=float)
     s = np.sin(0.5 * t)
     near = np.abs(s) < DIRECT_SUM_CUTOFF
     denom = np.where(near, 1.0, 2.0 * s)
-    ks = np.arange(k_max + 1)
+    ks = np.arange(k_min, k_max + 1)
     out = (np.cos(0.5 * t) - np.cos(np.multiply.outer(2 * ks + 1, 0.5 * t))) / denom
     if np.any(near):
         nu = np.arange(k_max + 1, dtype=float)
         direct = np.cumsum(np.sin(np.multiply.outer(nu, t[near])), axis=0)
-        out[:, near] = direct
+        out[:, near] = direct[k_min:]
     return out
 
 
@@ -169,7 +169,7 @@ def conj_partial_sum_integral(
     # t where f(x + t) reaches a breakpoint; _insert_points keeps those inside (-pi, pi)
     shifted = [(t0 - x) % TWO_PI for t0 in f.breakpoints]
     nodes, weights = gl_rule(_insert_points(base, shifted + [t - TWO_PI for t in shifted]))
-    kernel = conj_dirichlet_matrix(k, nodes)[k]
+    kernel = conj_dirichlet_matrix(k, nodes, k_min=k)[0]
     values = np.asarray(f(x + nodes), dtype=float)
     return float(-np.dot(weights, values * kernel) / PI)
 

@@ -1,9 +1,9 @@
 """Pointwise and classical moduli of continuity, L^p norms, averaged-moduli facts.
 
-Every pointwise modulus is a lookup in a cumulative integral of |psi_x| (or
-|phi_x|) over panels of (0, pi].  The master panel boundaries are a uniform
-grid, a dyadic cascade toward 0 and every delta = pi/(k+1) up to k = 256.
-Two tables hold them:
+Every pointwise modulus is a lookup in a ``PanelSums`` of |psi_x| (or
+|phi_x|) anchored at 0, over panels of (0, pi].  The master panel boundaries
+are a uniform grid, a dyadic cascade toward 0 and every delta = pi/(k+1) up
+to k = 256.  Two tables hold them:
 
 - ``_cumulative`` (one x): the master set with m/2 uniform panels, plus psi's
   jump locations and the refined roots of the signed increment, so the
@@ -15,7 +15,8 @@ Two tables hold them:
   kept: callers walk delta one function at a time.
 
 A delta on the boundary set reads cum[i] / delta; any other delta adds one
-8-node Gauss-Legendre panel from the boundary below it.
+8-node Gauss-Legendre panel from the boundary below it.  The bar moduli are a
+running maximum of the boundary averages (``_bar``).
 
 The sup over 0 < t <= delta in the bar and classical moduli is discretized
 over that master set (plus the endpoint delta itself); the discretized sup is
@@ -39,10 +40,10 @@ from .functions import (
     TWO_PI,
     DomainError,
     GridSpec,
+    PanelSums,
     PeriodicFunction,
     eval_phi,
     eval_psi,
-    gl_panels,
     psi_breakpoints,
     sorted_unique,
 )
@@ -101,53 +102,21 @@ def _master_pieces(panels: int, refinement: int) -> list[np.ndarray]:
     ]
 
 
-def _cumulate(absval, bounds: np.ndarray) -> np.ndarray:
-    """Integrals of absval over (0, bounds[i]] for every i, one row per x if absval has an x axis."""
-    nodes, weights = gl_panels(bounds[:-1], bounds[1:])
-    samples = absval(nodes)
-    if not np.all(np.isfinite(samples)):
-        raise DomainError("modulus integrand is not finite")
-    panel = (weights * samples).sum(axis=-1)
-    return np.concatenate([np.zeros(panel.shape[:-1] + (1,)), np.cumsum(panel, axis=-1)], axis=-1)
+def _average(table: PanelSums, deltas: np.ndarray) -> np.ndarray:
+    """(1/delta) times the integral over (0, delta], one row per x if the table has an x axis."""
+    return table.at(deltas) / deltas
 
 
-class _AbsCumulative:
-    """Cumulative integral of |increment| at panel boundaries, queried by arrays of delta.
-
-    ``cum[..., i]`` integrates over (0, bounds[i]]; a leading axis, if any,
-    runs over x.  ``absval`` maps a (k, 8) node array to |increment| with the
-    same leading axis.  Queries take deltas in (0, pi].
-    """
-
-    def __init__(self, absval, bounds: np.ndarray, cum: np.ndarray):
-        self._abs = absval
-        self.bounds = bounds
-        self.cum = cum
-
-    def average(self, deltas) -> np.ndarray:
-        """(1/delta) times the integral over (0, delta]."""
-        deltas = np.asarray(deltas, dtype=float)
-        i = np.minimum(np.searchsorted(self.bounds, deltas), len(self.bounds) - 1)
-        total = self.cum[..., i]
-        off = np.flatnonzero(self.bounds[i] != deltas)
-        if len(off):
-            below = i[off] - 1
-            nodes, weights = gl_panels(self.bounds[below], deltas[off])
-            # vecdot adds each panel in np.dot's order, so a delta gives the same bits in any batch
-            total[..., off] = self.cum[..., below] + np.vecdot(weights, self._abs(nodes))
-        return total / deltas
-
-    def bar(self, deltas) -> np.ndarray:
-        """Largest average over the boundaries up to delta and delta itself."""
-        deltas = np.asarray(deltas, dtype=float)
-        prefix_max = np.maximum.accumulate(self.cum[..., 1:] / self.bounds[1:], axis=-1)
-        last = np.searchsorted(self.bounds, deltas, side="right") - 2
-        interior = np.where(last >= 0, prefix_max[..., np.maximum(last, 0)], 0.0)
-        return np.maximum(self.average(deltas), interior)
+def _bar(table: PanelSums, deltas: np.ndarray) -> np.ndarray:
+    """Largest average over the boundaries up to delta and delta itself."""
+    prefix_max = np.maximum.accumulate(table.cum[..., 1:] / table.bounds[1:], axis=-1)
+    last = np.searchsorted(table.bounds, deltas, side="right") - 2
+    interior = np.where(last >= 0, prefix_max[..., np.maximum(last, 0)], 0.0)
+    return np.maximum(_average(table, deltas), interior)
 
 
 @lru_cache(maxsize=4096)
-def _cumulative(f: PeriodicFunction, x: float, kind: str, grid: GridSpec) -> _AbsCumulative:
+def _cumulative(f: PeriodicFunction, x: float, kind: str, grid: GridSpec) -> PanelSums:
     """One x: master boundaries plus psi's jumps and the roots of the increment."""
     signed = partial(_INCREMENTS[kind], f, x)
     breaks = np.asarray(psi_breakpoints(f, x), dtype=float)
@@ -156,19 +125,18 @@ def _cumulative(f: PeriodicFunction, x: float, kind: str, grid: GridSpec) -> _Ab
     flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
     if len(flips):
         bounds = _panel_bounds([bounds, _bisect_roots(signed, bounds[1:][flips], bounds[2:][flips])])
-    absval = _abs_increment(f, x, kind)
-    return _AbsCumulative(absval, bounds, _cumulate(absval, bounds))
+    return PanelSums(_abs_increment(f, x, kind), bounds)
 
 
 @lru_cache(maxsize=1)
-def _node_table(f: PeriodicFunction, kind: str, grid: GridSpec) -> _AbsCumulative:
+def _node_table(f: PeriodicFunction, kind: str, grid: GridSpec) -> PanelSums:
     """Every uniform x node at once, on the master boundaries only."""
     x = _x_nodes(grid)[:, None, None]
     bounds = _panel_bounds(_master_pieces(min(grid.m // 2, _TABLE_MAX_PANELS), grid.refinement))
     cum = np.empty((grid.m, len(bounds)))
     for s in range(0, grid.m, _TABLE_ROWS):
-        cum[s : s + _TABLE_ROWS] = _cumulate(_abs_increment(f, x[s : s + _TABLE_ROWS], kind), bounds)
-    return _AbsCumulative(_abs_increment(f, x, kind), bounds, cum)
+        cum[s : s + _TABLE_ROWS] = PanelSums(_abs_increment(f, x[s : s + _TABLE_ROWS], kind), bounds).cum
+    return PanelSums(_abs_increment(f, x, kind), bounds, cum=cum)
 
 
 def _check_delta(delta: float):
@@ -177,8 +145,8 @@ def _check_delta(delta: float):
 
 
 def _lookup(f: PeriodicFunction, x: float, deltas: np.ndarray, kind: str, grid: GridSpec) -> np.ndarray:
-    cum = _cumulative(f, float(x), "psi" if "tilde" in kind else "phi", grid)
-    return cum.bar(deltas) if kind.endswith("bar") else cum.average(deltas)
+    table = _cumulative(f, float(x), "psi" if "tilde" in kind else "phi", grid)
+    return (_bar if kind.endswith("bar") else _average)(table, deltas)
 
 
 def _at(f: PeriodicFunction, x: float, delta: float, kind: str, grid: GridSpec) -> float:
@@ -301,7 +269,7 @@ def pointwise_modulus_on_nodes(
         raise ValueError(f"batched evaluation supports plain kinds only, got {kind!r}")
     _check_delta(delta)
     table = _node_table(f, "psi" if kind == "w_tilde" else "phi", grid)
-    return _x_nodes(grid), table.average(np.array([delta]))[:, 0]
+    return _x_nodes(grid), _average(table, np.array([delta]))[:, 0]
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,14 @@ class TestExitCodes:
         assert code == 2
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--grid-m", "--grid-refinement"])
+    def test_check_matrix_has_no_grid_flags(self, flag, capsys):
+        # the checkers integrate nothing, so a grid setting there is a configuration error
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["check-matrix", "--n", "4", flag, "17"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -25,6 +25,7 @@ from conjsum.functions import (
     psi_breakpoints,
 )
 from conjsum.kernels import fourier_coeffs, partial_sum_table
+from conjsum.moduli import modulus_profile
 from conjsum.summability import cesaro, delta_at_zero, identity_matrix
 from conjsum.verify import transform_value
 
@@ -59,6 +60,13 @@ class TestTruncated:
         x, eps = 0.8, 0.25
         want = -math.cos(x) * (1 - (eps + math.sin(eps)) / PI)
         assert conjugate_truncated(funcs["sin"], x, eps) == pytest.approx(want, abs=1e-10)
+
+    def test_eps_beside_pi_is_not_a_difference_of_totals(self, funcs):
+        # exact value (sin x / pi)(s - sin s) with s = pi - eps, about 2.9e-19 here
+        x, eps = 0.3, 3.14159
+        s = PI - eps
+        want = math.sin(x) / PI * (s**3 / 6 - s**5 / 120 + s**7 / 5040)
+        assert conjugate_truncated(funcs["cos"], x, eps) == pytest.approx(want, rel=1e-6, abs=0.0)
 
     def test_domain_errors(self, funcs):
         with pytest.raises(DomainError):
@@ -124,6 +132,15 @@ class TestSuffixTable:
 
 
 class TestConjugateAt:
+    def test_overflowing_increment_is_a_numerical_failure(self):
+        # psi_x of 1.5e308 sin overflows to inf; the moduli read the same increment
+        f = PeriodicFunction(name="huge-sine", eval=lambda t: 1.5e308 * np.sin(t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularIntegrandError, match="not finite"):
+                conjugate_at(f, 0.3)
+            with pytest.raises(SingularIntegrandError, match="not finite"):
+                modulus_profile(f, 0.3, 8, "w_tilde")
+
     def test_sine(self, funcs):
         assert conjugate_at(funcs["sin"], PI / 3) == pytest.approx(-0.5, abs=1e-12)
 

@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from conjsum.functions import (
     DomainError,
     GridSpec,
+    PanelSums,
     SingularIntegrandError,
     by_name,
     corpus,
     eval_phi,
     eval_psi,
+    fine_rule,
+    gl_panels,
+    graded_boundaries,
     integrate_graded,
 )
 
@@ -155,6 +159,55 @@ class TestIntegrateGraded:
     def test_nonfinite_value_raises(self):
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(SingularIntegrandError):
             integrate_graded(lambda t: 1.0 / (t - t), 0.5, 1.0)
+
+
+class TestPanelSums:
+    """The one running-sum table behind the conjugate, the moduli and integrate_graded."""
+
+    BOUNDS = graded_boundaries(0.0, PI, GridSpec(m=64))
+    X_AXIS = np.array([-2.0, 0.3, 1.5])[:, None, None]
+
+    def table(self, x, rule, from_top):
+        f = by_name("hat")
+        return PanelSums(lambda t: np.abs(eval_psi(f, x, t)), self.BOUNDS, rule, from_top)
+
+    @pytest.mark.parametrize("from_top", [False, True])
+    @pytest.mark.parametrize("rule", [gl_panels, fine_rule])
+    @pytest.mark.parametrize("x", [0.3, X_AXIS], ids=["one-x", "x-axis"])
+    def test_a_t_alone_and_in_any_batch_gives_the_same_bits(self, x, rule, from_top):
+        table = self.table(x, rule, from_top)
+        rng = np.random.default_rng(3)
+        t = np.concatenate((rng.uniform(0.0, PI, 40), self.BOUNDS[::5], [1e-300, PI]))
+        batch = table.at(t)
+        assert batch.shape == np.shape(x)[:1] + t.shape
+        for k in range(len(t)):
+            assert np.array_equal(table.at(t[k : k + 1])[..., 0], batch[..., k])
+        order = rng.permutation(len(t))
+        assert np.array_equal(table.at(t[order]), batch[..., order])
+
+    @pytest.mark.parametrize("from_top", [False, True])
+    @pytest.mark.parametrize("x", [0.3, X_AXIS], ids=["one-x", "x-axis"])
+    def test_a_boundary_reads_cum_exactly(self, x, from_top):
+        table = self.table(x, gl_panels, from_top)
+        assert np.array_equal(table.at(self.BOUNDS), table.cum)
+        assert np.all(table.cum[..., -1 if from_top else 0] == 0.0)
+
+    def test_both_anchors_meet_the_closed_form(self):
+        # int_0^t sin = 1 - cos t and int_t^pi sin = 1 + cos t
+        t = np.array([1e-9, 0.2, 1.0, 2.5, PI])
+        bottom, top = (PanelSums(np.sin, self.BOUNDS, fine_rule, from_top) for from_top in (False, True))
+        assert np.max(np.abs(bottom.at(t) - (1.0 - np.cos(t)))) < 1e-14
+        assert np.max(np.abs(top.at(t) - (1.0 + np.cos(t)))) < 1e-14
+
+    def test_short_integral_beside_the_anchor_is_not_a_difference(self):
+        # int_t^pi sin = 1 + cos t is about (pi - t)^2 / 2: relative accuracy survives near pi
+        top = PanelSums(np.sin, self.BOUNDS, from_top=True)
+        for gap in (1e-3, 1e-6, 1e-8):
+            assert top.at(np.array([PI - gap]))[0] == pytest.approx(0.5 * gap * gap, rel=1e-6, abs=0.0)
+
+    def test_nonfinite_value_raises(self):
+        with np.errstate(divide="ignore"), pytest.raises(SingularIntegrandError, match="not finite"):
+            PanelSums(lambda t: 1.0 / (t - t), self.BOUNDS)
 
 
 class TestCorpus:

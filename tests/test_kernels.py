@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,14 @@ class TestConjDirichlet:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             conj_dirichlet_matrix(-1, np.array([0.5]))
+        with pytest.raises(ValueError):
+            conj_dirichlet_matrix(3, np.array([0.5]), k_min=4)
+
+    def test_first_row_keeps_the_bits_of_the_full_matrix(self):
+        t = np.concatenate([kernel_grid()[::31], [2 * PI, 1e-9, -3e-9]])
+        full = conj_dirichlet_matrix(16, t)
+        for k_min in (0, 1, 7, 16):
+            assert np.array_equal(conj_dirichlet_matrix(16, t, k_min=k_min), full[k_min:])
 
 
 class TestConjDirichletComplement:
@@ -249,6 +258,32 @@ class TestPartialSums:
 
 
 class TestConjPartialSumIntegral:
+    @staticmethod
+    def reference(f, k, x, grid):
+        """The kernel-form integral with row k read from every row 0..k."""
+        panels = max(grid.m // 8, 4 * (k + 1), 16)
+        shifted = [(t0 - x) % (2 * PI) for t0 in f.breakpoints]
+        cuts = shifted + [t - 2 * PI for t in shifted]
+        nodes, weights = gl_rule(_insert_points(np.linspace(-PI, PI, panels + 1), cuts))
+        kernel = conj_dirichlet_matrix(k, nodes)[k]
+        return float(-np.dot(weights, np.asarray(f(x + nodes)) * kernel) / PI)
+
+    def test_row_k_alone_keeps_the_value(self, grid):
+        for f in corpus():
+            for k in (0, 1, 5, 17, 32):
+                for x in (-0.55, 0.3, PI / 2):
+                    assert conj_partial_sum_integral(f, k, x, grid) == self.reference(f, k, x, grid)
+
+    def test_high_order_builds_one_row(self, grid):
+        f = by_name("sawtooth")
+        tracemalloc.start()
+        try:
+            conj_partial_sum_integral(f, 512, 0.3, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
     def test_constant_vanishes(self, grid):
         f = by_name("const")
         for k in (0, 3):

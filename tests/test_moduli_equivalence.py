@@ -37,7 +37,7 @@ def reference_integral_to(cum, t: float) -> float:
     if cum.bounds[i] == t:
         return float(cum.cum[i])
     nodes, weights = gl_rule(np.array([cum.bounds[i - 1], t]))
-    return float(cum.cum[i - 1] + np.dot(weights, cum._abs(nodes)))
+    return float(cum.cum[i - 1] + np.dot(weights, cum.g(nodes)))
 
 
 def reference_average(cum, delta: float) -> float:
