@@ -23,10 +23,7 @@ from .kernels import (
 )
 from .moduli import (
     ModulusProfile,
-    w_tilde,
-    w_plain,
-    w_tilde_bar,
-    w_bar,
+    modulus,
     modulus_profile,
     classical_modulus,
     lp_norm,

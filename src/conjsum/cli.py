@@ -31,7 +31,8 @@ BUILTIN_MATRICES = ("cesaro", "identity", "delta0")
 DEFAULT_EPS = tuple(functions.PI * 2.0 ** (-j) for j in range(1, 21))
 
 # largest --n / --n-list, checked before anything is built: check-matrix holds dense
-# (n+1)^2 matrices, 134 MB each at 4096; verify and transform stop at the cutoff 512
+# (n+1)^2 matrices, 134 MB each at 4096; verify and transform stop at the coefficient
+# cutoff kernels.DEFAULT_COEFF_CUTOFF = 512
 MAX_N = 4096
 
 
@@ -48,16 +49,17 @@ def _json_value(value):
     return value
 
 
-def _write_rows(columns: Sequence[str], rows: Iterable[dict], out: str | None, fmt: str) -> None:
+def _write_rows(columns: Sequence[str], rows: Iterable[tuple], out: str | None, fmt: str) -> None:
+    """Rows are tuples in column order."""
     rows = list(rows)
     if fmt == "csv":
         text_rows = [",".join(columns)]
         for row in rows:
-            text_rows.append(",".join(_fmt(row[c]) for c in columns))
+            text_rows.append(",".join(_fmt(value) for value in row))
         payload = "\n".join(text_rows) + "\n"
     else:
         payload = json.dumps(
-            [{c: _json_value(row[c]) for c in columns} for row in rows], indent=2, sort_keys=True
+            [{c: _json_value(value) for c, value in zip(columns, row)} for row in rows], indent=2, sort_keys=True
         ) + "\n"
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -110,15 +112,22 @@ def _nonnegative(flag: str, n: int) -> int:
     return n
 
 
+def _within_cutoff(flag: str, n: int) -> int:
+    if _nonnegative(flag, n) > kernels.DEFAULT_COEFF_CUTOFF:
+        raise DomainError(f"{flag} must be <= the coefficient cutoff {kernels.DEFAULT_COEFF_CUTOFF}, got {n}")
+    return n
+
+
 def _n_or_default(args, default: int) -> int:
     return default if args.n is None else _nonnegative("--n", args.n)
 
 
 def _n_values(args) -> list[int]:
-    if getattr(args, "n_list", None):
-        return sorted({_nonnegative("--n-list", n) for n in args.n_list})
-    if getattr(args, "n", None) is not None:
-        return [_nonnegative("--n", args.n)]
+    """--n or --n-list of verify and transform, which stop at the coefficient cutoff."""
+    if args.n_list:
+        return sorted({_within_cutoff("--n-list", n) for n in args.n_list})
+    if args.n is not None:
+        return [_within_cutoff("--n", args.n)]
     raise DomainError("one of --n or --n-list is required")
 
 
@@ -135,9 +144,8 @@ def _cmd_coeffs(args) -> int:
     grid = _grid_from(args)
     N = _n_or_default(args, kernels.DEFAULT_COEFF_CUTOFF)
     c = kernels.fourier_coeffs(f, N, grid)
-    rows = [{"function": f.name, "nu": 0, "a": c.a0, "b": 0.0}]
-    for nu in range(1, N + 1):
-        rows.append({"function": f.name, "nu": nu, "a": float(c.a[nu - 1]), "b": float(c.b[nu - 1])})
+    rows = [(f.name, 0, c.a0, 0.0)]
+    rows += [(f.name, nu, a, b) for nu, a, b in zip(range(1, N + 1), c.a.tolist(), c.b.tolist())]
     _write_rows(["function", "nu", "a", "b"], rows, args.out, args.format)
     return 0
 
@@ -153,19 +161,8 @@ def _cmd_conjugate(args) -> int:
     for x in _x_values(args):
         limit = conj.conjugate_at(f, x, grid=grid)
         truncated = conj.conjugate_truncated_batch(f, x, eps_list, grid).tolist()
-        for eps, value in zip(eps_list, truncated):
-            rows.append(
-                {
-                    "function": f.name,
-                    "x": x,
-                    "eps": eps,
-                    "conjugate_truncated": value,
-                    "conjugate": limit,
-                }
-            )
-    _write_rows(
-        ["function", "x", "eps", "conjugate_truncated", "conjugate"], rows, args.out, args.format
-    )
+        rows += [(f.name, x, eps, value, limit) for eps, value in zip(eps_list, truncated)]
+    _write_rows(["function", "x", "eps", "conjugate_truncated", "conjugate"], rows, args.out, args.format)
     return 0
 
 
@@ -178,26 +175,9 @@ def _cmd_transform(args) -> int:
     B = _matrix_from(args.matrix_b, max(ns))
     conj_flag = not args.plain
     values = verify.transform_grid(f, A, B, ns, xs, grid, conjugate=conj_flag)
-    rows = []
-    for n, row in zip(ns, values):
-        for x, value in zip(xs, row):
-            rows.append(
-                {
-                    "function": f.name,
-                    "matrix_a": A.name,
-                    "matrix_b": B.name,
-                    "conjugate": int(conj_flag),
-                    "n": n,
-                    "x": x,
-                    "value": value,
-                }
-            )
-    _write_rows(
-        ["function", "matrix_a", "matrix_b", "conjugate", "n", "x", "value"],
-        rows,
-        args.out,
-        args.format,
-    )
+    rows = [(f.name, A.name, B.name, int(conj_flag), n, x, v) for n, row in zip(ns, values) for x, v in zip(xs, row)]
+    columns = ["function", "matrix_a", "matrix_b", "conjugate", "n", "x", "value"]
+    _write_rows(columns, rows, args.out, args.format)
     return 0
 
 
@@ -217,71 +197,36 @@ def _cmd_check_matrix(args) -> int:
     remark1 = max(summability.check_remark1_condition(A, n) for n in range(n_max + 1))
     results.append(("remark1", remark1, f"n_max={n_max}"))
     results.append(("remark2", summability.check_remark2_condition(B), f"n_max={B.n_max}"))
-    columns = ["condition", "matrix_a", "matrix_b", "min_constant", "witness"]
-    rows = [dict(zip(columns, (c, A.name, B.name, k, w))) for c, k, w in results]
-    _write_rows(columns, rows, args.out, args.format)
+    rows = [(c, A.name, B.name, k, w) for c, k, w in results]
+    _write_rows(["condition", "matrix_a", "matrix_b", "min_constant", "witness"], rows, args.out, args.format)
     return 0
 
 
-_MODULUS_OPS = {
-    "w": moduli.w_plain,
-    "w_bar": moduli.w_bar,
-    "w_tilde": moduli.w_tilde,
-    "w_tilde_bar": moduli.w_tilde_bar,
-}
-
-
 def _cmd_moduli(args) -> int:
+    if args.n is not None and args.delta is not None:
+        raise DomainError("--n (a profile length) and --delta (a single delta) exclude each other")
     f = _function_from(args)
     grid = _grid_from(args)
-    rows = []
-    if args.delta is not None:
-        if not 0.0 < args.delta <= functions.PI:
-            raise DomainError(f"--delta must lie in (0, pi], got {args.delta}")
-        op = _MODULUS_OPS[args.kind]
-        for x in _x_values(args):
-            rows.append(
-                {
-                    "function": f.name,
-                    "kind": args.kind,
-                    "x": x,
-                    "k": -1,
-                    "delta": args.delta,
-                    "value": op(f, x, args.delta, grid),
-                }
-            )
-    else:
+    if args.delta is None:
         n = _n_or_default(args, 32)
-        for x in _x_values(args):
-            profile = moduli.modulus_profile(f, x, n, args.kind, grid)
-            for k, (delta, value) in enumerate(zip(profile.deltas, profile.values)):
-                rows.append(
-                    {
-                        "function": f.name,
-                        "kind": args.kind,
-                        "x": x,
-                        "k": k,
-                        "delta": float(delta),
-                        "value": float(value),
-                    }
-                )
+        ks, deltas = range(n + 1), [functions.PI / (k + 1.0) for k in range(n + 1)]
+    elif 0.0 < args.delta <= functions.PI:
+        ks, deltas = [-1], [args.delta]
+    else:
+        raise DomainError(f"--delta must lie in (0, pi], got {args.delta}")
+    rows = []
+    for x in _x_values(args):
+        values = moduli.modulus(f, x, deltas, args.kind, grid).tolist()
+        rows += [(f.name, args.kind, x, k, d, v) for k, d, v in zip(ks, deltas, values)]
     _write_rows(["function", "kind", "x", "k", "delta", "value"], rows, args.out, args.format)
     return 0
 
 
-def _report_row(rep: verify.BoundReport) -> dict:
-    return {
-        "theorem": rep.theorem_id,
-        "function": rep.metadata.get("function", ""),
-        "matrix_a": rep.metadata.get("matrix_a", ""),
-        "matrix_b": rep.metadata.get("matrix_b", ""),
-        "n": rep.n,
-        "x": rep.x if rep.x is not None else math.nan,
-        "p": rep.metadata.get("p", math.nan),
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "ratio": rep.ratio,
-    }
+def _report_row(rep: verify.BoundReport) -> tuple:
+    meta = rep.metadata
+    x = rep.x if rep.x is not None else math.nan
+    return (rep.theorem_id, meta.get("function", ""), meta.get("matrix_a", ""), meta.get("matrix_b", ""),
+            rep.n, x, meta.get("p", math.nan), rep.lhs, rep.rhs, rep.ratio)
 
 
 def _cmd_verify(args) -> int:

@@ -13,11 +13,13 @@ CONJUGATE_TOL conjugate_at raises.
 
 deviation_kernel_form integrates both of its kernel integrands in one fine
 ``PanelSums`` on the same kind of mesh, with h = pi/(n+1) inserted as a boundary.
+Its kernel mean adds the weighted rows of D~_k 64 at a time, so it never holds
+the whole (n + 1) x nodes kernel matrix.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .kernels import conj_dirichlet_matrix
 from .summability import TriangularMatrix, ab_weights
 
 CONJUGATE_TOL = 1e-8  # largest error estimate conjugate_at accepts
+_KERNEL_ROWS = 64  # kernel rows deviation_kernel_form evaluates at once
 
 
 class ConvergenceError(RuntimeError):
@@ -122,6 +125,13 @@ def conjugate_at(f: PeriodicFunction, x: float, grid: GridSpec = DEFAULT_GRID) -
     return value
 
 
+def _weighted_kernel(weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """weights @ conj_dirichlet_matrix(n, t), added _KERNEL_ROWS rows at a time."""
+    n, rows = len(weights) - 1, _KERNEL_ROWS
+    blocks = (weights[k : k + rows] @ conj_dirichlet_matrix(min(n, k + rows - 1), t, k) for k in range(0, n + 1, rows))
+    return reduce(np.add, blocks)
+
+
 def deviation_kernel_form(
     f: PeriodicFunction,
     A: TriangularMatrix,
@@ -145,7 +155,7 @@ def deviation_kernel_form(
 
     def integrands(t):
         psi = eval_psi(f, x, t)
-        kernel = (weights @ conj_dirichlet_matrix(n, t.ravel())).reshape(t.shape)
+        kernel = _weighted_kernel(weights, t.ravel()).reshape(t.shape)
         # psi K is kept below h only, so its total is its integral over (0, h]
         inner = np.where(t < bounds[below], psi * kernel, 0.0)
         return np.stack((inner, psi * (0.5 / np.tan(0.5 * t) - kernel)))

@@ -414,12 +414,12 @@ def by_name(name: str) -> PeriodicFunction:
         raise UnknownNameError(f"unknown function {name!r}; registry has: {known}") from None
 
 
-def psi_breakpoints(f: PeriodicFunction, x: float, lo: float = 0.0, hi: float = PI) -> list[float]:
-    """t in (lo, hi) where u -> f(x+u) or u -> f(x-u) hits a breakpoint of f."""
+def psi_breakpoints(f: PeriodicFunction, x: float) -> list[float]:
+    """t in (0, pi) where u -> f(x+u) or u -> f(x-u) hits a breakpoint of f."""
     out = set()
     for b in f.breakpoints:
         for t0 in ((b - x) % TWO_PI, (x - b) % TWO_PI):
             for cand in (t0, t0 - TWO_PI, TWO_PI - t0):
-                if lo < cand < hi:
+                if 0.0 < cand < PI:
                     out.add(cand)
     return sorted(out)

@@ -14,15 +14,18 @@ to k = 256.  Two tables hold them:
   m = 1024, about 104 MB at the largest m).  Only the most recent table is
   kept: callers walk delta one function at a time.
 
-A delta on the boundary set reads cum[i] / delta; any other delta adds one
-8-node Gauss-Legendre panel from the boundary below it.  The bar moduli are a
-running maximum of the boundary averages (``_bar``).
+``modulus(f, x, delta, kind)`` is the one pointwise entry point, for a float
+delta or an array of them (each with the float's bits).  A delta on the
+boundary set reads cum[i] / delta; any other delta adds one 8-node
+Gauss-Legendre panel from the boundary below it.
 
-The sup over 0 < t <= delta in the bar and classical moduli is discretized
-over that master set (plus the endpoint delta itself); the discretized sup is
-a lower bound on the true one.  Because the t-sets are nested across delta,
-bar moduli are nondecreasing in delta by construction.  Bound checks that put
-bar moduli on the right-hand side only get stricter from under-reporting.
+The sup over 0 < t <= delta in the bar and classical moduli is one helper,
+``_sup_up_to``: the running maximum over a fixed t-set (the master boundaries,
+or ``_classical_t_set``) read at the last t <= delta, joined with the value at
+a delta off that set.  The discretized sup is a lower bound on the true one.  Because the t-sets are
+nested across delta, bar moduli are nondecreasing in delta by construction.
+Bound checks that put bar moduli on the right-hand side only get stricter
+from under-reporting.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Optional
 
 import numpy as np
 
@@ -60,11 +62,11 @@ _INCREMENTS = {"psi": eval_psi, "phi": eval_phi}
 
 @dataclass(frozen=True)
 class ModulusProfile:
-    """Modulus values at delta = pi/(k+1), k = 0..n, for one x (None for classical)."""
+    """Modulus values at delta = pi/(k+1), k = 0..n, for one x."""
 
     kind: str
     values: np.ndarray
-    x: Optional[float]
+    x: float
 
     @property
     def deltas(self) -> np.ndarray:
@@ -107,12 +109,25 @@ def _average(table: PanelSums, deltas: np.ndarray) -> np.ndarray:
     return table.at(deltas) / deltas
 
 
+def _running_max(values: np.ndarray) -> np.ndarray:
+    """Entry k is the largest of values[:k] (values >= 0), so entry 0 is 0."""
+    return np.maximum.accumulate(np.concatenate(([0.0], values)))
+
+
+def _sup_up_to(t: np.ndarray, running: np.ndarray, deltas: np.ndarray, endpoint) -> np.ndarray:
+    """Sup over t <= delta and delta itself: running[k] is the max at t[:k], endpoint(d) the values off t."""
+    k = np.searchsorted(t, deltas, side="right")
+    values = running[k]
+    off = t[k - 1] != deltas  # k = 0 reads the largest t, which lies above delta
+    if off.any():
+        values[off] = np.maximum(values[off], endpoint(deltas[off]))
+    return values
+
+
 def _bar(table: PanelSums, deltas: np.ndarray) -> np.ndarray:
     """Largest average over the boundaries up to delta and delta itself."""
-    prefix_max = np.maximum.accumulate(table.cum[..., 1:] / table.bounds[1:], axis=-1)
-    last = np.searchsorted(table.bounds, deltas, side="right") - 2
-    interior = np.where(last >= 0, prefix_max[..., np.maximum(last, 0)], 0.0)
-    return np.maximum(_average(table, deltas), interior)
+    t = table.bounds[1:]
+    return _sup_up_to(t, _running_max(table.cum[1:] / t), deltas, partial(_average, table))
 
 
 @lru_cache(maxsize=4096)
@@ -139,49 +154,33 @@ def _node_table(f: PeriodicFunction, kind: str, grid: GridSpec) -> PanelSums:
     return PanelSums(_abs_increment(f, x, kind), bounds, cum=cum)
 
 
-def _check_delta(delta: float):
-    if not (0.0 < delta <= PI):
-        raise DomainError(f"delta must lie in (0, pi], got {delta}")
+def _check_delta(delta) -> np.ndarray:
+    """delta as an array, after one range test that names the first delta outside (0, pi]."""
+    delta = np.asarray(delta, dtype=float)
+    if delta.ndim == 0 and 0.0 < float(delta) <= PI:
+        return delta  # a valid single delta, tested without array ufuncs
+    ok = (delta > 0.0) & (delta <= PI)
+    if not ok.all():
+        raise DomainError(f"delta must lie in (0, pi], got {delta[~ok].flat[0]}")
+    return delta
 
 
-def _lookup(f: PeriodicFunction, x: float, deltas: np.ndarray, kind: str, grid: GridSpec) -> np.ndarray:
-    table = _cumulative(f, float(x), "psi" if "tilde" in kind else "phi", grid)
-    return (_bar if kind.endswith("bar") else _average)(table, deltas)
+def modulus(f: PeriodicFunction, x: float, delta, kind: str, grid: GridSpec = DEFAULT_GRID):
+    """Modulus of the given kind at x: a float for a float delta, one value per delta for an array.
 
-
-def _at(f: PeriodicFunction, x: float, delta: float, kind: str, grid: GridSpec) -> float:
-    _check_delta(delta)
-    return float(_lookup(f, x, np.array([delta]), kind, grid)[0])
-
-
-def w_tilde(f: PeriodicFunction, x: float, delta: float, grid: GridSpec = DEFAULT_GRID) -> float:
-    """(1/delta) int_0^delta |psi_x(u)| du."""
-    return _at(f, x, delta, "w_tilde", grid)
-
-
-def w_plain(f: PeriodicFunction, x: float, delta: float, grid: GridSpec = DEFAULT_GRID) -> float:
-    """(1/delta) int_0^delta |phi_x(u)| du."""
-    return _at(f, x, delta, "w", grid)
-
-
-def w_tilde_bar(f: PeriodicFunction, x: float, delta: float, grid: GridSpec = DEFAULT_GRID) -> float:
-    """sup over 0 < t <= delta of the psi average (discretized, includes t=delta)."""
-    return _at(f, x, delta, "w_tilde_bar", grid)
-
-
-def w_bar(f: PeriodicFunction, x: float, delta: float, grid: GridSpec = DEFAULT_GRID) -> float:
-    """sup over 0 < t <= delta of the phi average (discretized, includes t=delta)."""
-    return _at(f, x, delta, "w_bar", grid)
-
-
-def modulus_profile(
-    f: PeriodicFunction, x: float, n: int, kind: str, grid: GridSpec = DEFAULT_GRID
-) -> ModulusProfile:
-    """Modulus of the chosen kind at delta = pi/(k+1) for k = 0..n."""
+    w_tilde and w average |psi_x| and |phi_x| over (0, delta]; the bar kinds take the sup over 0 < t <= delta.
+    """
     if kind not in MODULUS_KINDS:
         raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
-    values = _lookup(f, x, PI / (np.arange(n + 1) + 1.0), kind, grid)
-    return ModulusProfile(kind=kind, values=values, x=float(x))
+    delta = _check_delta(delta)
+    table = _cumulative(f, float(x), "psi" if "tilde" in kind else "phi", grid)
+    values = (_bar if kind.endswith("bar") else _average)(table, np.atleast_1d(delta))
+    return float(values[0]) if delta.ndim == 0 else values
+
+
+def modulus_profile(f: PeriodicFunction, x: float, n: int, kind: str, grid: GridSpec = DEFAULT_GRID) -> ModulusProfile:
+    """Modulus of the chosen kind at delta = pi/(k+1) for k = 0..n."""
+    return ModulusProfile(kind, modulus(f, x, PI / (np.arange(n + 1) + 1.0), kind, grid), float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -231,28 +230,23 @@ def _increment_norms(f: PeriodicFunction, t: np.ndarray, p: float, kind: str, gr
 
 @lru_cache(maxsize=256)
 def _classical_table(f: PeriodicFunction, p: float, kind: str, grid: GridSpec):
+    """The t-set, the norm at each t and their running max."""
     t = _classical_t_set()
-    return t, _increment_norms(f, t, p, kind, grid)
+    norms = _increment_norms(f, t, p, kind, grid)
+    return t, norms, _running_max(norms)
 
 
-def classical_modulus(
-    f: PeriodicFunction,
-    delta: float,
-    p: float,
-    grid: GridSpec = DEFAULT_GRID,
-    conjugate: bool = True,
-) -> float:
-    """sup over 0 < t <= delta of the L^p norm in x of psi (phi if conjugate=False)."""
-    _check_delta(delta)
+def classical_modulus(f: PeriodicFunction, delta, p: float, grid: GridSpec = DEFAULT_GRID, conjugate: bool = True):
+    """sup over 0 < t <= delta of the L^p norm in x of psi (phi if conjugate=False), shaped like delta.
+
+    A delta on the t-set reads the table; all others share one _increment_norms call.
+    """
+    delta = _check_delta(delta)
     _check_p(p)
     kind = "psi" if conjugate else "phi"
-    t, norms = _classical_table(f, float(p), kind, grid)
-    k = int(np.searchsorted(t, delta, side="right"))  # t[:k] <= delta
-    best = float(norms[:k].max()) if k else 0.0
-    if k and t[k - 1] == delta:
-        return best  # delta is a node, whose norm the table already holds
-    endpoint = float(_increment_norms(f, np.array([delta]), p, kind, grid)[0])
-    return max(best, endpoint)
+    t, _, running = _classical_table(f, float(p), kind, grid)
+    values = _sup_up_to(t, running, np.atleast_1d(delta), lambda d: _increment_norms(f, d, p, kind, grid))
+    return float(values[0]) if delta.ndim == 0 else values
 
 
 def pointwise_modulus_on_nodes(
@@ -262,14 +256,14 @@ def pointwise_modulus_on_nodes(
 
     Shares the x nodes with lp_norm, so norms of the pointwise modulus are a
     plain composition.  The table does not split panels at psi's kinks; at
-    the default grid the absolute error against w_tilde stays below 2e-7 on
+    the default grid the absolute error against modulus(..., "w_tilde") stays below 2e-7 on
     the corpus.
     """
     if kind not in ("w", "w_tilde"):
         raise ValueError(f"batched evaluation supports plain kinds only, got {kind!r}")
-    _check_delta(delta)
+    delta = _check_delta(delta)
     table = _node_table(f, "psi" if kind == "w_tilde" else "phi", grid)
-    return _x_nodes(grid), _average(table, np.array([delta]))[:, 0]
+    return _x_nodes(grid), _average(table, np.atleast_1d(delta))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -314,10 +308,7 @@ __all__ = [
     "MODULUS_KINDS",
     "Lemma2Result",
     "LEMMA2_SLACK",
-    "w_tilde",
-    "w_plain",
-    "w_tilde_bar",
-    "w_bar",
+    "modulus",
     "modulus_profile",
     "classical_modulus",
     "lp_norm",

@@ -31,7 +31,7 @@ from .functions import (
     psi_breakpoints,
 )
 from .kernels import partial_sum_table
-from .moduli import w_tilde
+from .moduli import modulus
 
 ROW_SUM_TOL = 1e-9
 _FSUM_MARGIN = 1e-12  # row sums this close to ROW_SUM_TOL are decided by math.fsum
@@ -324,7 +324,7 @@ def check_condition_2_511(
         return np.abs(eval_psi(f, x, t)) / t
 
     lhs = integrate_graded(integrand, 0.0, h, grid, breakpoints=cuts).value / PI
-    rhs = w_tilde(f, x, h, grid)
+    rhs = modulus(f, x, h, "w_tilde", grid)
     tiny = 1e-13
     if rhs < tiny:
         return 1.0 if lhs < tiny else math.inf

@@ -58,8 +58,8 @@ def ratio_of(lhs: float, rhs: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def coefficients(f: PeriodicFunction, grid: GridSpec, N: int = DEFAULT_COEFF_CUTOFF) -> FourierCoefficients:
-    return fourier_coeffs(f, N, grid)
+def coefficients(f: PeriodicFunction, grid: GridSpec) -> FourierCoefficients:
+    return fourier_coeffs(f, DEFAULT_COEFF_CUTOFF, grid)
 
 
 def _averaged_modulus(values: np.ndarray) -> np.ndarray:
@@ -88,10 +88,10 @@ class _Grid:
 
     Partial-sum tables, modulus profiles and classical moduli run up to the
     largest n at or below the coefficient cutoff, and each (n, x) value reads
-    their prefix of length n + 1.  np.cumsum adds in index order and every
-    modulus is looked up on its own, so a prefix equals the array built for
-    that n alone.  Everything is built on first use, so a failing (n, x)
-    raises the error it raised when each point was computed by itself.
+    their prefix of length n + 1.  np.cumsum adds in index order and each
+    modulus value depends on its own delta alone, so a prefix equals the array
+    built for that n alone.  Everything is built on first use, so a failing
+    (n, x) raises the error it raised when each point was computed by itself.
     """
 
     def __init__(
@@ -147,12 +147,8 @@ class _Grid:
 
     def classical_modulus(self, p: float) -> np.ndarray:
         """Averaged classical L^p modulus, for r = 0..top."""
-        return self._once(
-            ("classical", p),
-            lambda: _averaged_modulus(
-                np.array([classical_modulus(self.f, PI / (k + 1), p, self.grid) for k in range(self.top + 1)])
-            ),
-        )
+        deltas = PI / (np.arange(self.top + 1) + 1.0)
+        return self._once(("classical", p), lambda: _averaged_modulus(classical_modulus(self.f, deltas, p, self.grid)))
 
     def remark1_weights(self, n: int) -> np.ndarray:
         return self._once(("remark1", n), lambda: _remark1_weights(self.A, n))

@@ -247,7 +247,7 @@ class TestOutputs:
         assert float(row["ratio"]) == rep.ratio
 
     def test_moduli_single_delta(self, tmp_path, grid):
-        from conjsum.moduli import w_tilde_bar
+        from conjsum.moduli import modulus
 
         out = tmp_path / "md.csv"
         assert run_cli(
@@ -256,8 +256,27 @@ class TestOutputs:
         ) == 0
         row = read_csv(out)[0]
         assert int(row["k"]) == -1
-        want = w_tilde_bar(by_name("cos"), PI / 2, 1.0, grid)
+        want = modulus(by_name("cos"), PI / 2, 1.0, "w_tilde_bar", grid)
         assert float(row["value"]) == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("n", ["-3", "5", "99999"])
+    def test_moduli_rejects_n_with_delta(self, n, tmp_path, capsys):
+        # --n sets a profile length, which a single --delta does not have: valid or not, it is refused
+        out = tmp_path / "m.csv"
+        code = run_cli(["moduli", "--function", "sin", "--x", "0.5", "--delta", "0.5", "--n", n, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "--n" in err and "--delta" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--theorem", "T1.5", "--function", "sin", "--x", "0.5"],
+        ["transform", "--function", "sin", "--x", "0.5"],
+    ])
+    @pytest.mark.parametrize("flag", ["--n", "--n-list"])
+    def test_order_above_the_coefficient_cutoff_names_its_flag(self, command, flag, capsys):
+        assert run_cli(command + [flag, "600"]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be <= the coefficient cutoff 512, got 600\n"
 
     def test_moduli_delta_out_of_range_exits_2(self, tmp_path, capsys):
         code = run_cli(

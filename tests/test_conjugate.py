@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conjsum.cli import DEFAULT_EPS
+from conjsum import conjugate
 from conjsum.conjugate import (
     CONJUGATE_TOL,
     ConvergenceError,
@@ -24,9 +26,9 @@ from conjsum.functions import (
     integrate_graded,
     psi_breakpoints,
 )
-from conjsum.kernels import fourier_coeffs, partial_sum_table
+from conjsum.kernels import conj_dirichlet_matrix, fourier_coeffs, partial_sum_table
 from conjsum.moduli import modulus_profile
-from conjsum.summability import cesaro, delta_at_zero, identity_matrix
+from conjsum.summability import ab_weights, cesaro, delta_at_zero, identity_matrix
 from conjsum.verify import transform_value
 
 PI = math.pi
@@ -225,6 +227,32 @@ class TestDeviationKernelForm:
         D = delta_at_zero(1)
         with pytest.raises(SingularIntegrandError, match="not finite"), np.errstate(over="ignore"):
             deviation_kernel_form(f, D, D, 1, 0.0, grid)
+
+    def test_blocked_kernel_matches_one_matrix(self, grid, monkeypatch):
+        # up to 63 the kernel mean is one block, so the pair has the bits of weights @ matrix
+        t = np.concatenate([np.linspace(1e-9, PI, 997), [1e-4, 2e-3]])
+        C = cesaro(300)
+        for n in (0, 1, 17, 63, 64, 200, 300):
+            want = ab_weights(C, C, n) @ conj_dirichlet_matrix(n, t)
+            got = conjugate._weighted_kernel(ab_weights(C, C, n), t)
+            if n <= 63:
+                assert np.array_equal(got, want), n
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-15), n
+        f = by_name("hat")
+        blocked = [deviation_kernel_form(f, C, C, n, 0.3, grid) for n in (1, 8, 63)]
+        monkeypatch.setattr(conjugate, "_weighted_kernel", lambda w, t: w @ conj_dirichlet_matrix(len(w) - 1, t))
+        assert blocked == [deviation_kernel_form(f, C, C, n, 0.3, grid) for n in (1, 8, 63)]
+
+    def test_high_order_holds_no_kernel_matrix(self, grid):
+        f, C = by_name("hat"), cesaro(1024)
+        deviation_kernel_form(f, C, C, 4, 0.3, grid)  # the mesh and psi's breakpoints, outside the count
+        tracemalloc.start()
+        try:
+            deviation_kernel_form(f, C, C, 1024, 0.3, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak
 
     def test_direct_difference_agreement_sample(self, grid):
         C, I = cesaro(32), identity_matrix(32)

@@ -9,12 +9,9 @@ from conjsum.moduli import (
     classical_modulus,
     lemma2_check,
     lp_norm,
+    modulus,
     modulus_profile,
     pointwise_modulus_on_nodes,
-    w_bar,
-    w_plain,
-    w_tilde,
-    w_tilde_bar,
 )
 
 PI = math.pi
@@ -22,66 +19,95 @@ PI = math.pi
 
 class TestWTilde:
     def test_constant(self, funcs):
-        assert w_tilde(funcs["const"], 0.9, 1.0) == 0.0
+        assert modulus(funcs["const"], 0.9, 1.0, "w_tilde") == 0.0
 
     def test_sine_full_interval(self, funcs):
         # (1/pi) int_0^pi 2 sin u du = 4/pi
-        got = w_tilde(funcs["sin"], 0.0, PI)
+        got = modulus(funcs["sin"], 0.0, PI, "w_tilde")
         assert got == pytest.approx(1.2732395447351628, abs=1e-10)
 
     def test_cosine_frozen(self, funcs):
         # |psi| = 2 sin u at x = pi/2: 2 (1 - cos 1)
-        got = w_tilde(funcs["cos"], PI / 2, 1.0)
+        got = modulus(funcs["cos"], PI / 2, 1.0, "w_tilde")
         assert got == pytest.approx(0.9193953882637205, abs=1e-10)
 
     def test_delta_out_of_range(self, funcs):
         with pytest.raises(DomainError):
-            w_tilde(funcs["sin"], 0.0, 0.0)
+            modulus(funcs["sin"], 0.0, 0.0, "w_tilde")
         with pytest.raises(DomainError):
-            w_tilde(funcs["sin"], 0.0, 4.0)
+            modulus(funcs["sin"], 0.0, 4.0, "w_tilde")
+
+
+class TestModulusEntryPoint:
+    DELTAS = np.array([PI, PI / 7, 1.0, 0.123456789, 3e-9, PI / 300, PI / 2, 2.5])
+
+    @pytest.mark.parametrize("kind", moduli.MODULUS_KINDS)
+    def test_float_and_array_give_the_same_bits(self, kind, grid):
+        order = np.random.default_rng(7).permutation(len(self.DELTAS))
+        for f in corpus():
+            for x in (0.3, 0.0, -PI / 2 - 3e-8):
+                alone = [modulus(f, x, float(d), kind, grid) for d in self.DELTAS]
+                assert all(type(v) is float for v in alone)
+                assert np.array_equal(modulus(f, x, self.DELTAS, kind, grid), alone), (f.name, x)
+                shuffled = modulus(f, x, self.DELTAS[order], kind, grid)
+                assert np.array_equal(shuffled, np.array(alone)[order]), (f.name, x)
+                assert modulus(f, x, self.DELTAS[2:3], kind, grid)[0] == alone[2]
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, 3.5, -1.0])
+    @pytest.mark.parametrize("where", [0, 3, 7])
+    def test_bad_delta_anywhere_names_it(self, bad, where, funcs):
+        deltas = self.DELTAS.copy()
+        deltas[where] = bad
+        for kind in moduli.MODULUS_KINDS:
+            with pytest.raises(DomainError, match=rf"got {bad}$"):
+                modulus(funcs["sin"], 0.3, deltas, kind)
+
+    def test_first_bad_delta_is_named(self, funcs):
+        with pytest.raises(DomainError, match=r"got 4\.0$"):
+            modulus(funcs["sin"], 0.3, [1.0, 4.0, math.nan, 0.0], "w_tilde")
 
 
 class TestWPlain:
     def test_constant(self, funcs):
-        assert w_plain(funcs["const"], -1.0, 0.5) == 0.0
+        assert modulus(funcs["const"], -1.0, 0.5, "w") == 0.0
 
     def test_cosine_analytic(self, funcs):
         # (1/pi) int_0^pi 2 (1 - cos u) du = 2
-        got = w_plain(funcs["cos"], 0.0, PI)
+        got = modulus(funcs["cos"], 0.0, PI, "w")
         assert got == pytest.approx(2.0, abs=1e-10)
 
     def test_odd_function_has_zero_phi(self, funcs):
-        assert w_plain(funcs["sin"], 0.0, PI / 2) == pytest.approx(0.0, abs=1e-12)
+        assert modulus(funcs["sin"], 0.0, PI / 2, "w") == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBarModuli:
     def test_constant(self, funcs):
-        assert w_tilde_bar(funcs["const"], 0.2, 1.3) == 0.0
-        assert w_bar(funcs["const"], 0.2, 1.3) == 0.0
+        assert modulus(funcs["const"], 0.2, 1.3, "w_tilde_bar") == 0.0
+        assert modulus(funcs["const"], 0.2, 1.3, "w_bar") == 0.0
 
     def test_bar_dominates_plain(self, funcs):
-        got_bar = w_tilde_bar(funcs["cos"], PI / 2, 1.0)
-        got_plain = w_tilde(funcs["cos"], PI / 2, 1.0)
+        got_bar = modulus(funcs["cos"], PI / 2, 1.0, "w_tilde_bar")
+        got_plain = modulus(funcs["cos"], PI / 2, 1.0, "w_tilde")
         assert got_bar >= got_plain - 1e-12
 
     def test_interior_maximum_frozen(self, funcs):
         # grid-search oracle over 2(1 - cos t)/t on (0, pi]: 1.449222707553296
-        got = w_tilde_bar(funcs["cos"], PI / 2, PI)
+        got = modulus(funcs["cos"], PI / 2, PI, "w_tilde_bar")
         assert got == pytest.approx(1.449222707553296, abs=5e-7)
 
     def test_domination_across_corpus(self, grid):
         for f in corpus():
             for x in (PI / 16, -7 * PI / 16):
                 for delta in (PI, PI / 5, PI / 64):
-                    assert w_tilde_bar(f, x, delta, grid) >= w_tilde(f, x, delta, grid) - 1e-12
-                    assert w_bar(f, x, delta, grid) >= w_plain(f, x, delta, grid) - 1e-12
+                    assert modulus(f, x, delta, "w_tilde_bar", grid) >= modulus(f, x, delta, "w_tilde", grid) - 1e-12
+                    assert modulus(f, x, delta, "w_bar", grid) >= modulus(f, x, delta, "w", grid) - 1e-12
 
     def test_bar_nondecreasing_in_delta(self, grid):
         deltas = PI / (np.arange(40, 0, -1))
         for f in corpus():
             for x in (3 * PI / 16, -PI / 2):
-                for kind, op in (("w_tilde_bar", w_tilde_bar), ("w_bar", w_bar)):
-                    vals = [op(f, x, float(d), grid) for d in deltas]
+                for kind in ("w_tilde_bar", "w_bar"):
+                    vals = [modulus(f, x, float(d), kind, grid) for d in deltas]
                     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), (f.name, kind)
 
 
@@ -93,10 +119,10 @@ class TestProfiles:
         prof = modulus_profile(f, x, n, "w_tilde", grid)
         assert prof.x == x
         for k in (0, 3, 16):
-            assert prof.values[k] == pytest.approx(w_tilde(f, x, PI / (k + 1), grid), abs=1e-13)
+            assert prof.values[k] == pytest.approx(modulus(f, x, PI / (k + 1), "w_tilde", grid), abs=1e-13)
         bar = modulus_profile(f, x, n, "w_tilde_bar", grid)
         for k in (0, 7):
-            assert bar.values[k] == pytest.approx(w_tilde_bar(f, x, PI / (k + 1), grid), abs=1e-13)
+            assert bar.values[k] == pytest.approx(modulus(f, x, PI / (k + 1), "w_tilde_bar", grid), abs=1e-13)
 
     def test_profile_deltas(self, grid):
         prof = modulus_profile(by_name("sin"), 0.1, 4, "w", grid)
@@ -182,6 +208,31 @@ class TestClassicalModulus:
         classical_modulus(by_name("sin"), 0.3, 2.0, grid)
         assert len(calls) == 1
 
+    def test_array_equals_the_float_loop(self, grid, monkeypatch):
+        # on and off the t-set: one batched endpoint call covers every delta off the set
+        t = moduli._classical_t_set()
+        on = np.concatenate([t[::11], PI / np.arange(1.0, 130.0, 8.0)])
+        off = np.array([0.3, 1e-3, PI / 200.5, PI / 300, 2.0, 1e-9])
+        deltas = np.random.default_rng(3).permutation(np.concatenate([on, off]))
+        calls = []
+        original = moduli._increment_norms
+        monkeypatch.setattr(moduli, "_increment_norms", lambda *a: calls.append(a[1]) or original(*a))
+        for f in corpus():
+            for p in (1.0, 2.0, 3.0, math.inf):
+                for conjugate in (True, False):
+                    want = [classical_modulus(f, float(d), p, grid, conjugate) for d in deltas]
+                    calls.clear()
+                    got = classical_modulus(f, deltas, p, grid, conjugate)
+                    assert np.array_equal(got, want), (f.name, p, conjugate)
+                    assert len(calls) == 1 and np.array_equal(calls[0], deltas[np.isin(deltas, off)])
+                    calls.clear()
+                    classical_modulus(f, on, p, grid, conjugate)
+                    assert calls == []
+
+    def test_array_rejects_a_bad_delta(self, grid):
+        with pytest.raises(DomainError, match="got nan"):
+            classical_modulus(by_name("sin"), np.array([1.0, math.nan]), 2.0, grid)
+
     def test_nondecreasing_in_delta(self, grid):
         f = by_name("sawtooth")
         deltas = PI / np.arange(16.0, 0.0, -1.0)
@@ -210,20 +261,19 @@ class TestEq81:
         delta = PI / 4
         xs, vals = pointwise_modulus_on_nodes(f, delta, "w_tilde", grid)
         for idx in (0, 17, 911):
-            want = w_tilde(f, float(xs[idx]), delta, grid)
+            want = modulus(f, float(xs[idx]), delta, "w_tilde", grid)
             assert vals[idx] == pytest.approx(want, abs=1e-7)
 
     @pytest.mark.parametrize("kind", ["w_tilde", "w"])
     def test_node_table_matches_kink_refined(self, kind, grid):
         # measured worst case 1.64e-7 (sin3, delta = pi, where |psi| has unrefined
         # kinks at its roots); every other case is within 5e-15
-        op = w_tilde if kind == "w_tilde" else w_plain
         idx = list(range(0, grid.m, 37)) + [255, 256, 511, 512, 513, 767, 768, grid.m - 1]
         for f in corpus():
             for k in (0, 3, 11, 32, 300):
                 delta = PI / (k + 1)
                 xs, vals = pointwise_modulus_on_nodes(f, delta, kind, grid)
-                err = max(abs(vals[i] - op(f, float(xs[i]), delta, grid)) for i in idx)
+                err = max(abs(vals[i] - modulus(f, float(xs[i]), delta, kind, grid)) for i in idx)
                 assert err <= (2e-7 if k == 0 else 1e-14), (f.name, k, err)
 
 

@@ -12,20 +12,12 @@ import pytest
 
 from conjsum import moduli
 from conjsum.functions import by_name, corpus, gl_rule
-from conjsum.moduli import (
-    modulus_profile,
-    pointwise_modulus_on_nodes,
-    w_bar,
-    w_plain,
-    w_tilde,
-    w_tilde_bar,
-)
+from conjsum.moduli import modulus, modulus_profile, pointwise_modulus_on_nodes
 
 PI = math.pi
 DEFAULT_X = [j * PI / 16 for j in range(-15, 16) if j]
 # at a kink of f (0 and +-pi/2 for hat, 0 for sawtooth) and just beside one
 KINK_X = [0.0, 1e-9, -1e-7, PI / 2 + 1e-9, -PI / 2 - 3e-8]
-SCALAR_OPS = {"w": w_plain, "w_bar": w_bar, "w_tilde": w_tilde, "w_tilde_bar": w_tilde_bar}
 
 
 def reference_integral_to(cum, t: float) -> float:
@@ -83,13 +75,12 @@ def test_profiles_off_the_master_set(kind, grid):
 @pytest.mark.parametrize("kind", moduli.MODULUS_KINDS)
 def test_single_delta_ops(kind, grid):
     deltas = [PI, PI / 7, 1.0, 0.123456789, 3e-9, PI / 300]
-    op = SCALAR_OPS[kind]
     for f in corpus():
         for x in (DEFAULT_X[3], 0.0, PI / 2 + 1e-9):
             cum = moduli._cumulative(f, x, "psi" if "tilde" in kind else "phi", grid)
             query = reference_bar if kind.endswith("bar") else reference_average
             for d in deltas:
-                assert op(f, x, d, grid) == query(cum, d), (f.name, x, d)
+                assert modulus(f, x, d, kind, grid) == query(cum, d), (f.name, x, d)
 
 
 def test_node_table_built_once_per_function(grid):
