@@ -4,7 +4,6 @@ from .functions import (
     DEFAULT_GRID,
     GridSpec,
     PeriodicFunction,
-    QuadratureResult,
     SingularIntegrandError,
     DomainError,
     UnknownNameError,
@@ -13,7 +12,6 @@ from .functions import (
     by_name,
     eval_psi,
     eval_phi,
-    integrate_graded,
 )
 from .kernels import (
     FourierCoefficients,
@@ -37,7 +35,6 @@ from .summability import (
     identity_matrix,
     delta_at_zero,
     nordlund,
-    from_rows,
     ab_transform,
     check_condition_2_1,
     check_condition_2_2,
@@ -50,7 +47,6 @@ from .summability import (
 from .conjugate import (
     ConvergenceError,
     conjugate_truncated,
-    conjugate_truncated_batch,
     conjugate_at,
     deviation_kernel_form,
     default_x_grid,

@@ -25,7 +25,11 @@ from . import conjugate as conj
 from . import functions, kernels, moduli, summability, verify
 from .functions import DomainError, GridSpec, SingularIntegrandError
 
-BUILTIN_MATRICES = ("cesaro", "identity", "delta0")
+# builtin --matrix-a / --matrix-b name -> builder taking n_max
+_MATRIX_BUILDERS = {
+    "cesaro": summability.cesaro, "identity": summability.identity_matrix, "delta0": summability.delta_at_zero
+}
+BUILTIN_MATRICES = tuple(_MATRIX_BUILDERS)
 
 # the conjugate command's default eps column: pi * 2**-j for j = 1..20
 DEFAULT_EPS = tuple(functions.PI * 2.0 ** (-j) for j in range(1, 21))
@@ -90,12 +94,8 @@ def _function_from(args) -> functions.PeriodicFunction:
 
 
 def _matrix_from(spec: str, n_max: int) -> summability.TriangularMatrix:
-    if spec == "cesaro":
-        return summability.cesaro(n_max)
-    if spec == "identity":
-        return summability.identity_matrix(n_max)
-    if spec == "delta0":
-        return summability.delta_at_zero(n_max)
+    if spec in _MATRIX_BUILDERS:
+        return _MATRIX_BUILDERS[spec](n_max)
     matrix = summability.load_matrix_json(spec)
     if matrix.n_max < n_max:
         raise summability.MatrixValidationError(
@@ -104,18 +104,16 @@ def _matrix_from(spec: str, n_max: int) -> summability.TriangularMatrix:
     return matrix
 
 
-def _nonnegative(flag: str, n: int) -> int:
+def _nonnegative(flag: str, n: int, top: int = MAX_N, label: str = "") -> int:
     if n < 0:
         raise DomainError(f"{flag} must be nonnegative, got {n}")
-    if n > MAX_N:
-        raise DomainError(f"{flag} must be <= {MAX_N}, got {n}")
+    if n > top:
+        raise DomainError(f"{flag} must be <= {label}{top}, got {n}")
     return n
 
 
 def _within_cutoff(flag: str, n: int) -> int:
-    if _nonnegative(flag, n) > kernels.DEFAULT_COEFF_CUTOFF:
-        raise DomainError(f"{flag} must be <= the coefficient cutoff {kernels.DEFAULT_COEFF_CUTOFF}, got {n}")
-    return n
+    return _nonnegative(flag, n, kernels.DEFAULT_COEFF_CUTOFF, "the coefficient cutoff ")
 
 
 def _n_or_default(args, default: int) -> int:
@@ -154,13 +152,11 @@ def _cmd_conjugate(args) -> int:
     f = _function_from(args)
     grid = _grid_from(args)
     eps_list = args.eps if args.eps else DEFAULT_EPS
-    for eps in eps_list:
-        if not 0.0 < eps <= functions.PI:
-            raise DomainError(f"--eps must lie in (0, pi], got {eps}")
+    functions.check_half_period("--eps", eps_list)
     rows = []
     for x in _x_values(args):
         limit = conj.conjugate_at(f, x, grid=grid)
-        truncated = conj.conjugate_truncated_batch(f, x, eps_list, grid).tolist()
+        truncated = conj.conjugate_truncated(f, x, eps_list, grid).tolist()
         rows += [(f.name, x, eps, value, limit) for eps, value in zip(eps_list, truncated)]
     _write_rows(["function", "x", "eps", "conjugate_truncated", "conjugate"], rows, args.out, args.format)
     return 0
@@ -210,10 +206,8 @@ def _cmd_moduli(args) -> int:
     if args.delta is None:
         n = _n_or_default(args, 32)
         ks, deltas = range(n + 1), [functions.PI / (k + 1.0) for k in range(n + 1)]
-    elif 0.0 < args.delta <= functions.PI:
-        ks, deltas = [-1], [args.delta]
     else:
-        raise DomainError(f"--delta must lie in (0, pi], got {args.delta}")
+        ks, deltas = [-1], [functions.check_half_period("--delta", args.delta)]
     rows = []
     for x in _x_values(args):
         values = moduli.modulus(f, x, deltas, args.kind, grid).tolist()
@@ -239,7 +233,7 @@ def _cmd_verify(args) -> int:
     A = _matrix_from(args.matrix_a, max(ns))
     B = _matrix_from(args.matrix_b, max(ns))
     theorem = args.theorem
-    if theorem in ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc"):
+    if theorem in verify._POINTWISE_IDS:
         reports = verify.pointwise_grid(theorem, f, A, B, ns, xs, grid)
     elif theorem in ("T3", "T4"):
         if theorem == "T4":

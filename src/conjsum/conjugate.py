@@ -7,9 +7,10 @@ with psi's breakpoints inserted, holds two ``PanelSums`` anchored at pi: one
 with the 8-node Gauss-Legendre rule on each panel (coarse) and one on both
 halves of it (fine).  The full conjugate is the fine total; a truncated one is
 the sum from the first boundary above eps plus the partial panel [eps, b], so
-every eps of an x shares one mesh.  |fine - coarse| is each value's error
-estimate; for the full conjugate it is the divergence signal, and above
-CONJUGATE_TOL conjugate_at raises.
+every eps of an x shares one mesh, and conjugate_truncated reads an array of
+eps in one pass.  |fine - coarse| is each value's error estimate; for the
+full conjugate it is the divergence signal, and above CONJUGATE_TOL
+conjugate_at raises.
 
 deviation_kernel_form integrates both of its kernel integrands in one fine
 ``PanelSums`` on the same kind of mesh, with h = pi/(n+1) inserted as a boundary.
@@ -32,6 +33,7 @@ from .functions import (
     PeriodicFunction,
     SingularIntegrandError,
     _insert_points,
+    check_half_period,
     eval_psi,
     fine_rule,
     graded_boundaries,
@@ -89,26 +91,14 @@ def _truncated_cached(
     return float(values[0]), float(est_errors[0])
 
 
-def _check_eps(eps: float):
-    if not 0.0 < eps <= PI:
-        raise DomainError(f"eps must lie in (0, pi], got {eps}")
+def conjugate_truncated(f: PeriodicFunction, x: float, eps, grid: GridSpec = DEFAULT_GRID):
+    """-(1/pi) int_eps^pi psi_x(t) (1/2) cot(t/2) dt: a cached float for a float eps, one value per eps for an array.
 
-
-def conjugate_truncated(
-    f: PeriodicFunction, x: float, eps: float, grid: GridSpec = DEFAULT_GRID
-) -> float:
-    """-(1/pi) int_eps^pi psi_x(t) (1/2) cot(t/2) dt."""
-    _check_eps(eps)
-    return _truncated_cached(f, float(x), float(eps), grid)[0]
-
-
-def conjugate_truncated_batch(
-    f: PeriodicFunction, x: float, eps, grid: GridSpec = DEFAULT_GRID
-) -> np.ndarray:
-    """conjugate_truncated at every eps of a sequence; each value has the bits of the single call."""
-    eps = np.asarray(eps, dtype=float)
-    for value in eps.tolist():
-        _check_eps(value)
+    Each value of an array has the bits of the float call at its eps.
+    """
+    eps = check_half_period("eps", eps)
+    if isinstance(eps, float):
+        return _truncated_cached(f, float(x), eps, grid)[0]
     return _truncated(f, float(x), eps, grid)[0]
 
 
@@ -166,14 +156,3 @@ def deviation_kernel_form(
     if not (np.isfinite(dev_truncated) and np.isfinite(dev_full)):
         raise SingularIntegrandError("kernel-form deviation integral is not finite")
     return float(dev_truncated), float(dev_full)
-
-
-__all__ = [
-    "CONJUGATE_TOL",
-    "ConvergenceError",
-    "conjugate_truncated",
-    "conjugate_truncated_batch",
-    "conjugate_at",
-    "deviation_kernel_form",
-    "default_x_grid",
-]

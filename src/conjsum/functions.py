@@ -5,7 +5,7 @@ The engine is 8-node Gauss-Legendre panels (``gl_panels``, ``gl_rule``, and
 ``graded_boundaries`` for integrands with a 1/t-type feature at the left
 endpoint, and ``PanelSums``: running sums of panel integrals from one anchored
 end of a mesh, with an optional leading x axis.  The conjugate (anchored at pi),
-the moduli (anchored at 0) and ``integrate_graded`` (the totals) all integrate
+the moduli (anchored at 0) and check_condition_2_511 (a total) all integrate
 through it.  ``eval_psi`` and ``eval_phi`` are the one definition of the
 increments psi_x and phi_x; x may be an array that broadcasts against t.
 """
@@ -70,14 +70,15 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    est_error: float
-
-    def __post_init__(self):
-        if self.est_error < 0:
-            raise ValueError("est_error must be nonnegative")
+def check_half_period(name: str, value):
+    """value as a float, or an array if it has an axis, after one range test naming the first entry outside (0, pi]."""
+    if isinstance(value, float) and 0.0 < value <= PI:
+        return value  # a valid single float, tested without array ufuncs
+    value = np.asarray(value, dtype=float)
+    ok = (value > 0.0) & (value <= PI)
+    if not ok.all():
+        raise DomainError(f"{name} must lie in (0, pi], got {value[~ok].flat[0]}")
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -251,27 +252,6 @@ def graded_boundaries(a: float, b: float, grid: GridSpec) -> np.ndarray:
     bounds = sorted_unique(np.concatenate(pieces))
     bounds.flags.writeable = False
     return bounds
-
-
-def integrate_graded(
-    g: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    grid: GridSpec = DEFAULT_GRID,
-    breakpoints: Sequence[float] = (),
-) -> QuadratureResult:
-    """Integral of g over [a, b] with nodes accumulating toward a.
-
-    The value is the fine total of a PanelSums on the graded mesh and its
-    error estimate the distance to the coarse total.  g must be finite on
-    (a, b]; the Gauss nodes never touch the endpoints.
-    """
-    if not (0.0 <= a < b <= PI + 1e-12):
-        raise DomainError(f"graded integration requires 0 <= a < b <= pi, got [{a}, {b}]")
-    bounds = _insert_points(graded_boundaries(a, b, grid), breakpoints)
-    fine = float(PanelSums(g, bounds, fine_rule).cum[-1])
-    coarse = float(PanelSums(g, bounds).cum[-1])
-    return QuadratureResult(fine, abs(fine - coarse))
 
 
 # ---------------------------------------------------------------------------

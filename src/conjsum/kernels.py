@@ -172,16 +172,3 @@ def conj_partial_sum_integral(
     kernel = conj_dirichlet_matrix(k, nodes, k_min=k)[0]
     values = np.asarray(f(x + nodes), dtype=float)
     return float(-np.dot(weights, values * kernel) / PI)
-
-
-__all__ = [
-    "FourierCoefficients",
-    "SingularKernelError",
-    "CutoffError",
-    "conj_dirichlet_complement",
-    "conj_dirichlet_matrix",
-    "fourier_coeffs",
-    "partial_sum_table",
-    "conj_partial_sum_integral",
-    "DEFAULT_COEFF_CUTOFF",
-]

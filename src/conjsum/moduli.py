@@ -44,6 +44,7 @@ from .functions import (
     GridSpec,
     PanelSums,
     PeriodicFunction,
+    check_half_period,
     eval_phi,
     eval_psi,
     psi_breakpoints,
@@ -154,17 +155,6 @@ def _node_table(f: PeriodicFunction, kind: str, grid: GridSpec) -> PanelSums:
     return PanelSums(_abs_increment(f, x, kind), bounds, cum=cum)
 
 
-def _check_delta(delta) -> np.ndarray:
-    """delta as an array, after one range test that names the first delta outside (0, pi]."""
-    delta = np.asarray(delta, dtype=float)
-    if delta.ndim == 0 and 0.0 < float(delta) <= PI:
-        return delta  # a valid single delta, tested without array ufuncs
-    ok = (delta > 0.0) & (delta <= PI)
-    if not ok.all():
-        raise DomainError(f"delta must lie in (0, pi], got {delta[~ok].flat[0]}")
-    return delta
-
-
 def modulus(f: PeriodicFunction, x: float, delta, kind: str, grid: GridSpec = DEFAULT_GRID):
     """Modulus of the given kind at x: a float for a float delta, one value per delta for an array.
 
@@ -172,10 +162,10 @@ def modulus(f: PeriodicFunction, x: float, delta, kind: str, grid: GridSpec = DE
     """
     if kind not in MODULUS_KINDS:
         raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
-    delta = _check_delta(delta)
+    delta = check_half_period("delta", delta)
     table = _cumulative(f, float(x), "psi" if "tilde" in kind else "phi", grid)
     values = (_bar if kind.endswith("bar") else _average)(table, np.atleast_1d(delta))
-    return float(values[0]) if delta.ndim == 0 else values
+    return float(values[0]) if isinstance(delta, float) else values
 
 
 def modulus_profile(f: PeriodicFunction, x: float, n: int, kind: str, grid: GridSpec = DEFAULT_GRID) -> ModulusProfile:
@@ -241,12 +231,12 @@ def classical_modulus(f: PeriodicFunction, delta, p: float, grid: GridSpec = DEF
 
     A delta on the t-set reads the table; all others share one _increment_norms call.
     """
-    delta = _check_delta(delta)
+    delta = check_half_period("delta", delta)
     _check_p(p)
     kind = "psi" if conjugate else "phi"
     t, _, running = _classical_table(f, float(p), kind, grid)
     values = _sup_up_to(t, running, np.atleast_1d(delta), lambda d: _increment_norms(f, d, p, kind, grid))
-    return float(values[0]) if delta.ndim == 0 else values
+    return float(values[0]) if isinstance(delta, float) else values
 
 
 def pointwise_modulus_on_nodes(
@@ -261,7 +251,7 @@ def pointwise_modulus_on_nodes(
     """
     if kind not in ("w", "w_tilde"):
         raise ValueError(f"batched evaluation supports plain kinds only, got {kind!r}")
-    delta = _check_delta(delta)
+    delta = check_half_period("delta", delta)
     table = _node_table(f, "psi" if kind == "w_tilde" else "phi", grid)
     return _x_nodes(grid), _average(table, np.atleast_1d(delta))[:, 0]
 
@@ -301,17 +291,3 @@ def lemma2_check(
         bar_lhs=bar_lhs,
         bar_rhs=bar_rhs,
     )
-
-
-__all__ = [
-    "ModulusProfile",
-    "MODULUS_KINDS",
-    "Lemma2Result",
-    "LEMMA2_SLACK",
-    "modulus",
-    "modulus_profile",
-    "classical_modulus",
-    "lp_norm",
-    "pointwise_modulus_on_nodes",
-    "lemma2_check",
-]

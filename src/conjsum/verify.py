@@ -9,10 +9,11 @@ A command is evaluated over its whole (n, x) grid at once: the coefficients
 once, the AB weights once per n, and per x one partial-sum table and one
 modulus profile up to the largest n; each (n, x) value reads a prefix.  The
 conjugates come from one suffix-sum table per x (see conjugate): the truncated
-ones at every eps = pi/(n+1) of the grid in one batch per x.  One n or x is a
-grid of one.  For library callers, transform_value is summability.ab_transform,
-whose bits the grid's prefix reads, and lhs_theorem1 compares it with the
-cached scalar conjugate, which has the bits of the batch.
+ones at every eps = pi/(n+1) of the grid in one array call per x.  One n or x
+is a grid of one.  For library callers, transform_value is
+summability.ab_transform, whose bits the grid's prefix reads, and lhs_theorem1
+compares it with the cached float-eps conjugate, which has the bits of the
+array call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels, summability
-from .conjugate import conjugate_at, conjugate_truncated, conjugate_truncated_batch, default_x_grid
+from .conjugate import conjugate_at, conjugate_truncated, default_x_grid
 from .functions import DEFAULT_GRID, PI, GridSpec, PeriodicFunction
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, _check_order, fourier_coeffs
 from .moduli import _check_p, classical_modulus, modulus_profile
@@ -135,7 +136,7 @@ class _Grid:
 
     def _truncated(self, x: float) -> dict:
         """n -> f~(x, pi/(n+1)) for every n of the grid that has a transform."""
-        values = conjugate_truncated_batch(self.f, x, PI / (np.array(self.ns) + 1.0), self.grid)
+        values = conjugate_truncated(self.f, x, PI / (np.array(self.ns) + 1.0), self.grid)
         return dict(zip(self.ns, values.tolist()))
 
     def pointwise_modulus(self, x: float, kind: str) -> np.ndarray:
@@ -309,21 +310,3 @@ def corollary_grid(
             metadata = {"function": f.name, "matrix_a": A.name, "matrix_b": B.name}
             reports.append(BoundReport("COR", n, x, dev, prev, ratio_of(dev, prev), metadata))
     return reports
-
-
-__all__ = [
-    "BoundReport",
-    "THEOREM_IDS",
-    "RATIO_ZERO_TOL",
-    "X_GRID_WEIGHT",
-    "ratio_of",
-    "coefficients",
-    "transform_grid",
-    "transform_value",
-    "rhs_theorem1",
-    "rhs_theorem2",
-    "lhs_theorem1",
-    "pointwise_grid",
-    "norm_grid",
-    "corollary_grid",
-]

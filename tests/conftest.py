@@ -1,6 +1,15 @@
 import pytest
 
-from conjsum.functions import DEFAULT_GRID, GridSpec, corpus, registry
+from conjsum.functions import (
+    DEFAULT_GRID, GridSpec, PanelSums, _insert_points, corpus, fine_rule, graded_boundaries, registry
+)
+
+
+def graded_integral(g, a, b, grid=DEFAULT_GRID, breakpoints=()):
+    """Integral of g over [a, b] on the mesh graded toward a: the fine total and |fine - coarse|."""
+    bounds = _insert_points(graded_boundaries(a, b, grid), breakpoints)
+    fine = float(PanelSums(g, bounds, fine_rule).cum[-1])
+    return fine, abs(fine - float(PanelSums(g, bounds).cum[-1]))
 
 
 @pytest.fixture(scope="session")

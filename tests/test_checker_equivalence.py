@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjsum.summability import (
+    TriangularMatrix,
     ab_weights,
     cesaro,
     check_condition_2_2,
@@ -24,7 +25,6 @@ from conjsum.summability import (
     check_remark2_condition,
     delta_at_zero,
     exact_cumsum,
-    from_rows,
     identity_matrix,
     nordlund,
 )
@@ -175,7 +175,7 @@ def stochastic_matrices(draw, max_n=12):
             w[draw(st.integers(0, n))] = 1.0
         total = math.fsum(w)
         rows.append([v / total for v in w])
-    return from_rows(rows)
+    return TriangularMatrix(rows)
 
 
 @settings(max_examples=100, deadline=None)

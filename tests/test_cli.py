@@ -165,7 +165,6 @@ class TestExitCodes:
         [
             (["coeffs", "--function", "sin", "--n", "4097"], "--n"),
             (["moduli", "--function", "sin", "--x", "0.5", "--n", "4097"], "--n"),
-            (["verify", "--theorem", "T1.5", "--function", "sin", "--n-list", "8", "4097", "--x", "0.5"], "--n-list"),
         ],
         ids=lambda v: v[0] if isinstance(v, list) else None,
     )
@@ -275,8 +274,10 @@ class TestOutputs:
     ])
     @pytest.mark.parametrize("flag", ["--n", "--n-list"])
     def test_order_above_the_coefficient_cutoff_names_its_flag(self, command, flag, capsys):
-        assert run_cli(command + [flag, "600"]) == 2
-        assert capsys.readouterr().err == f"error: {flag} must be <= the coefficient cutoff 512, got 600\n"
+        # above the general bound 4096 too, the cutoff is the limit named
+        for value in ("600", "4097"):
+            assert run_cli(command + [flag, value]) == 2
+            assert capsys.readouterr().err == f"error: {flag} must be <= the coefficient cutoff 512, got {value}\n"
 
     def test_moduli_delta_out_of_range_exits_2(self, tmp_path, capsys):
         code = run_cli(

@@ -12,7 +12,6 @@ from conjsum.conjugate import (
     _truncated,
     conjugate_at,
     conjugate_truncated,
-    conjugate_truncated_batch,
     default_x_grid,
     deviation_kernel_form,
 )
@@ -23,13 +22,14 @@ from conjsum.functions import (
     by_name,
     corpus,
     eval_psi,
-    integrate_graded,
     psi_breakpoints,
 )
 from conjsum.kernels import conj_dirichlet_matrix, fourier_coeffs, partial_sum_table
 from conjsum.moduli import modulus_profile
 from conjsum.summability import ab_weights, cesaro, delta_at_zero, identity_matrix
 from conjsum.verify import transform_value
+
+from conftest import graded_integral
 
 PI = math.pi
 KERNEL_FORM_TOL = 1e-13  # kernel form against value - conjugate; 6.7e-16 measured
@@ -41,8 +41,8 @@ TABLE_EPS = np.array(sorted(set(DEFAULT_EPS) | {PI / (n + 1) for n in range(513)
 def per_eps_quadrature(f, x, eps, grid):
     """Reference: one graded quadrature of psi_x(t) (1/2) cot(t/2) over (eps, pi] for each (x, eps)."""
     cuts = [b for b in psi_breakpoints(f, x) if b > eps]
-    q = integrate_graded(lambda t: eval_psi(f, x, t) * 0.5 / np.tan(0.5 * t), eps, PI, grid, breakpoints=cuts)
-    return -q.value / PI
+    value, _ = graded_integral(lambda t: eval_psi(f, x, t) * 0.5 / np.tan(0.5 * t), eps, PI, grid, cuts)
+    return -value / PI
 
 
 class TestTruncated:
@@ -82,12 +82,12 @@ class TestTruncated:
             x = PI / 5
             e1, e2 = 0.5, 0.125
             lhs = abs(conjugate_truncated(f, x, e2) - conjugate_truncated(f, x, e1))
-            bound = integrate_graded(
+            bound, _ = graded_integral(
                 lambda t: np.abs(eval_psi(f, x, t)) * 0.5 / np.abs(np.tan(0.5 * t)),
                 e2,
                 e1,
                 grid,
-            ).value
+            )
             assert lhs <= bound * (1 + 1e-9) + 1e-12
 
 
@@ -98,7 +98,7 @@ class TestSuffixTable:
             eps = sorted(set(DEFAULT_EPS) | {1e-300} | {PI / (n + 1) for n in range(1 + i, 513, 30)})
             for f in corpus():
                 want = [per_eps_quadrature(f, x, e, grid) for e in eps]
-                got = conjugate_truncated_batch(f, x, eps, grid)
+                got = conjugate_truncated(f, x, eps, grid)
                 assert np.max(np.abs(got - want)) <= 1e-14, (f.name, x)
 
     def test_full_conjugate_matches_quadrature_from_zero(self, grid):
@@ -110,10 +110,11 @@ class TestSuffixTable:
     def test_batch_and_scalar_give_the_same_bits(self, grid):
         for f in corpus():
             for x in default_x_grid()[4::17]:
-                batch = conjugate_truncated_batch(f, x, TABLE_EPS, grid)
-                assert batch.tolist() == [conjugate_truncated(f, x, e, grid) for e in TABLE_EPS]
+                batch = conjugate_truncated(f, x, TABLE_EPS, grid)
+                scalars = [conjugate_truncated(f, x, float(e), grid) for e in TABLE_EPS]
+                assert batch.tolist() == scalars and all(type(v) is float for v in scalars)
                 shuffled = np.random.default_rng(7).permutation(len(TABLE_EPS))
-                again = conjugate_truncated_batch(f, x, TABLE_EPS[shuffled], grid)
+                again = conjugate_truncated(f, x, TABLE_EPS[shuffled], grid)
                 assert again.tolist() == batch[shuffled].tolist()
 
     def test_every_eps_has_its_own_small_error_estimate(self, grid):
@@ -126,10 +127,10 @@ class TestSuffixTable:
     def test_batch_rejects_eps_outside_domain(self, funcs):
         for bad in (0.0, -1.0, 4.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="eps must lie in"):
-                conjugate_truncated_batch(funcs["sin"], 0.5, [0.5, bad])
+                conjugate_truncated(funcs["sin"], 0.5, [0.5, bad])
 
     def test_eps_pi_is_zero_in_a_batch(self, funcs):
-        got = conjugate_truncated_batch(funcs["sin"], 0.7, [PI, 0.5])
+        got = conjugate_truncated(funcs["sin"], 0.7, [PI, 0.5])
         assert got[0] == 0.0 and math.copysign(1.0, got[0]) == 1.0
 
 

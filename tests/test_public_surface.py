@@ -1,7 +1,9 @@
-"""The public surface: what the benchmark sweep reads, each module's __all__ and the package exports.
+"""The public surface: what the benchmark sweep reads and the package exports.
 
-A deletion in src that breaks the library-sweep workload, leaves a stale
-__all__ entry or re-exports a private name fails here, not in a benchmark run.
+The __init__ import list is the one declaration of the package surface.  A
+deletion in src that breaks the library-sweep workload, or an __init__ that
+re-exports a private name or a name through a module that only imports it,
+fails here, not in a benchmark run.
 """
 
 import ast
@@ -37,24 +39,14 @@ def test_sweep_reads_only_existing_attributes():
     assert missing == []
 
 
-def test_every_all_entry_exists():
-    checked = 0
-    for module in package_modules():
-        for name in getattr(module, "__all__", ()):
-            assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name!r}"
-            checked += 1
-    assert checked > 0
-
-
 def test_package_exports_only_public_names():
     tree = ast.parse((ROOT / "src" / "conjsum" / "__init__.py").read_text(encoding="utf-8"))
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
     assert imports
     for node in imports:
-        module = importlib.import_module(f"conjsum.{node.module}")
-        public = getattr(module, "__all__", None)
         for alias in node.names:
             assert not alias.name.startswith("_"), f"{node.module}.{alias.name}"
-            assert hasattr(conjsum, alias.name), alias.name
-            if public is not None:
-                assert alias.name in public, f"{node.module}.{alias.name} is not in its __all__"
+            value = getattr(conjsum, alias.name)
+            if callable(value):  # a class or function, lru-cached ones included
+                assert value.__module__ == f"conjsum.{node.module}", f"{node.module}.{alias.name}"
+    assert not [m.__name__ for m in package_modules() if hasattr(m, "__all__")]
