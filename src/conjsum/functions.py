@@ -168,7 +168,8 @@ class PanelSums:
     so a short integral beside it is never a total minus a long one.  g maps a
     (panels, nodes) array of t to its values, with a leading x axis if g has
     one; ``rule`` is ``gl_panels`` or ``fine_rule``.  ``cum`` may be passed in
-    already filled, as the moduli node table does block by block.
+    already filled, as the moduli node table does block by block.  Tables are
+    shared through caches, so ``bounds`` and ``cum`` are made read-only.
     """
 
     def __init__(self, g, bounds: np.ndarray, rule=gl_panels, from_top: bool = False, cum=None):
@@ -180,6 +181,7 @@ class PanelSums:
                 cum = np.concatenate((np.cumsum(panels[..., ::-1], axis=-1)[..., ::-1], zero), axis=-1)
             else:
                 cum = np.concatenate((zero, np.cumsum(panels, axis=-1)), axis=-1)
+        bounds.flags.writeable = cum.flags.writeable = False
         self.cum = cum
 
     def _integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -297,7 +299,9 @@ def _clausen_coeffs() -> np.ndarray:
         for j in range(m, 0, -1):
             a[j - 1] = j * (a[j - 1] - a[j])
         bernoulli.append(a[0])
-    return np.array([float(abs(bernoulli[m]) / (m * math.factorial(m + 1))) for m in range(2, 61, 2)])
+    coeffs = np.array([float(abs(bernoulli[m]) / (m * math.factorial(m + 1))) for m in range(2, 61, 2)])
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _clausen2(t: np.ndarray) -> np.ndarray:

@@ -11,8 +11,10 @@ to k = 256.  Two tables hold them:
 - ``_node_table`` (every uniform x node of ``lp_norm``): the master set alone,
   with at most 512 uniform panels, since the kinks move with x.  It holds
   8*m*P bytes for P boundaries (P = 792 at the default grid: 6.5 MB at
-  m = 1024, about 104 MB at the largest m).  Only the most recent table is
-  kept: callers walk delta one function at a time.
+  m = 1024, about 104 MB at the largest m).  It is only the build step for
+  a first-time (f, delta): the most recent table alone is kept, and the
+  cache is ``_node_values``, one read-only length-m vector per (f, delta),
+  at most 256 * 8*m bytes (2 MB at m = 1024, under a third of one table).
 
 ``modulus(f, x, delta, kind)`` is the one pointwise entry point, for a float
 delta or an array of them (each with the float's bits).  A delta on the
@@ -146,13 +148,21 @@ def _cumulative(f: PeriodicFunction, x: float, kind: str, grid: GridSpec) -> Pan
 
 @lru_cache(maxsize=1)
 def _node_table(f: PeriodicFunction, kind: str, grid: GridSpec) -> PanelSums:
-    """Every uniform x node at once, on the master boundaries only."""
+    """Every uniform x node at once, on the master boundaries only: the build step of _node_values."""
     x = _x_nodes(grid)[:, None, None]
     bounds = _panel_bounds(_master_pieces(min(grid.m // 2, _TABLE_MAX_PANELS), grid.refinement))
     cum = np.empty((grid.m, len(bounds)))
     for s in range(0, grid.m, _TABLE_ROWS):
         cum[s : s + _TABLE_ROWS] = PanelSums(_abs_increment(f, x[s : s + _TABLE_ROWS], kind), bounds).cum
     return PanelSums(_abs_increment(f, x, kind), bounds, cum=cum)
+
+
+@lru_cache(maxsize=256)
+def _node_values(f: PeriodicFunction, delta: float, kind: str, grid: GridSpec) -> np.ndarray:
+    """The node table's averages at one delta, read-only: 8*m bytes, against 8*m*P for the table."""
+    values = _average(_node_table(f, kind, grid), np.array([delta]))[:, 0]
+    values.flags.writeable = False
+    return values
 
 
 def modulus(f: PeriodicFunction, x: float, delta, kind: str, grid: GridSpec = DEFAULT_GRID):
@@ -170,6 +180,8 @@ def modulus(f: PeriodicFunction, x: float, delta, kind: str, grid: GridSpec = DE
 
 def modulus_profile(f: PeriodicFunction, x: float, n: int, kind: str, grid: GridSpec = DEFAULT_GRID) -> ModulusProfile:
     """Modulus of the chosen kind at delta = pi/(k+1) for k = 0..n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return ModulusProfile(kind, modulus(f, x, PI / (np.arange(n + 1) + 1.0), kind, grid), float(x))
 
 
@@ -220,10 +232,13 @@ def _increment_norms(f: PeriodicFunction, t: np.ndarray, p: float, kind: str, gr
 
 @lru_cache(maxsize=256)
 def _classical_table(f: PeriodicFunction, p: float, kind: str, grid: GridSpec):
-    """The t-set, the norm at each t and their running max."""
+    """The t-set, the norm at each t and their running max, read-only."""
     t = _classical_t_set()
     norms = _increment_norms(f, t, p, kind, grid)
-    return t, norms, _running_max(norms)
+    table = t, norms, _running_max(norms)
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def classical_modulus(f: PeriodicFunction, delta, p: float, grid: GridSpec = DEFAULT_GRID, conjugate: bool = True):
@@ -242,18 +257,20 @@ def classical_modulus(f: PeriodicFunction, delta, p: float, grid: GridSpec = DEF
 def pointwise_modulus_on_nodes(
     f: PeriodicFunction, delta: float, kind: str, grid: GridSpec = DEFAULT_GRID
 ) -> tuple[np.ndarray, np.ndarray]:
-    """w~_x(delta) (or w_x) at the uniform x quadrature nodes, read from the node table.
+    """w~_x(delta) (or w_x) at the uniform x quadrature nodes, for one float delta.
 
     Shares the x nodes with lp_norm, so norms of the pointwise modulus are a
-    plain composition.  The table does not split panels at psi's kinks; at
-    the default grid the absolute error against modulus(..., "w_tilde") stays below 2e-7 on
-    the corpus.
+    plain composition.  The values are cached per (f, delta), read-only, and
+    the node table is built only for a delta not yet cached.  The table does
+    not split panels at psi's kinks; at the default grid the absolute error
+    against modulus(..., "w_tilde") stays below 2e-7 on the corpus.
     """
     if kind not in ("w", "w_tilde"):
         raise ValueError(f"batched evaluation supports plain kinds only, got {kind!r}")
     delta = check_half_period("delta", delta)
-    table = _node_table(f, "psi" if kind == "w_tilde" else "phi", grid)
-    return _x_nodes(grid), _average(table, np.atleast_1d(delta))[:, 0]
+    if not isinstance(delta, float):
+        raise DomainError(f"delta must be a single value, got an array of shape {delta.shape}")
+    return _x_nodes(grid), _node_values(f, delta, "psi" if kind == "w_tilde" else "phi", grid)
 
 
 @dataclass(frozen=True)

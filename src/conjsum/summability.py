@@ -274,8 +274,17 @@ def check_condition_3_2(B: TriangularMatrix) -> ConditionReport:
     return ConditionReport("3.2", float(best), witness)
 
 
+def _check_scan_order(M: TriangularMatrix, n: int, scan: str) -> None:
+    """A remark checker's order n must name a row of M."""
+    if n < 0:
+        raise MatrixValidationError(f"{scan} needs n >= 0, got {n}; have rows up to {M.n_max}")
+    if n > M.n_max:
+        raise MatrixValidationError(f"{scan} needs rows up to {n}, have {M.n_max}")
+
+
 def check_remark1_condition(A: TriangularMatrix, n: int) -> float:
     """sum_{r=0}^{n} sum_{k=0}^{r} a_{n,k}/(r+1); bounded in n for the weak estimate."""
+    _check_scan_order(A, n, "remark1")
     return math.fsum((A.prefix_sums(n) / np.arange(1.0, n + 2.0)).tolist())
 
 
@@ -285,8 +294,7 @@ def check_remark2_condition(B: TriangularMatrix, n_max: int | None = None) -> fl
     Walking s down the subdiagonals of B adds the k = s term to every inner sum.
     """
     n = B.n_max if n_max is None else n_max
-    if n > B.n_max:
-        raise MatrixValidationError(f"remark2 scan needs rows up to {n}, have {B.n_max}")
+    _check_scan_order(B, n, "remark2 scan")
     if n < 2:
         return 0.0
     inner, best = np.zeros(n), 0.0

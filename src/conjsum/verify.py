@@ -60,7 +60,10 @@ def ratio_of(lhs: float, rhs: float) -> float:
 
 @lru_cache(maxsize=64)
 def coefficients(f: PeriodicFunction, grid: GridSpec) -> FourierCoefficients:
-    return fourier_coeffs(f, DEFAULT_COEFF_CUTOFF, grid)
+    """fourier_coeffs up to the cutoff, shared through the cache, so a and b are read-only."""
+    coeffs = fourier_coeffs(f, DEFAULT_COEFF_CUTOFF, grid)
+    coeffs.a.flags.writeable = coeffs.b.flags.writeable = False
+    return coeffs
 
 
 def _averaged_modulus(values: np.ndarray) -> np.ndarray:

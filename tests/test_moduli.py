@@ -132,6 +132,10 @@ class TestProfiles:
         with pytest.raises(ValueError):
             modulus_profile(by_name("sin"), 0.1, 4, "w_hat", grid)
 
+    def test_negative_n_rejected(self, grid):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            modulus_profile(by_name("hat"), 0.3, -2, "w_tilde", grid)
+
     def test_all_moduli_vanish_for_constant(self, grid):
         f = by_name("const")
         for kind in ("w", "w_bar", "w_tilde", "w_tilde_bar"):
@@ -276,8 +280,18 @@ class TestEq81:
                 err = max(abs(vals[i] - modulus(f, float(xs[i]), delta, kind, grid)) for i in idx)
                 assert err <= (2e-7 if k == 0 else 1e-14), (f.name, k, err)
 
+    def test_one_delta_per_call(self, funcs):
+        with pytest.raises(DomainError, match=r"^delta must be a single value, got an array of shape \(2,\)$"):
+            pointwise_modulus_on_nodes(funcs["hat"], np.array([0.1, 0.2]), "w_tilde")
+        with pytest.raises(DomainError, match=r"^delta must lie in \(0, pi\], got 4\.0$"):
+            pointwise_modulus_on_nodes(funcs["hat"], 4.0, "w_tilde")
+
 
 class TestLemma2:
+    def test_negative_n_rejected(self, funcs):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            lemma2_check(funcs["hat"], 0.3, -1)
+
     def test_trivial_n_zero(self, grid):
         r = lemma2_check(by_name("sin"), 0.0, 0, grid)
         assert r.plain_pass and r.bar_pass

@@ -83,10 +83,28 @@ def test_single_delta_ops(kind, grid):
                 assert modulus(f, x, d, kind, grid) == query(cum, d), (f.name, x, d)
 
 
+def clear_node_caches():
+    moduli._node_values.cache_clear()
+    moduli._node_table.cache_clear()
+
+
 def test_node_table_built_once_per_function(grid):
     f = by_name("hat")
-    moduli._node_table.cache_clear()
+    clear_node_caches()
     for k in range(33):
         pointwise_modulus_on_nodes(f, PI / (k + 1), "w_tilde", grid)
     info = moduli._node_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 32, 1)
+
+
+def test_interleaved_functions_build_each_table_once(grid):
+    """A walk that returns to a function reads its cached values, not a rebuilt table."""
+    deltas = PI / (np.arange(33) + 1.0)
+    clear_node_caches()
+    walk = [(f, d) for f in (by_name("hat"), by_name("sawtooth"), by_name("hat")) for d in deltas.tolist()]
+    got = [pointwise_modulus_on_nodes(f, d, "w_tilde", grid)[1] for f, d in walk]
+    assert moduli._node_table.cache_info().misses == 2
+    clear_node_caches()
+    fresh = [pointwise_modulus_on_nodes(by_name("hat"), d, "w_tilde", grid)[1] for d in deltas.tolist()]
+    assert all(np.array_equal(a, b) for a, b in zip(got[66:], fresh))
+    assert not any(values.flags.writeable for values in got)

@@ -381,6 +381,15 @@ class TestRemarks:
     def test_remark2_tiny_matrix(self):
         assert check_remark2_condition(cesaro(1)) == 0.0
 
+    @pytest.mark.parametrize("n", [7, -1])
+    def test_remark1_order_outside_the_rows(self, n):
+        with pytest.raises(MatrixValidationError, match=rf"remark1 needs .*{n}.* 5$"):
+            check_remark1_condition(cesaro(5), n)
+
+    def test_remark2_negative_order(self):
+        with pytest.raises(MatrixValidationError, match=r"^remark2 scan needs n >= 0, got -3; have rows up to 5$"):
+            check_remark2_condition(cesaro(5), -3)
+
 
 class TestCheckerMonotonicity:
     def test_constants_are_running_maxima(self):
