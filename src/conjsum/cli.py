@@ -131,9 +131,7 @@ def _n_values(args) -> list[int]:
 
 def _x_values(args) -> list[float]:
     if getattr(args, "x", None) is not None:
-        if not math.isfinite(args.x):
-            raise DomainError(f"--x must be finite, got {args.x}")
-        return [args.x]
+        return [functions.check_finite("--x", args.x)]
     return conj.default_x_grid()
 
 

@@ -33,6 +33,7 @@ from .functions import (
     PeriodicFunction,
     SingularIntegrandError,
     _insert_points,
+    check_finite,
     check_half_period,
     eval_psi,
     fine_rule,
@@ -97,16 +98,18 @@ def conjugate_truncated(f: PeriodicFunction, x: float, eps, grid: GridSpec = DEF
     Each value of an array has the bits of the float call at its eps.
     """
     eps = check_half_period("eps", eps)
+    x = check_finite("x", x)
     if isinstance(eps, float):
-        return _truncated_cached(f, float(x), eps, grid)[0]
-    return _truncated(f, float(x), eps, grid)[0]
+        return _truncated_cached(f, x, eps, grid)[0]
+    return _truncated(f, x, eps, grid)[0]
 
 
 def conjugate_at(f: PeriodicFunction, x: float, grid: GridSpec = DEFAULT_GRID) -> float:
     """The conjugate function at x: the principal-value integral from eps = 0."""
+    x = check_finite("x", x)
     if f.is_singular_at(x):
         raise DomainError(f"x={x} is a known singular point of {f.name}")
-    value, est_error = _truncated_cached(f, float(x), 0.0, grid)
+    value, est_error = _truncated_cached(f, x, 0.0, grid)
     if not est_error <= CONJUGATE_TOL:
         raise ConvergenceError(
             f"conjugate at x={x}: error estimate {est_error:.3g} exceeds {CONJUGATE_TOL}",
@@ -138,6 +141,7 @@ def deviation_kernel_form(
     the first is (-int_0^h psi K + int_h^pi psi (cot/2 - K)) / pi with
     h = pi/(n+1), the second int_0^pi psi (cot/2 - K) / pi.
     """
+    x = check_finite("x", x)
     weights = ab_weights(A, B, n)
     h = PI / (n + 1)
     bounds = _mesh(f, x, grid, cuts=[h])

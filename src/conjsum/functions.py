@@ -81,6 +81,13 @@ def check_half_period(name: str, value):
     return float(value) if value.ndim == 0 else value
 
 
+def check_finite(name: str, value) -> float:
+    """value as a float, after a test that it is finite; run before any cache keyed by it."""
+    if not math.isfinite(value := float(value)):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class KnownCoefficients:
     """Closed-form Fourier coefficients: a0 plus a generator nu -> (a_nu, b_nu)."""

@@ -46,12 +46,14 @@ from .functions import (
     GridSpec,
     PanelSums,
     PeriodicFunction,
+    check_finite,
     check_half_period,
     eval_phi,
     eval_psi,
     psi_breakpoints,
     sorted_unique,
 )
+from .kernels import DEFAULT_COEFF_CUTOFF
 
 MODULUS_KINDS = ("w", "w_bar", "w_tilde", "w_tilde_bar")
 
@@ -173,16 +175,28 @@ def modulus(f: PeriodicFunction, x: float, delta, kind: str, grid: GridSpec = DE
     if kind not in MODULUS_KINDS:
         raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
     delta = check_half_period("delta", delta)
-    table = _cumulative(f, float(x), "psi" if "tilde" in kind else "phi", grid)
+    table = _cumulative(f, check_finite("x", x), "psi" if "tilde" in kind else "phi", grid)
     values = (_bar if kind.endswith("bar") else _average)(table, np.atleast_1d(delta))
     return float(values[0]) if isinstance(delta, float) else values
 
 
+@lru_cache(maxsize=1024)
+def _profile(f: PeriodicFunction, x: float, kind: str, grid: GridSpec, top: int) -> np.ndarray:
+    """modulus at delta = pi/(k+1) for k = 0..top, read-only: 8*(top+1) bytes."""
+    values = modulus(f, x, PI / (np.arange(top + 1) + 1.0), kind, grid)
+    values.flags.writeable = False
+    return values
+
+
 def modulus_profile(f: PeriodicFunction, x: float, n: int, kind: str, grid: GridSpec = DEFAULT_GRID) -> ModulusProfile:
-    """Modulus of the chosen kind at delta = pi/(k+1) for k = 0..n."""
+    """Modulus of the chosen kind at delta = pi/(k+1) for k = 0..n.
+
+    A read-only prefix of the cached profile that runs to the coefficient cutoff (or to n above it).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return ModulusProfile(kind, modulus(f, x, PI / (np.arange(n + 1) + 1.0), kind, grid), float(x))
+    x = check_finite("x", x)
+    return ModulusProfile(kind, _profile(f, x, kind, grid, max(n, DEFAULT_COEFF_CUTOFF))[: n + 1], x)
 
 
 # ---------------------------------------------------------------------------

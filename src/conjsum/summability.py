@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +29,7 @@ from .functions import (
     PanelSums,
     PeriodicFunction,
     _insert_points,
+    check_finite,
     eval_psi,
     fine_rule,
     graded_boundaries,
@@ -110,6 +112,7 @@ class TriangularMatrix:
         dense.flags.writeable = False
         self.name, self.dense = name, dense
         self._prefix_sums: dict[int, np.ndarray] = {}
+        self._ab_weights = weakref.WeakKeyDictionary()  # partner B -> {n: weights}, dropped with B
 
     @property
     def n_max(self) -> int:
@@ -180,13 +183,20 @@ def load_matrix_json(path: str) -> TriangularMatrix:
 # AB-transform
 
 
+def _check_transform_order(A: TriangularMatrix, B: TriangularMatrix, n: int) -> None:
+    if not 0 <= n <= min(A.n_max, B.n_max):
+        raise MatrixValidationError(f"transform order n={n} is outside the matrix size (A: {A.n_max}, B: {B.n_max})")
+
+
 def ab_weights(A: TriangularMatrix, B: TriangularMatrix, n: int) -> np.ndarray:
-    """Collapsed weights c_k = sum_{r=k}^{n} a_{n,r} b_{r,k}, added in increasing r (no matmul)."""
-    if n < 0 or n > A.n_max or n > B.n_max:
-        raise MatrixValidationError(
-            f"transform order n={n} is outside the matrix size (A: {A.n_max}, B: {B.n_max})"
-        )
-    return (A.row(n)[:, None] * B.dense[: n + 1, : n + 1]).sum(axis=0)
+    """Collapsed weights c_k = sum_{r=k}^{n} a_{n,r} b_{r,k}, added in increasing r; kept read-only on A."""
+    _check_transform_order(A, B, n)
+    kept = A._ab_weights.setdefault(B, {})
+    weights = kept.get(n)
+    if weights is None:
+        weights = kept[n] = (A.row(n)[:, None] * B.dense[: n + 1, : n + 1]).sum(axis=0)
+        weights.flags.writeable = False
+    return weights
 
 
 def ab_transform(
@@ -314,6 +324,7 @@ def check_condition_2_511(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    x = check_finite("x", x)
     h = PI / (n + 1)
 
     def integrand(t):

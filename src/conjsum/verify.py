@@ -5,15 +5,15 @@ bounding it (rhs); the "up to an absolute constant" statements are checked
 empirically as lhs/rhs ratios whose running max stays stable across n.
 Both sides below RATIO_ZERO_TOL count as a vacuous 0/0 and report ratio 0.
 
-A command is evaluated over its whole (n, x) grid at once: the coefficients
-once, the AB weights once per n, and per x one partial-sum table and one
-modulus profile up to the largest n; each (n, x) value reads a prefix.  The
-conjugates come from one suffix-sum table per x (see conjugate): the truncated
-ones at every eps = pi/(n+1) of the grid in one array call per x.  One n or x
-is a grid of one.  For library callers, transform_value is
-summability.ab_transform, whose bits the grid's prefix reads, and lhs_theorem1
-compares it with the cached float-eps conjugate, which has the bits of the
-array call.
+Every transform value, on a grid or at one point, is transform_value: the AB
+weights kept on A against a prefix of one cached partial-sum table per (f, x)
+that runs to the coefficient cutoff; the pointwise right-hand sides read
+prefixes of modulus_profile's cached profile per (f, x, kind).  np.cumsum adds
+in index order and each modulus value depends on its own delta alone, so a
+prefix has the bits of an array built for that n alone.  The conjugates come
+from one suffix-sum table per x (see conjugate): a grid reads the truncated
+ones at all its eps in one array call per x, lhs_theorem1 the cached float-eps
+value, which has the bits of the array call.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels, summability
 from .conjugate import conjugate_at, conjugate_truncated, default_x_grid
-from .functions import DEFAULT_GRID, PI, GridSpec, PeriodicFunction
+from .functions import DEFAULT_GRID, PI, GridSpec, PeriodicFunction, check_finite
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, _check_order, fourier_coeffs
 from .moduli import _check_p, classical_modulus, modulus_profile
 from .summability import TriangularMatrix, exact_cumsum
@@ -66,6 +66,14 @@ def coefficients(f: PeriodicFunction, grid: GridSpec) -> FourierCoefficients:
     return coeffs
 
 
+@lru_cache(maxsize=1024)
+def _partial_sums(f: PeriodicFunction, x: float, grid: GridSpec, conjugate: bool) -> np.ndarray:
+    """S~_k f(x) (or S_k f(x)) for k = 0..cutoff, read-only: 8*(cutoff+1) bytes."""
+    sums = kernels.partial_sum_table(coefficients(f, grid), DEFAULT_COEFF_CUTOFF, x, conjugate)
+    sums.flags.writeable = False
+    return sums
+
+
 def _averaged_modulus(values: np.ndarray) -> np.ndarray:
     """inner_r = (1/(r+1)) sum_{k<=r} values[k]."""
     return np.cumsum(values) / (np.arange(len(values)) + 1.0)
@@ -90,12 +98,10 @@ def _remark1_sum(weights: np.ndarray, n: int, inner: np.ndarray) -> float:
 class _Grid:
     """The parts of an (n, x) evaluation that depend on n alone or x alone, each built once.
 
-    Partial-sum tables, modulus profiles and classical moduli run up to the
-    largest n at or below the coefficient cutoff, and each (n, x) value reads
-    their prefix of length n + 1.  np.cumsum adds in index order and each
-    modulus value depends on its own delta alone, so a prefix equals the array
-    built for that n alone.  Everything is built on first use, so a failing
-    (n, x) raises the error it raised when each point was computed by itself.
+    Averaged moduli run up to the largest n at or below the coefficient
+    cutoff, and each (n, x) value reads their prefix of length n + 1.
+    Everything is built on first use, so a failing (n, x) raises the error it
+    raised when each point was computed by itself.
     """
 
     def __init__(
@@ -105,11 +111,9 @@ class _Grid:
         B: TriangularMatrix,
         ns: Sequence[int],
         grid: GridSpec,
-        conjugate: bool = True,
     ):
-        self.f, self.A, self.B, self.grid, self.conjugate = f, A, B, grid, conjugate
-        self.coeffs = coefficients(f, grid)
-        self.top = min(max(ns, default=0), self.coeffs.N)
+        self.f, self.A, self.B, self.grid = f, A, B, grid
+        self.top = min(max(ns, default=0), coefficients(f, grid).N)
         self.ns = sorted({n for n in ns if 0 <= n <= self.top})
         self._built: dict = {}
 
@@ -120,13 +124,8 @@ class _Grid:
         return value
 
     def transform(self, n: int, x: float) -> float:
-        """T~_{n,A,B} f(x), or the plain transform."""
-        weights = self._once(("weights", n), lambda: summability.ab_weights(self.A, self.B, n))
-        _check_order(self.coeffs, n)
-        table = self._once(
-            ("sums", x), lambda: kernels.partial_sum_table(self.coeffs, self.top, x, self.conjugate)
-        )
-        return math.fsum((weights * table[: n + 1]).tolist())
+        """T~_{n,A,B} f(x)."""
+        return transform_value(self.f, self.A, self.B, n, x, self.grid)
 
     def deviation(self, n: int, x: float, truncated: bool) -> float:
         """|T~ f(x) - conjugate|, against the truncated or the full conjugate."""
@@ -168,21 +167,18 @@ def transform_grid(
     conjugate: bool = True,
 ) -> list[list[float]]:
     """T~_{n,A,B} f(x) (the plain transform if not conjugate), one row per n, one column per x."""
-    g = _Grid(f, A, B, ns, grid, conjugate)
-    return [[g.transform(n, x) for x in xs] for n in ns]
+    return [[transform_value(f, A, B, n, x, grid, conjugate) for x in xs] for n in ns]
 
 
-def transform_value(
-    f: PeriodicFunction,
-    A: TriangularMatrix,
-    B: TriangularMatrix,
-    n: int,
-    x: float,
-    grid: GridSpec = DEFAULT_GRID,
-    conjugate: bool = True,
-) -> float:
-    """T~_{n,A,B} f(x) at one point; the grid's transform reads the same bits from its prefix."""
-    return summability.ab_transform(coefficients(f, grid), A, B, n, x, conjugate)
+def transform_value(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, n: int, x: float,
+                    grid: GridSpec = DEFAULT_GRID, conjugate: bool = True) -> float:
+    """T~_{n,A,B} f(x), or the plain transform; the order checks come first, so a failing call caches nothing."""
+    x = check_finite("x", x)
+    coeffs = coefficients(f, grid)
+    summability._check_transform_order(A, B, n)
+    _check_order(coeffs, n)
+    sums = _partial_sums(f, x, grid, conjugate)[: n + 1]
+    return math.fsum((summability.ab_weights(A, B, n) * sums).tolist())
 
 
 def rhs_theorem1(
@@ -201,15 +197,8 @@ def rhs_theorem2(
     return float(np.mean(_averaged_modulus(values)))
 
 
-def lhs_theorem1(
-    f: PeriodicFunction,
-    A: TriangularMatrix,
-    B: TriangularMatrix,
-    x: float,
-    n: int,
-    truncated: bool,
-    grid: GridSpec = DEFAULT_GRID,
-) -> float:
+def lhs_theorem1(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, x: float, n: int, truncated: bool,
+                 grid: GridSpec = DEFAULT_GRID) -> float:
     """|T~ f(x) - conjugate|, against the truncated or the full conjugate."""
     value = transform_value(f, A, B, n, x, grid)
     target = conjugate_truncated(f, x, PI / (n + 1), grid) if truncated else conjugate_at(f, x, grid)

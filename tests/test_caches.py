@@ -3,6 +3,8 @@
 A cached value is shared by every later caller, so an array a caller could
 write into would corrupt each result read from that cache afterwards.  A new
 cache fails ``test_every_cache_has_a_call`` until it gets an entry in CALLS.
+The arrays a TriangularMatrix keeps (its prefix sums and AB weights) and the
+profile prefixes modulus_profile hands out are shared the same way.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import conjsum
-from conjsum import conjugate, functions, moduli, verify
+from conjsum import conjugate, functions, moduli, summability, verify
 from conjsum.functions import GridSpec, PanelSums, by_name
 
 GRID = GridSpec(m=64, refinement=8)
@@ -27,9 +29,11 @@ CALLS = {
     "moduli._node_table": lambda: moduli._node_table(HAT, "psi", GRID),
     "moduli._node_values": lambda: moduli._node_values(HAT, 0.5, "psi", GRID),
     "moduli._classical_table": lambda: moduli._classical_table(HAT, 2.0, "psi", GRID),
+    "moduli._profile": lambda: moduli._profile(HAT, 0.3, "w_tilde_bar", GRID, 16),
     "conjugate._table": lambda: conjugate._table(HAT, 0.3, GRID),
     "conjugate._truncated_cached": lambda: conjugate._truncated_cached(HAT, 0.3, 0.1, GRID),
     "verify.coefficients": lambda: verify.coefficients(HAT, GRID),
+    "verify._partial_sums": lambda: verify._partial_sums(HAT, 0.3, GRID, True),
 }
 
 
@@ -70,3 +74,22 @@ def test_cache_is_bounded(name):
 def test_cached_arrays_are_read_only(name):
     writeable = [array.shape for array in arrays_in(CALLS[name]()) if array.flags.writeable]
     assert writeable == []
+
+
+def test_shared_arrays_outside_the_caches_are_read_only():
+    C, I = summability.cesaro(9), summability.identity_matrix(9)
+    arrays = [C.prefix_sums(4), summability.ab_weights(C, I, 4), moduli.modulus_profile(HAT, 0.3, 4, "w", GRID).values]
+    assert [array.flags.writeable for array in arrays] == [False] * 3
+    with pytest.raises(ValueError):
+        arrays[1][0] = 1.0
+
+
+def test_ab_weights_kept_per_partner_and_order():
+    C, I = summability.cesaro(9), summability.identity_matrix(9)
+    first = summability.ab_weights(C, C, 6)
+    assert summability.ab_weights(C, C, 6) is first
+    other = summability.ab_weights(C, I, 6)
+    assert other is not first and not np.array_equal(other, first)
+    assert summability.ab_weights(C, C, 5) is not first
+    del I, other
+    assert list(C._ab_weights) == [C]  # a partner's weights go with the partner

@@ -2,10 +2,13 @@
 
 The reference functions below are the earlier per-(n, x) implementations of
 the transform, the pointwise and norm reports and the corollary decay, kept as
-oracles and built only from the lower layers (ab_transform, the conjugate,
-modulus_profile, classical_modulus).  Every BoundReport field and every
-transform value must agree exactly (==): the grid reads prefixes of arrays
-whose elements do not depend on their length, so no arithmetic changes.
+oracles and built only from the lower layers (partial_sum_table, the
+conjugate, modulus, classical_modulus), with the AB weights added in a loop
+over r: none of them reads the cached weights, partial sums or modulus
+profiles that the grid and the one-point functions share.  Every BoundReport
+field and every transform value must agree exactly (==): the grid reads
+prefixes of arrays whose elements do not depend on their length, so no
+arithmetic changes.
 """
 
 import io
@@ -29,8 +32,9 @@ from conjsum.functions import (
     graded_boundaries,
     sorted_unique,
 )
-from conjsum.moduli import classical_modulus, modulus_profile
-from conjsum.summability import ab_transform, cesaro, exact_cumsum, identity_matrix, nordlund
+from conjsum.kernels import partial_sum_table
+from conjsum.moduli import classical_modulus, modulus
+from conjsum.summability import cesaro, exact_cumsum, identity_matrix, nordlund
 from conjsum.verify import (
     X_GRID_WEIGHT,
     BoundReport,
@@ -52,8 +56,16 @@ N_TOP = 40
 # references: one (n, x) at a time
 
 
+def ref_weights(A, B, n):
+    weights = np.zeros(n + 1)
+    for r in range(n + 1):
+        weights[: r + 1] += A.row(n)[r] * B.row(r)
+    return weights
+
+
 def ref_transform(f, A, B, n, x, grid, conjugate=True):
-    return ab_transform(coefficients(f, grid), A, B, n, x, conjugate=conjugate)
+    sums = partial_sum_table(coefficients(f, grid), n, x, conjugate)
+    return math.fsum((ref_weights(A, B, n) * sums).tolist())
 
 
 def ref_lhs(f, A, B, x, n, truncated, grid):
@@ -69,11 +81,15 @@ def ref_averaged(values):
     return np.cumsum(values) / (np.arange(len(values)) + 1.0)
 
 
+def ref_profile(f, x, n, kind, grid):
+    return modulus(f, x, PI / (np.arange(n + 1) + 1.0), kind, grid)
+
+
 def ref_rhs(theorem_id, f, A, x, n, grid):
     if theorem_id in ("T1.51", "T1.5"):
-        values = modulus_profile(f, x, n, "w_tilde_bar", grid).values
+        values = ref_profile(f, x, n, "w_tilde_bar", grid)
         return float(np.dot(A.row(n), ref_averaged(values)))
-    values = modulus_profile(f, x, n, "w_tilde", grid).values
+    values = ref_profile(f, x, n, "w_tilde", grid)
     if theorem_id == "R1.6":
         row = A.row(n)
         inner = ref_averaged(values)

@@ -1,0 +1,153 @@
+"""The one-point functions of verify and modulus_profile against references built without their caches.
+
+transform_value, lhs_theorem1, rhs_theorem1, rhs_theorem2 and lemma2_check
+read the AB weights kept on A, one partial-sum table per (f, x) and one
+modulus profile per (f, x, kind), each built once up to the coefficient
+cutoff.  The references here add the weights in a loop over r, take the
+partial sums from fresh coefficients and the profiles straight from modulus,
+and every value must agree exactly (==).  The order checks run before any of
+those caches is read, so a failing call adds nothing to them, and a
+non-finite x is refused before any cache keyed by x is consulted.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conjsum import conjugate, moduli, summability, verify
+from conjsum.conjugate import conjugate_at, conjugate_truncated, deviation_kernel_form
+from conjsum.functions import DEFAULT_GRID, PI, DomainError, by_name, corpus
+from conjsum.kernels import DEFAULT_COEFF_CUTOFF, CutoffError, fourier_coeffs, partial_sum_table
+from conjsum.moduli import MODULUS_KINDS, lemma2_check, modulus, modulus_profile
+from conjsum.summability import MatrixValidationError, ab_weights, cesaro, identity_matrix, nordlund
+from conjsum.verify import lhs_theorem1, rhs_theorem1, rhs_theorem2, transform_value
+
+NS = [0, 1, 8, 128, 512]
+XS = [0.3, -2.2]
+TOP = max(NS)
+
+
+def ref_weights(A, B, n):
+    weights = np.zeros(n + 1)
+    for r in range(n + 1):
+        weights[: r + 1] += A.row(n)[r] * B.row(r)
+    return weights
+
+
+def ref_profile(f, x, n, kind):
+    return modulus(f, x, PI / (np.arange(n + 1) + 1.0), kind, DEFAULT_GRID)
+
+
+def ref_averaged(values):
+    return np.cumsum(values) / (np.arange(len(values)) + 1.0)
+
+
+def ref_lemma2(f, x, n):
+    plain, bar = ref_profile(f, x, n, "w_tilde"), ref_profile(f, x, n, "w_tilde_bar")
+    plain_rhs = 2.0 * math.fsum(plain.tolist()) / (n + 1)
+    bar_rhs = math.fsum(bar.tolist()) / (n + 1)
+    return moduli.Lemma2Result(
+        float(plain[n]) <= plain_rhs + moduli.LEMMA2_SLACK, float(plain[n]), plain_rhs,
+        float(bar[n]) <= bar_rhs + moduli.LEMMA2_SLACK, float(bar[n]), bar_rhs,
+    )
+
+
+def matrix_pairs():
+    C, I = cesaro(TOP), identity_matrix(TOP)
+    p = (np.arange(TOP + 1.0) + 1.0) ** -0.75
+    return {"cesaro/cesaro": (C, C), "cesaro/identity": (C, I), "identity/cesaro": (I, C),
+            "nordlund/nordlund": (nordlund(p, TOP), nordlund(np.sqrt(p), TOP))}
+
+
+def new_cache_sizes(*matrices):
+    return (verify._partial_sums.cache_info().currsize, moduli._profile.cache_info().currsize,
+            *(sum(map(len, M._ab_weights.values())) for M in matrices))
+
+
+@pytest.mark.parametrize("f", corpus(), ids=lambda f: f.name)
+def test_one_point_functions_match_cache_free_references(f):
+    coeffs = fourier_coeffs(f, DEFAULT_COEFF_CUTOFF, DEFAULT_GRID)
+    for x in XS:
+        sums = {conj: partial_sum_table(coeffs, TOP, x, conj) for conj in (True, False)}
+        profiles = {kind: ref_profile(f, x, TOP, kind) for kind in ("w_tilde", "w_tilde_bar")}
+        full = conjugate_at(f, x)
+        for label, (A, B) in matrix_pairs().items():
+            for n in NS:
+                weights = ref_weights(A, B, n)
+                assert np.array_equal(ab_weights(A, B, n), weights), (label, n)
+                for conj in (True, False):
+                    want = math.fsum((weights * sums[conj][: n + 1]).tolist())
+                    assert transform_value(f, A, B, n, x, DEFAULT_GRID, conj) == want, (label, n, conj)
+                want = math.fsum((weights * sums[True][: n + 1]).tolist())
+                truncated = conjugate_truncated(f, x, PI / (n + 1))
+                assert lhs_theorem1(f, A, B, x, n, True) == abs(want - truncated)
+                assert lhs_theorem1(f, A, B, x, n, False) == abs(want - full)
+                bar = ref_averaged(profiles["w_tilde_bar"][: n + 1])
+                assert rhs_theorem1(f, A, x, n) == float(np.dot(A.row(n), bar))
+        for n in NS:
+            assert rhs_theorem2(f, x, n) == float(np.mean(ref_averaged(profiles["w_tilde"][: n + 1])))
+            assert lemma2_check(f, x, n) == ref_lemma2(f, x, n)
+
+
+@pytest.mark.parametrize("kind", MODULUS_KINDS)
+def test_profile_above_the_cutoff(kind):
+    f = by_name("sawtooth")
+    for n in (700, 8, DEFAULT_COEFF_CUTOFF, 701):
+        profile = modulus_profile(f, 0.3, n, kind)
+        assert profile.values.tobytes() == ref_profile(f, 0.3, n, kind).tobytes()
+        assert len(profile.values) == n + 1 and not profile.values.flags.writeable
+
+
+def test_transform_errors_keep_their_order_and_cache_nothing():
+    f = by_name("hat")
+    small, big = cesaro(8), cesaro(700)
+    cases = [
+        (small, 9, MatrixValidationError, "transform order n=9 is outside the matrix size (A: 8, B: 8)"),
+        (small, 600, MatrixValidationError, "transform order n=600 is outside the matrix size (A: 8, B: 8)"),
+        (big, 600, CutoffError, "order 600 exceeds coefficient cutoff N=512"),
+        (small, -1, MatrixValidationError, "transform order n=-1 is outside the matrix size (A: 8, B: 8)"),
+    ]
+    for A, n, error, message in cases:
+        before = new_cache_sizes(small, big)
+        with pytest.raises(error) as info:
+            transform_value(f, A, A, n, 0.77)
+        assert str(info.value) == message
+        assert new_cache_sizes(small, big) == before
+
+
+def test_failing_profiles_cache_nothing():
+    f = by_name("hat")
+    before = new_cache_sizes()
+    for n, kind, x in ((-2, "w_tilde", 0.4), (3, "w_hat", 0.4), (3, "w_tilde", math.nan)):
+        with pytest.raises(ValueError):
+            modulus_profile(f, x, n, kind)
+    assert new_cache_sizes() == before
+
+
+X_KEYED = (moduli._cumulative, moduli._profile, conjugate._table, conjugate._truncated_cached, verify._partial_sums)
+
+NON_FINITE_CALLS = {
+    "transform_value": lambda f, C, x: transform_value(f, C, C, 4, x),
+    "lhs_theorem1": lambda f, C, x: lhs_theorem1(f, C, C, x, 4, True),
+    "rhs_theorem1": lambda f, C, x: rhs_theorem1(f, C, x, 4),
+    "rhs_theorem2": lambda f, C, x: rhs_theorem2(f, x, 4),
+    "lemma2_check": lambda f, C, x: lemma2_check(f, x, 4),
+    "modulus": lambda f, C, x: modulus(f, x, 0.5, "w_tilde"),
+    "modulus_profile": lambda f, C, x: modulus_profile(f, x, 4, "w"),
+    "conjugate_at": lambda f, C, x: conjugate_at(f, x),
+    "conjugate_truncated": lambda f, C, x: conjugate_truncated(f, x, 0.5),
+    "deviation_kernel_form": lambda f, C, x: deviation_kernel_form(f, C, C, 4, x),
+    "check_condition_2_511": lambda f, C, x: summability.check_condition_2_511(f, x, 4),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_non_finite_x_is_refused_before_any_cache(name, x):
+    f, C = by_name("hat"), cesaro(8)
+    before = [cache.cache_info() for cache in X_KEYED]
+    with pytest.raises(DomainError, match=f"^x must be finite, got {x}$"):
+        NON_FINITE_CALLS[name](f, C, x)
+    assert [cache.cache_info() for cache in X_KEYED] == before
+    assert len(C._ab_weights) == 0
