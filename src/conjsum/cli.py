@@ -94,6 +94,7 @@ def _function_from(args) -> functions.PeriodicFunction:
 
 
 def _matrix_from(spec: str, n_max: int) -> summability.TriangularMatrix:
+    """Rows 0..n_max of a builtin or of a JSON file, whose every row is validated."""
     if spec in _MATRIX_BUILDERS:
         return _MATRIX_BUILDERS[spec](n_max)
     matrix = summability.load_matrix_json(spec)
@@ -101,7 +102,15 @@ def _matrix_from(spec: str, n_max: int) -> summability.TriangularMatrix:
         raise summability.MatrixValidationError(
             f"{spec}: matrix has n_max={matrix.n_max}, need at least {n_max}"
         )
+    if matrix.n_max > n_max:
+        matrix = summability.TriangularMatrix([matrix.row(n) for n in range(n_max + 1)], matrix.name)
     return matrix
+
+
+def _matrices_from(args, n_max: int) -> tuple[summability.TriangularMatrix, summability.TriangularMatrix]:
+    """(A, B) from --matrix-a and --matrix-b; B is A when both name the same matrix, which is read once."""
+    A = _matrix_from(args.matrix_a, n_max)
+    return A, A if args.matrix_b == args.matrix_a else _matrix_from(args.matrix_b, n_max)
 
 
 def _nonnegative(flag: str, n: int, top: int = MAX_N, label: str = "") -> int:
@@ -165,8 +174,7 @@ def _cmd_transform(args) -> int:
     grid = _grid_from(args)
     ns = _n_values(args)
     xs = _x_values(args)
-    A = _matrix_from(args.matrix_a, max(ns))
-    B = _matrix_from(args.matrix_b, max(ns))
+    A, B = _matrices_from(args, max(ns))
     conj_flag = not args.plain
     values = verify.transform_grid(f, A, B, ns, xs, grid, conjugate=conj_flag)
     rows = [(f.name, A.name, B.name, int(conj_flag), n, x, v) for n, row in zip(ns, values) for x, v in zip(xs, row)]
@@ -177,8 +185,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_check_matrix(args) -> int:
     n_max = _n_or_default(args, summability.DEFAULT_CHECKER_N_MAX)
-    A = _matrix_from(args.matrix_a, n_max)
-    B = _matrix_from(args.matrix_b, n_max)
+    A, B = _matrices_from(args, n_max)
     results = [
         (rep.condition_id, rep.min_constant, "/".join(str(i) for i in rep.witness))
         for rep in (
@@ -228,8 +235,7 @@ def _cmd_verify(args) -> int:
     xs = _x_values(args)
     if not args.p >= 1:
         raise DomainError(f"--p must satisfy 1 <= p <= inf, got {args.p}")
-    A = _matrix_from(args.matrix_a, max(ns))
-    B = _matrix_from(args.matrix_b, max(ns))
+    A, B = _matrices_from(args, max(ns))
     theorem = args.theorem
     if theorem in verify._POINTWISE_IDS:
         reports = verify.pointwise_grid(theorem, f, A, B, ns, xs, grid)

@@ -23,7 +23,11 @@ PI = math.pi
 TWO_PI = 2.0 * math.pi
 
 _GL_POINTS = 8
-_gl_nodes, _gl_weights = np.polynomial.legendre.leggauss(_GL_POINTS)
+# np.polynomial.legendre.leggauss(_GL_POINTS), written out so no process imports numpy.polynomial
+_gl_half_nodes = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_gl_half_weights = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+_gl_nodes = np.concatenate((-_gl_half_nodes[::-1], _gl_half_nodes))
+_gl_weights = np.concatenate((_gl_half_weights[::-1], _gl_half_weights))
 
 # At this m the moduli node table takes about 104 MB and each 400*m increment
 # array of the classical moduli about 52 MB.

@@ -5,10 +5,10 @@ matrix a checker can only report the smallest empirical constant together
 with the first index tuple attaining it, so that is what ConditionReport carries.
 A ratio whose denominator vanishes while the numerator does not makes the
 condition unsatisfiable; the report then carries an infinite constant.
-Prefix sums are correctly rounded (exact_cumsum), and each row's are computed
-once, when a checker first asks (TriangularMatrix.prefix_sums). Checkers 2.2,
-3.2 and both remarks cost O(n^2); 2.21 does n^3/6 multiply-adds in numpy in
-O(n) Python steps.
+Prefix sums are correctly rounded (exact_cumsum); each row's are computed once,
+in row blocks shared with checker 2.2 (TriangularMatrix.prefix_sums). Checkers
+2.2, 3.2 and both remarks cost O(n^2); 2.21 does n^3/6 multiply-adds in numpy
+in O(n) Python steps.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .moduli import modulus
 ROW_SUM_TOL = 1e-9
 _FSUM_MARGIN = 1e-12  # row sums this close to ROW_SUM_TOL are decided by math.fsum
 DEFAULT_CHECKER_N_MAX = 128
+_BLOCK_ROWS, _BLOCK_ELEMENTS = 64, 2**12  # see _block_end
 
 
 class MatrixValidationError(ValueError):
@@ -48,10 +49,38 @@ class MatrixValidationError(ValueError):
 
 
 def exact_cumsum(values) -> np.ndarray:
-    """Prefix sums with element s equal to math.fsum(values[:s+1]), in O(len) time."""
+    """Prefix sums along the last axis, element s equal to math.fsum(values[..., :s+1]).
+
+    A row whose TwoSum step errors add exactly needs one more addition per prefix; other rows sum in integers.
+    """
     v = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("exact_cumsum needs finite values")
+    rows = np.atleast_2d(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = np.cumsum(rows, axis=-1)
+        err = _two_sum_err(run[:, :-1], rows[:, 1:], run[:, 1:])
+        err_run = np.cumsum(err, axis=-1)
+        exact = ~_two_sum_err(err_run[:, :-1], err[:, 1:], err_run[:, 1:]).any(axis=-1)  # NaN counts as inexact
+        run[:, 1:] += err_run
+        run += 0.0  # -0.0 -> 0.0, as math.fsum gives
+        exact &= np.isfinite(run).all(axis=-1)
+    for i in np.flatnonzero(~exact).tolist():
+        run[i] = _integer_cumsum(rows[i])
+    return run.reshape(v.shape)
+
+
+def _two_sum_err(a, b, s) -> np.ndarray:
+    """Error of s = fl(a + b), so that a + b == s + err exactly (TwoSum; NaN if a step overflows)."""
+    a_part = s - a
+    err = s - a_part
+    np.subtract(a, err, out=err)
+    err += np.subtract(b, a_part, out=a_part)
+    return err
+
+
+def _integer_cumsum(v: np.ndarray) -> np.ndarray:
+    """exact_cumsum of one finite row in Python integers, for rows the TwoSum path cannot certify."""
     # v = m * 2**(e - 53) with 53-bit integers m: add exactly over 2**(53 - low),
     # then int / int rounds correctly
     mant, exp = np.frexp(v)
@@ -59,6 +88,14 @@ def exact_cumsum(values) -> np.ndarray:
     nums = map(int.__lshift__, np.ldexp(mant, 53).astype(np.int64).tolist(), (exp - low).tolist())
     sums = map(int.__truediv__, itertools.accumulate(nums), itertools.repeat(2 ** (53 - low)))
     return np.fromiter(sums, float, len(v))
+
+
+def _block_end(n0: int, n_rows: int) -> int:
+    """End of the row block from n0: up to 64 rows and 4096 entries, or one row.
+
+    At about 40 bytes an entry, a block's temporaries stay within those of summing one row in integers.
+    """
+    return min(n_rows, n0 + max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // (n0 + _BLOCK_ROWS))))
 
 
 def _zeros(n_max: int, name: str) -> np.ndarray:
@@ -123,13 +160,16 @@ class TriangularMatrix:
         return self.dense[n, : n + 1]
 
     def prefix_sums(self, n: int) -> np.ndarray:
-        """exact_cumsum(row(n)), read-only, computed on the first request for row n."""
+        """exact_cumsum(row(n)), read-only; a miss fills rows n.. up to its block end in one call."""
         n = range(len(self.dense))[n]
-        sums = self._prefix_sums.get(n)
-        if sums is None:
-            sums = self._prefix_sums[n] = exact_cumsum(self.row(n))
-            sums.flags.writeable = False
-        return sums
+        if n not in self._prefix_sums:
+            n1 = _block_end(n, len(self.dense))
+            n1 = next((m for m in range(n + 1, n1) if m in self._prefix_sums), n1)
+            block = exact_cumsum(self.dense[n:n1, :n1])
+            for m in range(n, n1):
+                sums = self._prefix_sums[m] = block[m - n, : m + 1].copy()
+                sums.flags.writeable = False
+        return self._prefix_sums[n]
 
     def to_dict(self) -> dict:
         return {"name": self.name, "rows": [self.row(n).tolist() for n in range(len(self.dense))]}
@@ -234,18 +274,24 @@ def check_condition_2_1(A: TriangularMatrix) -> ConditionReport:
 def check_condition_2_2(A: TriangularMatrix) -> ConditionReport:
     """Smallest K with (1/(s+1)) sum_{r<=s} a_{n,r} <= K a_{n,s}."""
     best, witness = 0.0, (0, 0)
-    for n in range(A.n_max + 1):
-        row = A.row(n)
-        prefix = A.prefix_sums(n)
-        denom = np.arange(1.0, n + 2.0) * row
+    n0 = 0
+    while n0 <= A.n_max:
+        n1 = _block_end(n0, A.n_max + 1)
+        # zero past the diagonal, where the row is zero too: s > n neither fails nor wins
+        prefix = np.zeros((n1 - n0, n1))
+        for row, n in zip(prefix, range(n0, n1)):
+            row[: n + 1] = A.prefix_sums(n)
+        denom = np.arange(1.0, n1 + 1.0) * A.dense[n0:n1, :n1]
         zero = denom == 0.0
         fails = zero & (prefix > 0.0)
-        if fails.any():
-            return ConditionReport("2.2", math.inf, (n, int(np.argmax(fails))))
+        if fails.any():  # the first failure in row-major order
+            i, s = divmod(int(np.argmax(fails)), n1)
+            return ConditionReport("2.2", math.inf, (n0 + i, s))
         vals = prefix / np.where(zero, 1.0, denom)
-        s = int(np.argmax(vals))
-        if vals[s] > best:
-            best, witness = float(vals[s]), (n, s)
+        i, s = divmod(int(np.argmax(vals)), n1)
+        if vals[i, s] > best:  # a later block's tie keeps the earlier witness
+            best, witness = float(vals[i, s]), (n0 + i, s)
+        n0 = n1
     return ConditionReport("2.2", best, witness)
 
 
@@ -253,12 +299,16 @@ def check_condition_2_21(A: TriangularMatrix, B: TriangularMatrix) -> ConditionR
     """Smallest K with |a_{n,r} b_{r,r-l} - a_{n,r+1} b_{r+1,r+1-l}| <= K a_{n,r}/(r+1)^2."""
     n_hi = min(A.n_max, B.n_max)
     best, failures = [(0.0, 0, 0, 0)], []
+    work, other = np.empty((2, n_hi * n_hi // 4 + n_hi + 1))  # holds each r's (n_hi - r) x (r + 1) block
     for r in range(n_hi):
-        a_r = A.dense[r + 1 : n_hi + 1, r]
-        nums = np.multiply.outer(a_r, B.row(r)[::-1])
-        nums -= np.multiply.outer(A.dense[r + 1 : n_hi + 1, r + 1], B.row(r + 1)[:0:-1])
-        nums = np.abs(nums, out=nums) * (r + 1) ** 2
-        ls, tops = nums.argmax(axis=1), nums.max(axis=1)
+        a_r, shape = A.dense[r + 1 : n_hi + 1, r], (n_hi - r, r + 1)
+        nums = np.multiply.outer(a_r, B.row(r)[::-1], out=work[: a_r.size * (r + 1)].reshape(shape))
+        a_next = A.dense[r + 1 : n_hi + 1, r + 1]
+        nums -= np.multiply.outer(a_next, B.row(r + 1)[:0:-1], out=other[: nums.size].reshape(shape))
+        np.abs(nums, out=nums)
+        nums *= (r + 1) ** 2
+        ls = nums.argmax(axis=1)
+        tops = nums[np.arange(a_r.size), ls]
         zero = a_r == 0.0
         bad = np.flatnonzero(zero & (tops > 0.0))
         if bad.size:

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conjsum import cli
+from conjsum import cli, summability
 from conjsum.conjugate import ConvergenceError
 from conjsum.functions import by_name
 from conjsum.summability import cesaro, nordlund
@@ -346,6 +347,37 @@ class TestOutputs:
         ) == 0
         assert read_csv(out)[0]["matrix_a"] == "nordlund"
 
+    def test_check_matrix_scans_rows_up_to_n(self, tmp_path, capsys):
+        rows = nordlund((np.arange(11.0) + 1.0) ** 0.5, 10).to_dict()["rows"]
+        full, cut = tmp_path / "full.json", tmp_path / "cut.json"
+        full.write_text(json.dumps({"name": "nord", "rows": rows}))
+        cut.write_text(json.dumps({"name": "nord", "rows": rows[:4]}))
+        printed = []
+        for path in (full, cut):
+            assert run_cli(["check-matrix", "--matrix-a", str(path), "--matrix-b", str(path), "--n", "3"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert "n_max=10" not in printed[0]
+
+    def test_check_matrix_reads_a_shared_file_once(self, tmp_path, monkeypatch, capsys):
+        path, copy = tmp_path / "a.json", tmp_path / "b.json"
+        path.write_text(json.dumps(nordlund((np.arange(9.0) + 1.0) ** -0.5, 8).to_dict()))
+        copy.write_text(path.read_text())
+        loads = []
+
+        def counting(spec):
+            loads.append(spec)
+            return load(spec)
+
+        load = summability.load_matrix_json
+        monkeypatch.setattr(summability, "load_matrix_json", counting)
+        printed = []
+        for b in (path, copy):
+            assert run_cli(["check-matrix", "--matrix-a", str(path), "--matrix-b", str(b), "--n", "8"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert loads == [str(path), str(path), str(copy)]
+        assert printed[0] == printed[1]
+
     def test_grid_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONJSUM_GRID_M", "256")
         out = tmp_path / "c.csv"
@@ -435,10 +467,11 @@ class TestStrictJson:
 
 
 def test_import_loads_neither_fft_nor_ma():
-    # numpy.fft is imported on the first coefficient build; numpy.ma by np.unique's first call
+    # numpy.fft is imported on the first coefficient build, numpy.ma by np.unique's first call;
+    # numpy.polynomial not at all, as the Gauss-Legendre rule is written out
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    code = ("import sys, conjsum.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'fft'], ['numpy', 'ma'])))")
+    code = ("import sys, conjsum.cli; print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['numpy', 'fft'], ['numpy', 'ma'], ['numpy', 'polynomial'])))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjsum.functions import (
+    _GL_POINTS,
     DomainError,
     GridSpec,
     PanelSums,
     SingularIntegrandError,
+    _gl_nodes,
+    _gl_weights,
     by_name,
     corpus,
     eval_phi,
@@ -150,6 +153,11 @@ class TestIntegrateGraded:
     def test_nonfinite_value_raises(self):
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(SingularIntegrandError):
             graded_integral(lambda t: 1.0 / (t - t), 0.5, 1.0)
+
+
+def test_written_out_gauss_legendre_rule_is_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
+    assert np.array_equal(_gl_nodes, nodes) and np.array_equal(_gl_weights, weights)
 
 
 class TestPanelSums:

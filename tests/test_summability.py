@@ -159,21 +159,40 @@ class TestRowValidation:
         assert np_sum_disagrees > 0
 
     def test_prefix_sums_once_per_row(self, monkeypatch):
-        calls = []
+        # one exact_cumsum call per row block, and no row computed twice
+        blocks = self.prefix_blocks(monkeypatch, first=None)
+        assert blocks[0] == (0, 64) and len(blocks) == 4
+
+    def test_prefix_sums_once_per_row_out_of_order(self, monkeypatch):
+        # a block filled from row 70 first ends the later block from row 64 at row 70
+        assert (64, 70) in self.prefix_blocks(monkeypatch, first=70)
+
+    @staticmethod
+    def prefix_blocks(monkeypatch, first):
+        blocks = []
 
         def counting(values):
-            calls.append(len(values))
+            rows, width = np.shape(values)
+            blocks.append((width - rows, width))
             return exact_cumsum(values)
 
-        A = nordlund((np.arange(21.0) + 1.0) ** -0.5, 20)
+        A = nordlund((np.arange(131.0) + 1.0) ** -0.5, 130)
         monkeypatch.setattr(summability, "exact_cumsum", counting)
+        if first is not None:
+            check_remark1_condition(A, first)
         check_condition_2_2(A)
         for n in range(A.n_max + 1):
             check_remark1_condition(A, n)
-        assert sorted(calls) == list(range(1, 22))
-        assert np.array_equal(A.prefix_sums(-1), exact_cumsum(A.row(20)))
+        covered = [n for n0, n1 in blocks for n in range(n0, n1)]
+        assert sorted(covered) == list(range(131))
+        assert all(n1 - n0 <= 64 and (n1 - n0 == 1 or (n1 - n0) * n1 <= summability._BLOCK_ELEMENTS)
+                   for n0, n1 in blocks)
+        for n in range(A.n_max + 1):
+            assert np.array_equal(A.prefix_sums(n), exact_cumsum(A.row(n)))
+        assert np.array_equal(A.prefix_sums(-1), exact_cumsum(A.row(130)))
         with pytest.raises(ValueError):
             A.prefix_sums(3)[0] = 1.0
+        return blocks
 
 
 class TestMatrixJson:
