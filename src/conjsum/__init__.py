@@ -35,7 +35,6 @@ from .summability import (
     identity_matrix,
     delta_at_zero,
     nordlund,
-    ab_transform,
     check_condition_2_1,
     check_condition_2_2,
     check_condition_2_21,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Iterable, Sequence
 
@@ -73,20 +72,10 @@ def _write_rows(columns: Sequence[str], rows: Iterable[tuple], out: str | None, 
 
 
 def _grid_from(args) -> GridSpec:
-    m, source = args.grid_m, "--grid-m"
-    env = os.environ.get("CONJSUM_GRID_M")
-    if m is None and env:
-        source = "CONJSUM_GRID_M"
-        try:
-            m = int(env)
-        except ValueError:
-            raise DomainError(f"CONJSUM_GRID_M must be an integer, got {env!r}") from None
-    elif m is None:
-        m = functions.DEFAULT_GRID.m
     try:
-        return GridSpec(m=m, refinement=args.grid_refinement)
+        return GridSpec(args.grid_m, args.grid_refinement)
     except DomainError as exc:
-        raise DomainError(f"{source} / --grid-refinement: {exc}") from None
+        raise DomainError(f"--grid-m / --grid-refinement: {exc}") from None
 
 
 def _function_from(args) -> functions.PeriodicFunction:
@@ -176,8 +165,8 @@ def _cmd_transform(args) -> int:
     xs = _x_values(args)
     A, B = _matrices_from(args, max(ns))
     conj_flag = not args.plain
-    values = verify.transform_grid(f, A, B, ns, xs, grid, conjugate=conj_flag)
-    rows = [(f.name, A.name, B.name, int(conj_flag), n, x, v) for n, row in zip(ns, values) for x, v in zip(xs, row)]
+    rows = [(f.name, A.name, B.name, int(conj_flag), n, x, verify.transform_value(f, A, B, n, x, grid, conj_flag))
+            for n in ns for x in xs]
     columns = ["function", "matrix_a", "matrix_b", "conjugate", "n", "x", "value"]
     _write_rows(columns, rows, args.out, args.format)
     return 0
@@ -261,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         # the quadrature grid integrates the function, so a command without one has no grid flags
         if function:
             p.add_argument("--function", required=True, help="registry name (see 'conjsum list')")
-            p.add_argument("--grid-m", type=int, default=None, help="quadrature nodes per period (env CONJSUM_GRID_M)")
+            p.add_argument("--grid-m", type=int, default=functions.DEFAULT_GRID.m, help="quadrature nodes per period")
             p.add_argument("--grid-refinement", type=int, default=functions.DEFAULT_GRID.refinement)
         p.add_argument("--out", default=None, help="output path (stdout if omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -104,11 +104,17 @@ def conjugate_truncated(f: PeriodicFunction, x: float, eps, grid: GridSpec = DEF
     return _truncated(f, x, eps, grid)[0]
 
 
-def conjugate_at(f: PeriodicFunction, x: float, grid: GridSpec = DEFAULT_GRID) -> float:
-    """The conjugate function at x: the principal-value integral from eps = 0."""
+def _check_regular(f: PeriodicFunction, x: float) -> float:
+    """x as a float, unless it is not finite or is a known singular point of f."""
     x = check_finite("x", x)
     if f.is_singular_at(x):
         raise DomainError(f"x={x} is a known singular point of {f.name}")
+    return x
+
+
+def conjugate_at(f: PeriodicFunction, x: float, grid: GridSpec = DEFAULT_GRID) -> float:
+    """The conjugate function at x: the principal-value integral from eps = 0."""
+    x = _check_regular(f, x)
     value, est_error = _truncated_cached(f, x, 0.0, grid)
     if not est_error <= CONJUGATE_TOL:
         raise ConvergenceError(
@@ -139,9 +145,10 @@ def deviation_kernel_form(
     integrals of psi_x against the matrix mean K of D~_k and its complement
     (1/2) cot(t/2) - K, never as the operator value minus a conjugate value:
     the first is (-int_0^h psi K + int_h^pi psi (cot/2 - K)) / pi with
-    h = pi/(n+1), the second int_0^pi psi (cot/2 - K) / pi.
+    h = pi/(n+1), the second int_0^pi psi (cot/2 - K) / pi.  At a known
+    singular point of f the full conjugate diverges, so it raises there.
     """
-    x = check_finite("x", x)
+    x = _check_regular(f, x)
     weights = ab_weights(A, B, n)
     h = PI / (n + 1)
     bounds = _mesh(f, x, grid, cuts=[h])

@@ -35,7 +35,6 @@ from .functions import (
     graded_boundaries,
     psi_breakpoints,
 )
-from .kernels import partial_sum_table
 from .moduli import modulus
 
 ROW_SUM_TOL = 1e-9
@@ -239,20 +238,6 @@ def ab_weights(A: TriangularMatrix, B: TriangularMatrix, n: int) -> np.ndarray:
     return weights
 
 
-def ab_transform(
-    coeffs,
-    A: TriangularMatrix,
-    B: TriangularMatrix,
-    n: int,
-    x: float,
-    conjugate: bool = True,
-) -> float:
-    """Double matrix mean of the (conjugate) partial sums at x."""
-    weights = ab_weights(A, B, n)
-    sums = partial_sum_table(coeffs, n, x, conjugate=conjugate)
-    return math.fsum((weights * sums).tolist())
-
-
 # ---------------------------------------------------------------------------
 # condition checkers
 
@@ -370,11 +355,14 @@ def check_condition_2_511(
     """Ratio of (1/pi) int_0^{pi/(n+1)} |psi_x(t)|/t dt to the plain modulus there.
 
     0/0 is reported as 1; a vanishing modulus against a positive integral
-    means the condition fails and the ratio is infinite.
+    means the condition fails and the ratio is infinite, as it is at a known
+    singular point of f, where the integral diverges.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     x = check_finite("x", x)
+    if f.is_singular_at(x):
+        return math.inf
     h = PI / (n + 1)
 
     def integrand(t):

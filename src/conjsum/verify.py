@@ -5,15 +5,16 @@ bounding it (rhs); the "up to an absolute constant" statements are checked
 empirically as lhs/rhs ratios whose running max stays stable across n.
 Both sides below RATIO_ZERO_TOL count as a vacuous 0/0 and report ratio 0.
 
-Every transform value, on a grid or at one point, is transform_value: the AB
-weights kept on A against a prefix of one cached partial-sum table per (f, x)
-that runs to the coefficient cutoff; the pointwise right-hand sides read
-prefixes of modulus_profile's cached profile per (f, x, kind).  np.cumsum adds
+The report grids are loops over the one-point functions transform_value,
+lhs_theorem1, rhs_theorem1 and rhs_theorem2 (R1.6 builds its weights once per
+n).  transform_value weights a prefix of one cached partial-sum table per
+(f, x) that runs to the coefficient cutoff, and the right-hand sides read
+prefixes of modulus_profile's cached profile per (f, x, kind); np.cumsum adds
 in index order and each modulus value depends on its own delta alone, so a
-prefix has the bits of an array built for that n alone.  The conjugates come
-from one suffix-sum table per x (see conjugate): a grid reads the truncated
-ones at all its eps in one array call per x, lhs_theorem1 the cached float-eps
-value, which has the bits of the array call.
+prefix has the bits of an array built for that n alone.  The one batched
+piece: a grid reads the truncated conjugates of an x in one conjugate_truncated
+array call, with the bits of the float-eps calls, at the first (n, x) of that
+x and after its transform, so the first failing (n, x) keeps the loop order.
 """
 
 from __future__ import annotations
@@ -95,81 +96,6 @@ def _remark1_sum(weights: np.ndarray, n: int, inner: np.ndarray) -> float:
     return float(np.cumsum(weights * inner[: n + 1])[-1] + inner[n])
 
 
-class _Grid:
-    """The parts of an (n, x) evaluation that depend on n alone or x alone, each built once.
-
-    Averaged moduli run up to the largest n at or below the coefficient
-    cutoff, and each (n, x) value reads their prefix of length n + 1.
-    Everything is built on first use, so a failing (n, x) raises the error it
-    raised when each point was computed by itself.
-    """
-
-    def __init__(
-        self,
-        f: PeriodicFunction,
-        A: TriangularMatrix,
-        B: TriangularMatrix,
-        ns: Sequence[int],
-        grid: GridSpec,
-    ):
-        self.f, self.A, self.B, self.grid = f, A, B, grid
-        self.top = min(max(ns, default=0), coefficients(f, grid).N)
-        self.ns = sorted({n for n in ns if 0 <= n <= self.top})
-        self._built: dict = {}
-
-    def _once(self, key, build):
-        value = self._built.get(key)
-        if value is None:
-            value = self._built[key] = build()
-        return value
-
-    def transform(self, n: int, x: float) -> float:
-        """T~_{n,A,B} f(x)."""
-        return transform_value(self.f, self.A, self.B, n, x, self.grid)
-
-    def deviation(self, n: int, x: float, truncated: bool) -> float:
-        """|T~ f(x) - conjugate|, against the truncated or the full conjugate."""
-        value = self.transform(n, x)
-        if truncated:
-            target = self._once(("truncated", x), lambda: self._truncated(x))[n]
-        else:
-            target = conjugate_at(self.f, x, self.grid)
-        return abs(value - target)
-
-    def _truncated(self, x: float) -> dict:
-        """n -> f~(x, pi/(n+1)) for every n of the grid that has a transform."""
-        values = conjugate_truncated(self.f, x, PI / (np.array(self.ns) + 1.0), self.grid)
-        return dict(zip(self.ns, values.tolist()))
-
-    def pointwise_modulus(self, x: float, kind: str) -> np.ndarray:
-        """Averaged modulus of the given kind at x, for r = 0..top."""
-        return self._once(
-            (kind, x),
-            lambda: _averaged_modulus(modulus_profile(self.f, x, self.top, kind, self.grid).values),
-        )
-
-    def classical_modulus(self, p: float) -> np.ndarray:
-        """Averaged classical L^p modulus, for r = 0..top."""
-        deltas = PI / (np.arange(self.top + 1) + 1.0)
-        return self._once(("classical", p), lambda: _averaged_modulus(classical_modulus(self.f, deltas, p, self.grid)))
-
-    def remark1_weights(self, n: int) -> np.ndarray:
-        return self._once(("remark1", n), lambda: _remark1_weights(self.A, n))
-
-
-def transform_grid(
-    f: PeriodicFunction,
-    A: TriangularMatrix,
-    B: TriangularMatrix,
-    ns: Sequence[int],
-    xs: Sequence[float],
-    grid: GridSpec = DEFAULT_GRID,
-    conjugate: bool = True,
-) -> list[list[float]]:
-    """T~_{n,A,B} f(x) (the plain transform if not conjugate), one row per n, one column per x."""
-    return [[transform_value(f, A, B, n, x, grid, conjugate) for x in xs] for n in ns]
-
-
 def transform_value(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, n: int, x: float,
                     grid: GridSpec = DEFAULT_GRID, conjugate: bool = True) -> float:
     """T~_{n,A,B} f(x), or the plain transform; the order checks come first, so a failing call caches nothing."""
@@ -205,6 +131,30 @@ def lhs_theorem1(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, 
     return abs(value - target)
 
 
+def _deviations(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, ns: Sequence[int], truncated: bool,
+                grid: GridSpec):
+    """lhs_theorem1 as a function of (n, x), for a grid whose orders are ns.
+
+    Against the truncated conjugate, the targets of an x come from one
+    conjugate_truncated array call over eps = pi/(n+1), for each n of ns up to
+    the coefficient cutoff.  It is made at the first (n, x) of that x, after
+    its transform, so a failing (n, x) raises what lhs_theorem1 raises there.
+    """
+    if not truncated:
+        return lambda n, x: lhs_theorem1(f, A, B, x, n, False, grid)
+    orders = sorted({n for n in ns if 0 <= n <= DEFAULT_COEFF_CUTOFF})
+    targets: dict = {}
+
+    def deviation(n: int, x: float) -> float:
+        value = transform_value(f, A, B, n, x, grid)
+        if x not in targets:
+            values = conjugate_truncated(f, x, PI / (np.array(orders) + 1.0), grid)
+            targets[x] = dict(zip(orders, values.tolist()))
+        return abs(value - targets[x][n])
+
+    return deviation
+
+
 _POINTWISE_IDS = ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc")
 
 
@@ -220,20 +170,19 @@ def pointwise_grid(
     """Pointwise BoundReports for T1.51, T1.5, R1.6, T2 or T2.trunc, n outer and x inner."""
     if theorem_id not in _POINTWISE_IDS:
         raise ValueError(f"unknown pointwise theorem id {theorem_id!r}")
-    truncated = theorem_id in ("T1.51", "T2.trunc")
-    kind = "w_tilde_bar" if theorem_id in ("T1.51", "T1.5") else "w_tilde"
-    g = _Grid(f, A, B, ns, grid)
+    deviation = _deviations(f, A, B, ns, theorem_id in ("T1.51", "T2.trunc"), grid)
     reports = []
     for n in ns:
+        weights = None  # R1.6's, built at the first x of n, after its transform
         for x in xs:
-            lhs = g.deviation(n, x, truncated)
-            inner = g.pointwise_modulus(x, kind)
-            if kind == "w_tilde_bar":
-                rhs = _row_mean(A, n, inner)
+            lhs = deviation(n, x)
+            if theorem_id in ("T1.51", "T1.5"):
+                rhs = rhs_theorem1(f, A, x, n, grid)
             elif theorem_id == "R1.6":
-                rhs = _remark1_sum(g.remark1_weights(n), n, inner)
+                weights = _remark1_weights(A, n) if weights is None else weights
+                rhs = _remark1_sum(weights, n, _averaged_modulus(modulus_profile(f, x, n, "w_tilde", grid).values))
             else:
-                rhs = float(np.mean(inner[: n + 1]))
+                rhs = rhs_theorem2(f, x, n, grid)
             metadata = {"function": f.name, "matrix_a": A.name, "matrix_b": B.name}
             reports.append(BoundReport(theorem_id, n, x, lhs, rhs, ratio_of(lhs, rhs), metadata))
     return reports
@@ -255,16 +204,18 @@ def norm_grid(
     per point, max for p = inf); the rhs uses the classical L^p moduli.
     """
     _check_p(p)
-    g = _Grid(f, A, B, ns, grid)
+    deviation = _deviations(f, A, B, ns, truncated, grid)
     xs = default_x_grid()
+    top = min(max(ns, default=0), DEFAULT_COEFF_CUTOFF)
+    inner = _averaged_modulus(classical_modulus(f, PI / (np.arange(top + 1) + 1.0), p, grid))
     reports = []
     for n in ns:
-        devs = np.array([g.deviation(n, x, truncated) for x in xs])
+        devs = np.array([deviation(n, x) for x in xs])
         if math.isinf(p):
             lhs = float(devs.max())
         else:
             lhs = float((X_GRID_WEIGHT * np.sum(devs**p)) ** (1.0 / p))
-        rhs = _row_mean(A, n, g.classical_modulus(p))
+        rhs = _row_mean(A, n, inner)
         metadata = {
             "function": f.name,
             "matrix_a": A.name,
@@ -293,10 +244,9 @@ def corollary_grid(
     ns = list(n_list)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
-    g = _Grid(f, A, B, ns, grid)
     reports = []
     for x in xs:
-        devs = [g.deviation(n, x, truncated=False) for n in ns]
+        devs = [lhs_theorem1(f, A, B, x, n, False, grid) for n in ns]
         for i, (n, dev) in enumerate(zip(ns, devs)):
             prev = devs[i - 1] if i else dev
             metadata = {"function": f.name, "matrix_a": A.name, "matrix_b": B.name}

@@ -95,23 +95,11 @@ class TestExitCodes:
         assert captured.out == ""
         assert "--x must be finite" in captured.err
 
-    @pytest.mark.parametrize("source", ["--grid-m", "CONJSUM_GRID_M"])
-    def test_oversized_grid_names_source(self, source, monkeypatch, capsys):
-        args = ["coeffs", "--function", "sin", "--n", "2"]
-        if source == "--grid-m":
-            args += ["--grid-m", str(2**14 + 2)]
-        else:
-            monkeypatch.setenv("CONJSUM_GRID_M", str(2**14 + 2))
-        assert run_cli(args) == 2
+    @pytest.mark.parametrize("source", ["--grid-m"])
+    def test_oversized_grid_names_source(self, source, capsys):
+        assert run_cli(["coeffs", "--function", "sin", "--n", "2", source, str(2**14 + 2)]) == 2
         err = capsys.readouterr().err
-        assert source in err and "16384" in err
-
-    def test_non_integer_grid_env_names_variable(self, monkeypatch, capsys):
-        monkeypatch.setenv("CONJSUM_GRID_M", "abc")
-        assert run_cli(["coeffs", "--function", "sin", "--n", "2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error: CONJSUM_GRID_M must be an integer, got 'abc'" in captured.err
+        assert "error: --grid-m / --grid-refinement: grid m must be <= 16384, got 16386" in err
 
     def test_unknown_function_message_unquoted(self, capsys):
         assert run_cli(["verify", "--theorem", "T1.5", "--function", "nosuch", "--n", "3"]) == 2
@@ -377,13 +365,6 @@ class TestOutputs:
             printed.append(capsys.readouterr().out)
         assert loads == [str(path), str(path), str(copy)]
         assert printed[0] == printed[1]
-
-    def test_grid_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CONJSUM_GRID_M", "256")
-        out = tmp_path / "c.csv"
-        assert run_cli(["coeffs", "--function", "sin", "--n", "2", "--out", str(out)]) == 0
-        rows = read_csv(out)
-        assert float(rows[1]["b"]) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestVerifyCommand:

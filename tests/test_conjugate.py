@@ -202,6 +202,16 @@ class TestDeviationKernelForm:
         dt, df = deviation_kernel_form(by_name("const"), C, C, 4, 0.3, grid)
         assert abs(dt) < 1e-10 and abs(df) < 1e-10
 
+    @pytest.mark.parametrize("x", [0.0, 2 * PI])
+    def test_known_singular_point_rejected(self, x, grid):
+        # the full deviation diverges there, as conjugate_at, which refuses the same x, does
+        C = cesaro(16)
+        message = f"^x={x} is a known singular point of sawtooth$"
+        with pytest.raises(DomainError, match=message):
+            conjugate_at(by_name("sawtooth"), x, grid)
+        with pytest.raises(DomainError, match=message):
+            deviation_kernel_form(by_name("sawtooth"), C, C, 16, x, grid)
+
     def test_sine_cesaro_matches_direct(self, grid):
         f = by_name("sin")
         C = cesaro(8)

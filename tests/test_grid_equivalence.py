@@ -1,14 +1,15 @@
-"""The (n, x) grid evaluation of verify against the per-point loops it replaced.
+"""The (n, x) report grids of verify and the transform values against per-point reference loops.
 
 The reference functions below are the earlier per-(n, x) implementations of
 the transform, the pointwise and norm reports and the corollary decay, kept as
 oracles and built only from the lower layers (partial_sum_table, the
 conjugate, modulus, classical_modulus), with the AB weights added in a loop
 over r: none of them reads the cached weights, partial sums or modulus
-profiles that the grid and the one-point functions share.  Every BoundReport
-field and every transform value must agree exactly (==): the grid reads
-prefixes of arrays whose elements do not depend on their length, so no
-arithmetic changes.
+profiles that the grids and the one-point functions share.  Every BoundReport
+field and every transform value must agree exactly (==): the grids read
+prefixes of arrays whose elements do not depend on their length, and the
+truncated conjugates of an x in one array call with the bits of the float
+calls, so no arithmetic changes.
 """
 
 import io
@@ -44,7 +45,6 @@ from conjsum.verify import (
     norm_grid,
     pointwise_grid,
     ratio_of,
-    transform_grid,
     transform_value,
 )
 
@@ -202,15 +202,13 @@ def test_corollary_grid_matches_loop(pair, xs):
 @pytest.mark.parametrize("conjugate", [True, False], ids=["conjugate", "plain"])
 @pytest.mark.parametrize("pair", PAIRS)
 def test_transform_grid_matches_loop(pair, conjugate):
+    """transform_value over the (n, x) grid of the transform command, n outer."""
     f = by_name("hat")
     A, B = matrix_pair(pair)
     for xs in X_SETS.values():
-        got = transform_grid(f, A, B, N_LIST, xs, DEFAULT_GRID, conjugate)
+        got = [[transform_value(f, A, B, n, x, DEFAULT_GRID, conjugate) for x in xs] for n in N_LIST]
         want = [[ref_transform(f, A, B, n, x, DEFAULT_GRID, conjugate) for x in xs] for n in N_LIST]
         assert got == want
-    assert transform_value(f, A, B, 5, 0.3, DEFAULT_GRID, conjugate) == ref_transform(
-        f, A, B, 5, 0.3, DEFAULT_GRID, conjugate
-    )
 
 
 def test_errors_follow_the_loop_order():
@@ -219,17 +217,29 @@ def test_errors_follow_the_loop_order():
     A, B = cesaro(700), cesaro(700)
     xs = [0.3, 0.0]
     for ns in ([8, 600, 700], [600, 700], [0, 513]):
-        want = outcome(lambda: [ref_pointwise("T1.5", f, A, B, x, n, DEFAULT_GRID) for n in ns for x in xs])
-        assert outcome(pointwise_grid, "T1.5", f, A, B, ns, xs, DEFAULT_GRID) == want
+        for theorem_id in ("T1.5", "T1.51", "R1.6"):
+            want = outcome(lambda: [ref_pointwise(theorem_id, f, A, B, x, n, DEFAULT_GRID) for n in ns for x in xs])
+            assert outcome(pointwise_grid, theorem_id, f, A, B, ns, xs, DEFAULT_GRID) == want
+        want = outcome(lambda: [ref_norm(f, A, B, n, 1.0, True, DEFAULT_GRID, "T3") for n in ns])
+        assert outcome(norm_grid, f, A, B, ns, 1.0, True, DEFAULT_GRID, "T3") == want
         want = outcome(lambda: [r for x in xs for r in ref_corollary(f, A, B, ns, x, DEFAULT_GRID)])
         assert outcome(corollary_grid, f, A, B, ns, xs, DEFAULT_GRID) == want
-        want = outcome(lambda: [[ref_transform(f, A, B, n, x, DEFAULT_GRID) for x in xs] for n in ns])
-        assert outcome(transform_grid, f, A, B, ns, xs, DEFAULT_GRID) == want
     assert outcome(pointwise_grid, "T1.5", f, A, B, [8, 600], xs, DEFAULT_GRID)[1] == (
         "x=0.0 is a known singular point of sawtooth"
     )
-    assert outcome(transform_grid, f, A, B, [8, 600, 700], xs, DEFAULT_GRID)[1] == (
+    assert outcome(pointwise_grid, "T1.51", f, A, B, [8, 600], xs, DEFAULT_GRID)[1] == (
         "order 600 exceeds coefficient cutoff N=512"
+    )
+    assert outcome(norm_grid, f, A, B, [0, 8, 513], 1.0, True, DEFAULT_GRID, "T3")[1] == (
+        "order 513 exceeds coefficient cutoff N=512"
+    )
+    # a negative order fails in its own transform, not in the truncated conjugates of an earlier order
+    negative = "transform order n=-1 is outside the matrix size (A: 700, B: 700)"
+    assert outcome(pointwise_grid, "T1.51", f, A, B, [8, -1], xs, DEFAULT_GRID)[1] == negative
+    assert outcome(norm_grid, f, A, B, [8, -1], 1.0, True, DEFAULT_GRID, "T3")[1] == negative
+    # R1.6 builds the weights of n after its first transform, so an order past A fails there
+    assert outcome(pointwise_grid, "R1.6", f, cesaro(4), cesaro(4), [2, 8], [0.3], DEFAULT_GRID)[1] == (
+        "transform order n=8 is outside the matrix size (A: 4, B: 4)"
     )
 
 
@@ -279,7 +289,6 @@ POINTWISE = ["verify", "--theorem", "R1.6", "--function", "hat", "--matrix-a", "
 
 def test_fresh_process_matches_warm_in_process_run():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    env.pop("CONJSUM_GRID_M", None)
     fresh = subprocess.run([sys.executable, "-m", "conjsum.cli", *POINTWISE], env=env,
                            capture_output=True, timeout=300)
     assert fresh.returncode == 0, fresh.stderr

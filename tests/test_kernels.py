@@ -56,7 +56,6 @@ def direct_coeffs(fs, N: int, grid) -> list[np.ndarray]:
 def run_python(args, blas_threads: int) -> subprocess.CompletedProcess:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), OMP_NUM_THREADS=str(blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env.pop("CONJSUM_GRID_M", None)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=300)
 
 

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conjsum.functions import by_name
-from conjsum.kernels import CutoffError, fourier_coeffs, partial_sum_table
+from conjsum.functions import GridSpec, by_name
+from conjsum.kernels import CutoffError, partial_sum_table
 from conjsum import summability
 from conjsum.summability import (
     ROW_SUM_TOL,
     MatrixValidationError,
-    ab_transform,
     ab_weights,
     cesaro,
     check_condition_2_1,
@@ -29,6 +28,7 @@ from conjsum.summability import (
     load_matrix_json,
     nordlund,
 )
+from conjsum.verify import coefficients, transform_value
 
 PI = math.pi
 
@@ -219,62 +219,38 @@ class TestMatrixJson:
 
 
 class TestAbTransform:
+    """The AB-transform T~_{n,A,B} f(x), as transform_value computes it."""
+
     def test_delta_row_collapse(self, grid):
         # A = delta row at n with B = identity leaves exactly S~_n
         f = by_name("sawtooth")
-        c = fourier_coeffs(f, 32, grid)
         I = identity_matrix(32)
-        sums = partial_sum_table(c, 32, 0.9, conjugate=True)
+        sums = partial_sum_table(coefficients(f, grid), 32, 0.9, conjugate=True)
         for n in (0, 5, 32):
-            got = ab_transform(c, I, I, n, 0.9)
+            got = transform_value(f, I, I, n, 0.9, grid)
             assert got == pytest.approx(sums[n], abs=1e-12)
 
     def test_cesaro_identity_of_sine(self, grid):
         # S~_0 = 0 and S~_k = -cos x for k >= 1, so the mean is -(n/(n+1)) cos x
-        c = fourier_coeffs(by_name("sin"), 16, grid)
         C, I = cesaro(16), identity_matrix(16)
         for n in (1, 4, 16):
             want = -(n / (n + 1)) * math.cos(0.37)
-            assert ab_transform(c, C, I, n, 0.37) == pytest.approx(want, abs=1e-10)
+            assert transform_value(by_name("sin"), C, I, n, 0.37, grid) == pytest.approx(want, abs=1e-10)
 
     def test_double_cesaro_frozen(self, grid):
         # brute-force double sum oracle: -(1/5)(0 + 1/2 + 2/3 + 3/4 + 4/5)
-        c = fourier_coeffs(by_name("sin"), 8, grid)
         C = cesaro(8)
-        got = ab_transform(c, C, C, 4, 0.0)
+        got = transform_value(by_name("sin"), C, C, 4, 0.0, grid)
         assert got == pytest.approx(-0.5433333333333333, abs=1e-10)
 
-    def test_linearity_in_coefficients(self, grid):
-        rng = np.random.default_rng(42)
-        N = 12
-        from conjsum.kernels import FourierCoefficients
-
-        c1 = FourierCoefficients(rng.normal(), rng.normal(size=N), rng.normal(size=N), N)
-        c2 = FourierCoefficients(rng.normal(), rng.normal(size=N), rng.normal(size=N), N)
-        alpha, beta = 0.7, -1.3
-        mix = FourierCoefficients(
-            alpha * c1.a0 + beta * c2.a0,
-            alpha * c1.a + beta * c2.a,
-            alpha * c1.b + beta * c2.b,
-            N,
-        )
-        C, I = cesaro(12), identity_matrix(12)
-        for conjugate in (True, False):
-            got = ab_transform(mix, C, I, 10, 0.31, conjugate=conjugate)
-            want = alpha * ab_transform(c1, C, I, 10, 0.31, conjugate=conjugate) + beta * ab_transform(
-                c2, C, I, 10, 0.31, conjugate=conjugate
-            )
-            assert got == pytest.approx(want, abs=1e-12)
-
     def test_cutoff_too_small(self, grid):
-        c = fourier_coeffs(by_name("sin"), 4, grid)
+        # the coefficients stop at the cutoff 512, so order 513 has no partial sum
         with pytest.raises(CutoffError):
-            ab_transform(c, cesaro(8), cesaro(8), 8, 0.0)
+            transform_value(by_name("sin"), cesaro(513), cesaro(513), 513, 0.0, grid)
 
     def test_order_beyond_matrix(self, grid):
-        c = fourier_coeffs(by_name("sin"), 16, grid)
         with pytest.raises(MatrixValidationError):
-            ab_transform(c, cesaro(4), cesaro(16), 8, 0.0)
+            transform_value(by_name("sin"), cesaro(4), cesaro(16), 8, 0.0, grid)
 
     def test_weights_sum_to_one(self):
         w = ab_weights(cesaro(16), cesaro(16), 16)
@@ -436,6 +412,11 @@ class TestCheckerMonotonicity:
 
 
 class TestCondition2511:
+    @pytest.mark.parametrize("refinement", [8, 24, 64])
+    def test_known_singular_point_is_infinite(self, refinement):
+        # int_0 |psi_x(t)|/t dt diverges at sawtooth's jump, so no grading depth gives a finite ratio
+        assert check_condition_2_511(by_name("sawtooth"), 0.0, 16, GridSpec(refinement=refinement)) == math.inf
+
     def test_constant_zero_over_zero(self, grid):
         assert check_condition_2_511(by_name("const"), 0.4, 8, grid) == 1.0
 
