@@ -26,6 +26,7 @@ from .moduli import (
     classical_modulus,
     lp_norm,
     lemma2_check,
+    check_condition_2_511,
 )
 from .summability import (
     TriangularMatrix,
@@ -41,7 +42,6 @@ from .summability import (
     check_condition_3_2,
     check_remark1_condition,
     check_remark2_condition,
-    check_condition_2_511,
 )
 from .conjugate import (
     ConvergenceError,

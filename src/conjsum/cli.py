@@ -33,9 +33,8 @@ BUILTIN_MATRICES = tuple(_MATRIX_BUILDERS)
 # the conjugate command's default eps column: pi * 2**-j for j = 1..20
 DEFAULT_EPS = tuple(functions.PI * 2.0 ** (-j) for j in range(1, 21))
 
-# largest --n / --n-list, checked before anything is built: check-matrix holds dense
-# (n+1)^2 matrices, 134 MB each at 4096; verify and transform stop at the coefficient
-# cutoff kernels.DEFAULT_COEFF_CUTOFF = 512
+# largest --n / --n-list of every command, checked before anything is built:
+# check-matrix, verify and transform hold one or two dense (n+1)^2 matrices, 134 MB each at 4096
 MAX_N = 4096
 
 
@@ -102,16 +101,12 @@ def _matrices_from(args, n_max: int) -> tuple[summability.TriangularMatrix, summ
     return A, A if args.matrix_b == args.matrix_a else _matrix_from(args.matrix_b, n_max)
 
 
-def _nonnegative(flag: str, n: int, top: int = MAX_N, label: str = "") -> int:
+def _nonnegative(flag: str, n: int) -> int:
     if n < 0:
         raise DomainError(f"{flag} must be nonnegative, got {n}")
-    if n > top:
-        raise DomainError(f"{flag} must be <= {label}{top}, got {n}")
+    if n > MAX_N:
+        raise DomainError(f"{flag} must be <= {MAX_N}, got {n}")
     return n
-
-
-def _within_cutoff(flag: str, n: int) -> int:
-    return _nonnegative(flag, n, kernels.DEFAULT_COEFF_CUTOFF, "the coefficient cutoff ")
 
 
 def _n_or_default(args, default: int) -> int:
@@ -119,11 +114,11 @@ def _n_or_default(args, default: int) -> int:
 
 
 def _n_values(args) -> list[int]:
-    """--n or --n-list of verify and transform, which stop at the coefficient cutoff."""
+    """--n or --n-list of verify and transform."""
     if args.n_list:
-        return sorted({_within_cutoff("--n-list", n) for n in args.n_list})
+        return sorted({_nonnegative("--n-list", n) for n in args.n_list})
     if args.n is not None:
-        return [_within_cutoff("--n", args.n)]
+        return [_nonnegative("--n", args.n)]
     raise DomainError("one of --n or --n-list is required")
 
 
@@ -218,6 +213,14 @@ def _report_row(rep: verify.BoundReport) -> tuple:
 
 
 def _cmd_verify(args) -> int:
+    theorem = args.theorem
+    norm = theorem in ("T3", "T4")
+    if norm and args.x is not None:
+        raise DomainError(f"--x does not apply to {theorem}, a norm over the default x grid")
+    if args.truncated and not norm:
+        raise DomainError(f"--truncated applies to T3 and T4 only, not {theorem}")
+    if theorem == "T4" and args.matrix_a != "cesaro":
+        raise DomainError(f"--matrix-a must be cesaro for T4, got {args.matrix_a}")
     f = _function_from(args)
     grid = _grid_from(args)
     ns = _n_values(args)
@@ -225,12 +228,9 @@ def _cmd_verify(args) -> int:
     if not args.p >= 1:
         raise DomainError(f"--p must satisfy 1 <= p <= inf, got {args.p}")
     A, B = _matrices_from(args, max(ns))
-    theorem = args.theorem
     if theorem in verify._POINTWISE_IDS:
         reports = verify.pointwise_grid(theorem, f, A, B, ns, xs, grid)
-    elif theorem in ("T3", "T4"):
-        if theorem == "T4":
-            A = summability.cesaro(max(ns))
+    elif norm:
         reports = verify.norm_grid(f, A, B, ns, args.p, args.truncated, grid, theorem)
     else:  # COR; argparse admits only verify.THEOREM_IDS
         reports = verify.corollary_grid(f, A, B, ns, xs, grid)
@@ -312,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix-b", default="cesaro")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-list", type=int, nargs="+", default=None)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--truncated", action="store_true")
+    p.add_argument("--x", type=float, default=None, help="single point of the pointwise ids and COR")
+    p.add_argument("--p", type=float, default=2.0, help="norm exponent of T3/T4, 1 <= p <= inf")
+    p.add_argument("--truncated", action="store_true", help="T3/T4 against the truncated conjugate")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("list", help="print the function registry")
@@ -340,7 +340,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         DomainError,
         functions.UnknownNameError,
         summability.MatrixValidationError,
-        kernels.CutoffError,
         json.JSONDecodeError,
         OSError,
         ValueError,

@@ -29,8 +29,8 @@ _gl_half_weights = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103
 _gl_nodes = np.concatenate((-_gl_half_nodes[::-1], _gl_half_nodes))
 _gl_weights = np.concatenate((_gl_half_weights[::-1], _gl_half_weights))
 
-# At this m the moduli node table takes about 104 MB and each 400*m increment
-# array of the classical moduli about 52 MB.
+# At this m the moduli node table takes about 104 MB and each 256*m increment
+# array of the classical moduli 34 MB.
 MAX_GRID_M = 2**14
 # Depth 64 grades down to pi * 2**-64 = 1.7e-19; near depth 1050, t/2 underflows to 0 at the finest nodes.
 MAX_GRID_REFINEMENT = 64

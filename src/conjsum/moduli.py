@@ -1,4 +1,4 @@
-"""Pointwise and classical moduli of continuity, L^p norms, averaged-moduli facts.
+"""Pointwise and classical moduli of continuity, L^p norms, averaged-moduli facts, condition (2.511).
 
 Every pointwise modulus is a lookup in a ``PanelSums`` of |psi_x| (or
 |phi_x|) anchored at 0, over panels of (0, pi].  The master panel boundaries
@@ -46,10 +46,13 @@ from .functions import (
     GridSpec,
     PanelSums,
     PeriodicFunction,
+    _insert_points,
     check_finite,
     check_half_period,
     eval_phi,
     eval_psi,
+    fine_rule,
+    graded_boundaries,
     psi_breakpoints,
     sorted_unique,
 )
@@ -58,9 +61,11 @@ from .kernels import DEFAULT_COEFF_CUTOFF
 MODULUS_KINDS = ("w", "w_bar", "w_tilde", "w_tilde_bar")
 
 # The node table is built 32 x nodes at a time (1.6 MB per sample array), and
-# its uniform part stops at 512 panels so that its size is linear in m.
+# its uniform part stops at 512 panels so that its size is linear in m; the
+# classical increments are sampled 256 t at a time (8*256*m bytes per array).
 _TABLE_ROWS = 32
 _TABLE_MAX_PANELS = 512
+_INCREMENT_ROWS = 256
 
 _INCREMENTS = {"psi": eval_psi, "phi": eval_phi}
 
@@ -191,7 +196,7 @@ def _profile(f: PeriodicFunction, x: float, kind: str, grid: GridSpec, top: int)
 def modulus_profile(f: PeriodicFunction, x: float, n: int, kind: str, grid: GridSpec = DEFAULT_GRID) -> ModulusProfile:
     """Modulus of the chosen kind at delta = pi/(k+1) for k = 0..n.
 
-    A read-only prefix of the cached profile that runs to the coefficient cutoff (or to n above it).
+    A read-only prefix of the cached profile to k = max(n, 512), so every n <= 512 shares one profile per (f, x, kind).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -240,8 +245,10 @@ def _classical_t_set() -> np.ndarray:
 
 
 def _increment_norms(f: PeriodicFunction, t: np.ndarray, p: float, kind: str, grid: GridSpec) -> np.ndarray:
-    """L^p norm in x of the increment at each t."""
-    return _lp_norms(np.abs(_INCREMENTS[kind](f, _x_nodes(grid)[None, :], t[:, None])), p, grid)
+    """L^p norm in x of the increment at each t; each t's norm is its own row, so the chunks change no bits."""
+    x, rows = _x_nodes(grid)[None, :], _INCREMENT_ROWS
+    norms = [_lp_norms(np.abs(_INCREMENTS[kind](f, x, t[s : s + rows, None])), p, grid) for s in range(0, len(t), rows)]
+    return np.concatenate(norms)
 
 
 @lru_cache(maxsize=256)
@@ -322,3 +329,31 @@ def lemma2_check(
         bar_lhs=bar_lhs,
         bar_rhs=bar_rhs,
     )
+
+
+def check_condition_2_511(
+    f: PeriodicFunction, x: float, n: int, grid: GridSpec = DEFAULT_GRID
+) -> float:
+    """Ratio of (1/pi) int_0^{pi/(n+1)} |psi_x(t)|/t dt to the plain modulus there.
+
+    0/0 is reported as 1; a vanishing modulus against a positive integral
+    means the condition fails and the ratio is infinite, as it is at a known
+    singular point of f, where the integral diverges.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    x = check_finite("x", x)
+    if f.is_singular_at(x):
+        return math.inf
+    h = PI / (n + 1)
+
+    def integrand(t):
+        return np.abs(eval_psi(f, x, t)) / t
+
+    bounds = _insert_points(graded_boundaries(0.0, h, grid), psi_breakpoints(f, x))
+    lhs = float(PanelSums(integrand, bounds, fine_rule).cum[-1]) / PI
+    rhs = modulus(f, x, h, "w_tilde", grid)
+    tiny = 1e-13
+    if rhs < tiny:
+        return 1.0 if lhs < tiny else math.inf
+    return lhs / rhs

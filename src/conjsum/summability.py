@@ -22,25 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .functions import (
-    DEFAULT_GRID,
-    PI,
-    GridSpec,
-    PanelSums,
-    PeriodicFunction,
-    _insert_points,
-    check_finite,
-    eval_psi,
-    fine_rule,
-    graded_boundaries,
-    psi_breakpoints,
-)
-from .moduli import modulus
-
 ROW_SUM_TOL = 1e-9
 _FSUM_MARGIN = 1e-12  # row sums this close to ROW_SUM_TOL are decided by math.fsum
 DEFAULT_CHECKER_N_MAX = 128
-_BLOCK_ROWS, _BLOCK_ELEMENTS = 64, 2**12  # see _block_end
+_BLOCK_ROWS, _BLOCK_ELEMENTS = 64, 2**12  # see _block_end; ab_weights adds _BLOCK_ROWS columns at a time
 
 
 class MatrixValidationError(ValueError):
@@ -228,12 +213,17 @@ def _check_transform_order(A: TriangularMatrix, B: TriangularMatrix, n: int) -> 
 
 
 def ab_weights(A: TriangularMatrix, B: TriangularMatrix, n: int) -> np.ndarray:
-    """Collapsed weights c_k = sum_{r=k}^{n} a_{n,r} b_{r,k}, added in increasing r; kept read-only on A."""
+    """Collapsed weights c_k = sum_{r=k}^{n} a_{n,r} b_{r,k}, added in increasing r; kept read-only on A.
+
+    Columns k..k+63 start at row k, above which B is zero, so no temporary exceeds (n+1) x 64.
+    """
     _check_transform_order(A, B, n)
     kept = A._ab_weights.setdefault(B, {})
     weights = kept.get(n)
     if weights is None:
-        weights = kept[n] = (A.row(n)[:, None] * B.dense[: n + 1, : n + 1]).sum(axis=0)
+        row, cols = A.row(n), range(0, n + 1, _BLOCK_ROWS)
+        blocks = [(row[k:, None] * B.dense[k : n + 1, k : min(k + _BLOCK_ROWS, n + 1)]).sum(axis=0) for k in cols]
+        weights = kept[n] = np.concatenate(blocks)
         weights.flags.writeable = False
     return weights
 
@@ -347,31 +337,3 @@ def check_remark2_condition(B: TriangularMatrix, n_max: int | None = None) -> fl
         inner[s:] += np.abs(np.diff(B.dense[: n + 1, : n + 1].diagonal(-s)))
         best = max(best, math.fsum(inner[s:].tolist()))
     return best
-
-
-def check_condition_2_511(
-    f: PeriodicFunction, x: float, n: int, grid: GridSpec = DEFAULT_GRID
-) -> float:
-    """Ratio of (1/pi) int_0^{pi/(n+1)} |psi_x(t)|/t dt to the plain modulus there.
-
-    0/0 is reported as 1; a vanishing modulus against a positive integral
-    means the condition fails and the ratio is infinite, as it is at a known
-    singular point of f, where the integral diverges.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    x = check_finite("x", x)
-    if f.is_singular_at(x):
-        return math.inf
-    h = PI / (n + 1)
-
-    def integrand(t):
-        return np.abs(eval_psi(f, x, t)) / t
-
-    bounds = _insert_points(graded_boundaries(0.0, h, grid), psi_breakpoints(f, x))
-    lhs = float(PanelSums(integrand, bounds, fine_rule).cum[-1]) / PI
-    rhs = modulus(f, x, h, "w_tilde", grid)
-    tiny = 1e-13
-    if rhs < tiny:
-        return 1.0 if lhs < tiny else math.inf
-    return lhs / rhs

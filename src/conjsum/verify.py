@@ -8,13 +8,15 @@ Both sides below RATIO_ZERO_TOL count as a vacuous 0/0 and report ratio 0.
 The report grids are loops over the one-point functions transform_value,
 lhs_theorem1, rhs_theorem1 and rhs_theorem2 (R1.6 builds its weights once per
 n).  transform_value weights a prefix of one cached partial-sum table per
-(f, x) that runs to the coefficient cutoff, and the right-hand sides read
-prefixes of modulus_profile's cached profile per (f, x, kind); np.cumsum adds
-in index order and each modulus value depends on its own delta alone, so a
-prefix has the bits of an array built for that n alone.  The one batched
-piece: a grid reads the truncated conjugates of an x in one conjugate_truncated
-array call, with the bits of the float-eps calls, at the first (n, x) of that
-x and after its transform, so the first failing (n, x) keeps the loop order.
+(f, x) that runs to max(n, 512), and the right-hand sides read prefixes of
+modulus_profile's cached profile per (f, x, kind), sized the same way: every
+n <= 512 shares one coefficient set and table, and an order above 512 gets
+its own.  np.cumsum adds in index order and each modulus value depends on its
+own delta alone, so a prefix has the bits of an array built for that n alone.
+The one batched piece: a grid reads the truncated conjugates of an x in one
+conjugate_truncated array call, with the bits of the float-eps calls, at the
+first (n, x) of that x and after its transform, so the first failing (n, x)
+keeps the loop order.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from . import kernels, summability
 from .conjugate import conjugate_at, conjugate_truncated, default_x_grid
 from .functions import DEFAULT_GRID, PI, GridSpec, PeriodicFunction, check_finite
-from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, _check_order, fourier_coeffs
+from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, fourier_coeffs
 from .moduli import _check_p, classical_modulus, modulus_profile
 from .summability import TriangularMatrix, exact_cumsum
 
@@ -60,17 +62,17 @@ def ratio_of(lhs: float, rhs: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def coefficients(f: PeriodicFunction, grid: GridSpec) -> FourierCoefficients:
-    """fourier_coeffs up to the cutoff, shared through the cache, so a and b are read-only."""
-    coeffs = fourier_coeffs(f, DEFAULT_COEFF_CUTOFF, grid)
+def coefficients(f: PeriodicFunction, grid: GridSpec, top: int) -> FourierCoefficients:
+    """fourier_coeffs up to N = top, shared through the cache, so a and b are read-only."""
+    coeffs = fourier_coeffs(f, top, grid)
     coeffs.a.flags.writeable = coeffs.b.flags.writeable = False
     return coeffs
 
 
 @lru_cache(maxsize=1024)
-def _partial_sums(f: PeriodicFunction, x: float, grid: GridSpec, conjugate: bool) -> np.ndarray:
-    """S~_k f(x) (or S_k f(x)) for k = 0..cutoff, read-only: 8*(cutoff+1) bytes."""
-    sums = kernels.partial_sum_table(coefficients(f, grid), DEFAULT_COEFF_CUTOFF, x, conjugate)
+def _partial_sums(f: PeriodicFunction, x: float, grid: GridSpec, conjugate: bool, top: int) -> np.ndarray:
+    """S~_k f(x) (or S_k f(x)) for k = 0..top, read-only: 8*(top+1) bytes."""
+    sums = kernels.partial_sum_table(coefficients(f, grid, top), top, x, conjugate)
     sums.flags.writeable = False
     return sums
 
@@ -100,10 +102,8 @@ def transform_value(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatri
                     grid: GridSpec = DEFAULT_GRID, conjugate: bool = True) -> float:
     """T~_{n,A,B} f(x), or the plain transform; the order checks come first, so a failing call caches nothing."""
     x = check_finite("x", x)
-    coeffs = coefficients(f, grid)
     summability._check_transform_order(A, B, n)
-    _check_order(coeffs, n)
-    sums = _partial_sums(f, x, grid, conjugate)[: n + 1]
+    sums = _partial_sums(f, x, grid, conjugate, max(n, DEFAULT_COEFF_CUTOFF))[: n + 1]
     return math.fsum((summability.ab_weights(A, B, n) * sums).tolist())
 
 
@@ -136,13 +136,13 @@ def _deviations(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, n
     """lhs_theorem1 as a function of (n, x), for a grid whose orders are ns.
 
     Against the truncated conjugate, the targets of an x come from one
-    conjugate_truncated array call over eps = pi/(n+1), for each n of ns up to
-    the coefficient cutoff.  It is made at the first (n, x) of that x, after
-    its transform, so a failing (n, x) raises what lhs_theorem1 raises there.
+    conjugate_truncated array call over eps = pi/(n+1), for each n >= 0 of ns.
+    It is made at the first (n, x) of that x, after its transform, so a
+    failing (n, x) raises what lhs_theorem1 raises there.
     """
     if not truncated:
         return lambda n, x: lhs_theorem1(f, A, B, x, n, False, grid)
-    orders = sorted({n for n in ns if 0 <= n <= DEFAULT_COEFF_CUTOFF})
+    orders = sorted({n for n in ns if n >= 0})
     targets: dict = {}
 
     def deviation(n: int, x: float) -> float:
@@ -206,7 +206,7 @@ def norm_grid(
     _check_p(p)
     deviation = _deviations(f, A, B, ns, truncated, grid)
     xs = default_x_grid()
-    top = min(max(ns, default=0), DEFAULT_COEFF_CUTOFF)
+    top = min(max(ns, default=0), A.n_max)  # an order past A fails in its transform
     inner = _averaged_modulus(classical_modulus(f, PI / (np.arange(top + 1) + 1.0), p, grid))
     reports = []
     for n in ns:

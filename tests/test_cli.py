@@ -85,9 +85,9 @@ class TestExitCodes:
             ["conjugate", "--function", "sin", "--x", "inf"],
             ["transform", "--function", "sin", "--n", "4", "--x", "inf"],
             ["moduli", "--function", "sin", "--x=-inf", "--delta", "0.5"],
-            ["verify", "--theorem", "T3", "--function", "sin", "--n", "4", "--x", "nan"],
+            ["verify", "--theorem", "T2", "--function", "sin", "--n", "4", "--x", "nan"],
         ],
-        ids=["verify", "conjugate", "transform", "moduli", "verify-norm"],
+        ids=["verify", "conjugate", "transform", "moduli", "verify-t2"],
     )
     def test_non_finite_x_names_flag(self, args, capsys):
         assert run_cli(args) == 2
@@ -120,6 +120,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: --p must satisfy 1 <= p <= inf, got nan" in captured.err
+
+    @pytest.mark.parametrize("theorem, flags, message", [
+        ("T3", ["--x", "0.3"], "--x does not apply to T3, a norm over the default x grid"),
+        ("T4", ["--x", "0.3"], "--x does not apply to T4, a norm over the default x grid"),
+        ("T1.5", ["--truncated"], "--truncated applies to T3 and T4 only, not T1.5"),
+        ("T2.trunc", ["--truncated"], "--truncated applies to T3 and T4 only, not T2.trunc"),
+        ("COR", ["--truncated"], "--truncated applies to T3 and T4 only, not COR"),
+        ("T4", ["--matrix-a", "identity"], "--matrix-a must be cesaro for T4, got identity"),
+    ])
+    def test_flag_the_theorem_ignores_exits_2(self, theorem, flags, message, capsys):
+        # refused before the function is even looked up
+        assert run_cli(["verify", "--theorem", theorem, "--function", "nosuch", "--n", "4"] + flags) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1", "4"])
     def test_eps_outside_domain_names_flag(self, eps, capsys):
@@ -263,10 +276,9 @@ class TestOutputs:
     ])
     @pytest.mark.parametrize("flag", ["--n", "--n-list"])
     def test_order_above_the_coefficient_cutoff_names_its_flag(self, command, flag, capsys):
-        # above the general bound 4096 too, the cutoff is the limit named
-        for value in ("600", "4097"):
-            assert run_cli(command + [flag, value]) == 2
-            assert capsys.readouterr().err == f"error: {flag} must be <= the coefficient cutoff 512, got {value}\n"
+        # 4097, above the coefficient cutoff 512 too, is refused with cli.MAX_N, as in every command
+        assert run_cli(command + [flag, str(cli.MAX_N + 1)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be <= 4096, got 4097\n"
 
     def test_moduli_delta_out_of_range_exits_2(self, tmp_path, capsys):
         code = run_cli(

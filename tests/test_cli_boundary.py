@@ -13,15 +13,12 @@ from hypothesis import strategies as st
 
 from conjsum import cli
 from conjsum.functions import MAX_GRID_M, MAX_GRID_REFINEMENT, PI
-from conjsum.kernels import DEFAULT_COEFF_CUTOFF
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 OUTSIDE_HALF_OPEN_PI = (
     st.just(math.nan) | st.floats(max_value=0.0) | st.floats(min_value=PI, exclude_min=True)
 )
 ORDERS = st.integers(max_value=-1) | st.integers(min_value=cli.MAX_N + 1)
-# verify and transform stop at the coefficient cutoff
-CUTOFF_ORDERS = ORDERS | st.integers(DEFAULT_COEFF_CUTOFF + 1, cli.MAX_N)
 
 # flag -> [(values the CLI rejects, commands that read the flag), ...]
 CASES = {
@@ -30,6 +27,9 @@ CASES = {
         ["transform", "--function", "sin", "--n", "4"],
         ["verify", "--theorem", "T1.5", "--function", "sin", "--n", "4"],
         ["moduli", "--function", "sin", "--delta", "0.5"],
+    ]), (st.floats(), [  # the norm theorems read no --x at all
+        ["verify", "--theorem", "T3", "--function", "sin", "--n", "4"],
+        ["verify", "--theorem", "T4", "--function", "sin", "--n", "4"],
     ])],
     "--eps": [(OUTSIDE_HALF_OPEN_PI, [["conjugate", "--function", "sin", "--x", "0.5"]])],
     "--delta": [(OUTSIDE_HALF_OPEN_PI, [["moduli", "--function", "sin", "--x", "0.5"]])],
@@ -37,18 +37,14 @@ CASES = {
         ["verify", "--theorem", "T3", "--function", "sin", "--n", "4"],
         ["verify", "--theorem", "T1.5", "--function", "sin", "--n", "4", "--x", "0.5"],
     ])],
-    "--n": [
-        (ORDERS, [
-            ["coeffs", "--function", "sin"],
-            ["check-matrix"],
-            ["moduli", "--function", "sin", "--x", "0.5"],
-        ]),
-        (CUTOFF_ORDERS, [
-            ["transform", "--function", "sin", "--x", "0.5"],
-            ["verify", "--theorem", "COR", "--function", "sin", "--x", "0.5"],
-        ]),
-    ],
-    "--n-list": [(CUTOFF_ORDERS, [
+    "--n": [(ORDERS, [
+        ["coeffs", "--function", "sin"],
+        ["check-matrix"],
+        ["moduli", "--function", "sin", "--x", "0.5"],
+        ["transform", "--function", "sin", "--x", "0.5"],
+        ["verify", "--theorem", "COR", "--function", "sin", "--x", "0.5"],
+    ])],
+    "--n-list": [(ORDERS, [
         ["transform", "--function", "sin", "--x", "0.5"],
         ["verify", "--theorem", "T2", "--function", "sin", "--x", "0.5"],
     ])],
@@ -99,8 +95,8 @@ def test_every_flag_has_an_accepted_neighbour():
         ["moduli", "--function", "sin", "--x=0.5", f"--delta={PI!r}"],
         ["verify", "--theorem", "T3", "--function", "sin", "--n-list=0", "--p=1.0"],
         ["verify", "--theorem", "T3", "--function", "sin", "--n=2", "--p=inf"],
-        ["verify", "--theorem", "T2", "--function", "sin", "--x=0.5", f"--n-list={DEFAULT_COEFF_CUTOFF}"],
-        ["transform", "--function", "sin", "--x=0.5", f"--n={DEFAULT_COEFF_CUTOFF}"],
+        ["verify", "--theorem", "T2", "--function", "sin", "--x=0.5", f"--n-list={cli.MAX_N}"],
+        ["transform", "--function", "sin", "--x=0.5", "--matrix-b=cesaro", f"--n={cli.MAX_N}"],
     ]
     for args in accepted:
         code, _, err = run(args)

@@ -33,9 +33,9 @@ from conjsum.functions import (
     graded_boundaries,
     sorted_unique,
 )
-from conjsum.kernels import partial_sum_table
+from conjsum.kernels import DEFAULT_COEFF_CUTOFF, partial_sum_table
 from conjsum.moduli import classical_modulus, modulus
-from conjsum.summability import cesaro, exact_cumsum, identity_matrix, nordlund
+from conjsum.summability import _check_transform_order, cesaro, exact_cumsum, identity_matrix, nordlund
 from conjsum.verify import (
     X_GRID_WEIGHT,
     BoundReport,
@@ -64,7 +64,8 @@ def ref_weights(A, B, n):
 
 
 def ref_transform(f, A, B, n, x, grid, conjugate=True):
-    sums = partial_sum_table(coefficients(f, grid), n, x, conjugate)
+    _check_transform_order(A, B, n)  # the order must name a row of A and of B
+    sums = partial_sum_table(coefficients(f, grid, max(n, DEFAULT_COEFF_CUTOFF)), n, x, conjugate)
     return math.fsum((ref_weights(A, B, n) * sums).tolist())
 
 
@@ -212,11 +213,11 @@ def test_transform_grid_matches_loop(pair, conjugate):
 
 
 def test_errors_follow_the_loop_order():
-    """Above the coefficient cutoff and at a singular point, the first failing (n, x) decides."""
+    """Past the matrix rows and at a singular point, the first failing (n, x) decides."""
     f = by_name("sawtooth")
     A, B = cesaro(700), cesaro(700)
     xs = [0.3, 0.0]
-    for ns in ([8, 600, 700], [600, 700], [0, 513]):
+    for ns in ([8, 600, 800], [600, 800], [0, 701]):
         for theorem_id in ("T1.5", "T1.51", "R1.6"):
             want = outcome(lambda: [ref_pointwise(theorem_id, f, A, B, x, n, DEFAULT_GRID) for n in ns for x in xs])
             assert outcome(pointwise_grid, theorem_id, f, A, B, ns, xs, DEFAULT_GRID) == want
@@ -224,15 +225,12 @@ def test_errors_follow_the_loop_order():
         assert outcome(norm_grid, f, A, B, ns, 1.0, True, DEFAULT_GRID, "T3") == want
         want = outcome(lambda: [r for x in xs for r in ref_corollary(f, A, B, ns, x, DEFAULT_GRID)])
         assert outcome(corollary_grid, f, A, B, ns, xs, DEFAULT_GRID) == want
-    assert outcome(pointwise_grid, "T1.5", f, A, B, [8, 600], xs, DEFAULT_GRID)[1] == (
+    assert outcome(pointwise_grid, "T1.5", f, A, B, [8, 800], xs, DEFAULT_GRID)[1] == (
         "x=0.0 is a known singular point of sawtooth"
     )
-    assert outcome(pointwise_grid, "T1.51", f, A, B, [8, 600], xs, DEFAULT_GRID)[1] == (
-        "order 600 exceeds coefficient cutoff N=512"
-    )
-    assert outcome(norm_grid, f, A, B, [0, 8, 513], 1.0, True, DEFAULT_GRID, "T3")[1] == (
-        "order 513 exceeds coefficient cutoff N=512"
-    )
+    past = "transform order n=800 is outside the matrix size (A: 700, B: 700)"
+    assert outcome(pointwise_grid, "T1.51", f, A, B, [8, 800], xs, DEFAULT_GRID)[1] == past
+    assert outcome(norm_grid, f, A, B, [0, 8, 800], 1.0, True, DEFAULT_GRID, "T3")[1] == past
     # a negative order fails in its own transform, not in the truncated conjugates of an earlier order
     negative = "transform order n=-1 is outside the matrix size (A: 700, B: 700)"
     assert outcome(pointwise_grid, "T1.51", f, A, B, [8, -1], xs, DEFAULT_GRID)[1] == negative

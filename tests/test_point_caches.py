@@ -2,8 +2,7 @@
 
 transform_value, lhs_theorem1, rhs_theorem1, rhs_theorem2 and lemma2_check
 read the AB weights kept on A, one partial-sum table per (f, x) and one
-modulus profile per (f, x, kind), each built once up to the coefficient
-cutoff.  The references here add the weights in a loop over r, take the
+modulus profile per (f, x, kind), each built once up to max(n, 512).  The references here add the weights in a loop over r, take the
 partial sums from fresh coefficients and the profiles straight from modulus,
 and every value must agree exactly (==).  The order checks run before any of
 those caches is read, so a failing call adds nothing to them, and a
@@ -15,10 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from conjsum import conjugate, moduli, summability, verify
+from conjsum import conjugate, moduli, verify
 from conjsum.conjugate import conjugate_at, conjugate_truncated, deviation_kernel_form
 from conjsum.functions import DEFAULT_GRID, PI, DomainError, by_name, corpus
-from conjsum.kernels import DEFAULT_COEFF_CUTOFF, CutoffError, fourier_coeffs, partial_sum_table
+from conjsum.kernels import DEFAULT_COEFF_CUTOFF, fourier_coeffs, partial_sum_table
 from conjsum.moduli import MODULUS_KINDS, lemma2_check, modulus, modulus_profile
 from conjsum.summability import MatrixValidationError, ab_weights, cesaro, identity_matrix, nordlund
 from conjsum.verify import lhs_theorem1, rhs_theorem1, rhs_theorem2, transform_value
@@ -99,13 +98,21 @@ def test_profile_above_the_cutoff(kind):
         assert len(profile.values) == n + 1 and not profile.values.flags.writeable
 
 
+def test_transform_above_512_reads_its_own_coefficients():
+    # every n <= 512 reads the N = 512 coefficients, and each n above 512 its own N = n set
+    f, x, A = by_name("hat"), 0.3, cesaro(1000)
+    for n in (1000, 8, DEFAULT_COEFF_CUTOFF, 513):
+        sums = partial_sum_table(fourier_coeffs(f, max(n, DEFAULT_COEFF_CUTOFF), DEFAULT_GRID), n, x, True)
+        assert transform_value(f, A, A, n, x) == math.fsum((ref_weights(A, A, n) * sums).tolist()), n
+
+
 def test_transform_errors_keep_their_order_and_cache_nothing():
     f = by_name("hat")
     small, big = cesaro(8), cesaro(700)
     cases = [
         (small, 9, MatrixValidationError, "transform order n=9 is outside the matrix size (A: 8, B: 8)"),
         (small, 600, MatrixValidationError, "transform order n=600 is outside the matrix size (A: 8, B: 8)"),
-        (big, 600, CutoffError, "order 600 exceeds coefficient cutoff N=512"),
+        (big, 701, MatrixValidationError, "transform order n=701 is outside the matrix size (A: 700, B: 700)"),
         (small, -1, MatrixValidationError, "transform order n=-1 is outside the matrix size (A: 8, B: 8)"),
     ]
     for A, n, error, message in cases:
@@ -138,7 +145,7 @@ NON_FINITE_CALLS = {
     "conjugate_at": lambda f, C, x: conjugate_at(f, x),
     "conjugate_truncated": lambda f, C, x: conjugate_truncated(f, x, 0.5),
     "deviation_kernel_form": lambda f, C, x: deviation_kernel_form(f, C, C, 4, x),
-    "check_condition_2_511": lambda f, C, x: summability.check_condition_2_511(f, x, 4),
+    "check_condition_2_511": lambda f, C, x: moduli.check_condition_2_511(f, x, 4),
 }
 
 

@@ -141,10 +141,10 @@ class TestLhsTheorem1:
         # A = delta row, B = identity: |S~_n f - conjugate|
         f, n, x = by_name("cos"), 5, 1.0
         I = identity_matrix(n)
-        from conjsum.kernels import partial_sum_table
+        from conjsum.kernels import DEFAULT_COEFF_CUTOFF, partial_sum_table
         from conjsum.verify import coefficients
 
-        sums = partial_sum_table(coefficients(f, grid), n, x, conjugate=True)
+        sums = partial_sum_table(coefficients(f, grid, DEFAULT_COEFF_CUTOFF), n, x, conjugate=True)
         want = abs(sums[n] - conjugate_at(f, x, grid=grid))
         assert lhs_theorem1(f, I, I, x, n, False, grid) == pytest.approx(want, abs=1e-12)
 
