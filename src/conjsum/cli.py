@@ -217,21 +217,23 @@ def _cmd_verify(args) -> int:
     norm = theorem in ("T3", "T4")
     if norm and args.x is not None:
         raise DomainError(f"--x does not apply to {theorem}, a norm over the default x grid")
-    if args.truncated and not norm:
-        raise DomainError(f"--truncated applies to T3 and T4 only, not {theorem}")
+    for flag, given in (("--p", args.p is not None), ("--truncated", args.truncated)):
+        if given and not norm:
+            raise DomainError(f"{flag} applies to T3 and T4 only, not {theorem}")
     if theorem == "T4" and args.matrix_a != "cesaro":
         raise DomainError(f"--matrix-a must be cesaro for T4, got {args.matrix_a}")
     f = _function_from(args)
     grid = _grid_from(args)
     ns = _n_values(args)
     xs = _x_values(args)
-    if not args.p >= 1:
-        raise DomainError(f"--p must satisfy 1 <= p <= inf, got {args.p}")
+    p = 2.0 if args.p is None else args.p
+    if not p >= 1:
+        raise DomainError(f"--p must satisfy 1 <= p <= inf, got {p}")
     A, B = _matrices_from(args, max(ns))
     if theorem in verify._POINTWISE_IDS:
         reports = verify.pointwise_grid(theorem, f, A, B, ns, xs, grid)
     elif norm:
-        reports = verify.norm_grid(f, A, B, ns, args.p, args.truncated, grid, theorem)
+        reports = verify.norm_grid(f, A, B, ns, p, args.truncated, grid, theorem)
     else:  # COR; argparse admits only verify.THEOREM_IDS
         reports = verify.corollary_grid(f, A, B, ns, xs, grid)
     columns = ["theorem", "function", "matrix_a", "matrix_b", "n", "x", "p", "lhs", "rhs", "ratio"]
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-list", type=int, nargs="+", default=None)
     p.add_argument("--x", type=float, default=None, help="single point of the pointwise ids and COR")
-    p.add_argument("--p", type=float, default=2.0, help="norm exponent of T3/T4, 1 <= p <= inf")
+    p.add_argument("--p", type=float, default=None, help="norm exponent of T3/T4 only (default 2), 1 <= p <= inf")
     p.add_argument("--truncated", action="store_true", help="T3/T4 against the truncated conjugate")
     p.set_defaults(func=_cmd_verify)
 

@@ -7,8 +7,10 @@ A ratio whose denominator vanishes while the numerator does not makes the
 condition unsatisfiable; the report then carries an infinite constant.
 Prefix sums are correctly rounded (exact_cumsum); each row's are computed once,
 in row blocks shared with checker 2.2 (TriangularMatrix.prefix_sums). Checkers
-2.2, 3.2 and both remarks cost O(n^2); 2.21 does n^3/6 multiply-adds in numpy
-in O(n) Python steps.
+2.2, 3.2 and both remarks cost O(n^2). Checker 2.21 bounds every column r in
+O(n) from its two rows of extreme a_{n,r+1}/a_{n,r} and scans row by row only
+the columns whose certified bound reaches the largest value found; that is
+O(n^2) on the builtin matrices and at worst the n^3/6 of scanning every column.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ ROW_SUM_TOL = 1e-9
 _FSUM_MARGIN = 1e-12  # row sums this close to ROW_SUM_TOL are decided by math.fsum
 DEFAULT_CHECKER_N_MAX = 128
 _BLOCK_ROWS, _BLOCK_ELEMENTS = 64, 2**12  # see _block_end; ab_weights adds _BLOCK_ROWS columns at a time
+_R_BLOCK, _SLACK, _TINY = 16, 16 * 2.0**-53, 2.0**-500  # checker 2.21: columns per block, 16 eps, see there
 
 
 class MatrixValidationError(ValueError):
@@ -270,29 +273,70 @@ def check_condition_2_2(A: TriangularMatrix) -> ConditionReport:
     return ConditionReport("2.2", best, witness)
 
 
+def _scan_2_21(A: TriangularMatrix, B: TriangularMatrix, r: int, n0: int, n1: int) -> tuple[float, int, int, int]:
+    """The first largest value of column r over rows n0 <= n < n1 as (value, n, r, l); l is the first argmax."""
+    a_r = A.dense[n0:n1, r]
+    nums = np.multiply.outer(a_r, B.row(r)[::-1])
+    nums -= np.multiply.outer(A.dense[n0:n1, r + 1], B.row(r + 1)[:0:-1])
+    np.abs(nums, out=nums)
+    nums *= (r + 1) ** 2
+    ls = nums.argmax(axis=1)
+    vals = nums[np.arange(a_r.size), ls] / np.where(a_r == 0.0, 1.0, a_r)
+    i = int(np.argmax(vals))
+    return float(vals[i]), n0 + i, r, int(ls[i])
+
+
+def _bounds_2_21(A: TriangularMatrix, B: TriangularMatrix, r0: int, r1: int, n_hi: int):
+    """Columns r0 <= r < r1: (first failure (n, r) or None, largest value at the extreme t rows, UB_r).
+
+    UB_r bounds every value of column r, or is 0 where each is exactly 0, or inf where an entry is too small.
+    """
+    a = A.dense[r0 + 1 : n_hi + 1, r0 : r1 + 1]
+    a_r, a_next = a[:, :-1], a[:, 1:]
+    below = np.arange(r0 + 1, n_hi + 1)[:, None] > np.arange(r0, r1)  # rows n > r
+    u, v = B.dense[r0:r1, :r1], B.dense[r0 + 1 : r1 + 1, 1 : r1 + 1]  # b_{r,k} and b_{r+1,k+1}, k = r - l
+    u_max, v_max, c = u.max(axis=1), v.max(axis=1), np.arange(r0 + 1.0, r1 + 1.0) ** 2
+    fails = below & (a_r == 0.0) & (a_next * v_max > 0.0)  # then some fl(a_{n,r+1} v_l) > 0
+    failure = None
+    if fails.any():
+        i, j = divmod(int(np.argmax(fails)), r1 - r0)
+        failure = (r0 + 1 + i, r0 + j)
+    live, cols = below & (a_r > 0.0), np.arange(r1 - r0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = a_next / np.where(live, a_r, 1.0)
+        ext = np.stack([np.where(live, t, np.inf).argmin(axis=0), np.where(live, t, -np.inf).argmax(axis=0)])
+        a_ext, a_next_ext = a_r[ext, cols], a_next[ext, cols]
+        nums = np.abs(a_ext[..., None] * u - a_next_ext[..., None] * v) * c[:, None]  # as _scan_2_21, k order
+        top = np.where(live[ext, cols], nums.max(axis=2) / a_ext, 0.0).max(axis=0)
+        # a rounded value is within (1 + eps)^3 of c|u_l - t v_l| plus c eps (1 + eps)^3 (u_l + t v_l), and
+        # the exact extreme t within 2 eps t of the rows found; 16 eps also covers rounding ub itself
+        ub =top * (1.0 + _SLACK) + _SLACK * c * (u_max + t[ext[1], cols] * v_max)
+    small = [(0.0 < x) & (x < _TINY) for x in (u, v, a_r, a_next)]
+    ub[small[0].any(axis=1) | small[1].any(axis=1) | ((small[2] | small[3]) & below).any(axis=0)] = math.inf
+    ub[~live.any(axis=0) | ((a_r == a_next) | ~below).all(axis=0) & (u == v).all(axis=1)] = 0.0
+    return failure, float(top.max()), ub
+
+
 def check_condition_2_21(A: TriangularMatrix, B: TriangularMatrix) -> ConditionReport:
-    """Smallest K with |a_{n,r} b_{r,r-l} - a_{n,r+1} b_{r+1,r+1-l}| <= K a_{n,r}/(r+1)^2."""
+    """Smallest K with |a_{n,r} b_{r,r-l} - a_{n,r+1} b_{r+1,r+1-l}| <= K a_{n,r}/(r+1)^2.
+
+    With t_n = a_{n,r+1}/a_{n,r} the value of row n is (r+1)^2 max_l |u_l - t_n v_l|, u_l = b_{r,r-l},
+    v_l = b_{r+1,r+1-l}: convex in t_n, so largest at the rows of smallest and largest t_n. Those two rows
+    of every r, in blocks of 16 columns, give an attained threshold and a certified bound
+    UB_r = max(V_lo, V_hi)(1 + 16 eps) + 16 eps (r+1)^2 (max u + max t max v) on each column's rounded
+    values; only the r with 0 < UB_r >= threshold are scanned row by row. A row with a_{n,r} = 0 fails
+    when fl(a_{n,r+1} max v) > 0, and a nonzero entry below 2^-500 (a product could underflow) sets UB_r = inf.
+    """
     n_hi = min(A.n_max, B.n_max)
-    best, failures = [(0.0, 0, 0, 0)], []
-    work, other = np.empty((2, n_hi * n_hi // 4 + n_hi + 1))  # holds each r's (n_hi - r) x (r + 1) block
-    for r in range(n_hi):
-        a_r, shape = A.dense[r + 1 : n_hi + 1, r], (n_hi - r, r + 1)
-        nums = np.multiply.outer(a_r, B.row(r)[::-1], out=work[: a_r.size * (r + 1)].reshape(shape))
-        a_next = A.dense[r + 1 : n_hi + 1, r + 1]
-        nums -= np.multiply.outer(a_next, B.row(r + 1)[:0:-1], out=other[: nums.size].reshape(shape))
-        np.abs(nums, out=nums)
-        nums *= (r + 1) ** 2
-        ls = nums.argmax(axis=1)
-        tops = nums[np.arange(a_r.size), ls]
-        zero = a_r == 0.0
-        bad = np.flatnonzero(zero & (tops > 0.0))
-        if bad.size:
-            failures.append((r + 1 + int(bad[0]), r, int(ls[bad[0]])))
-        vals = tops / np.where(zero, 1.0, a_r)
-        i = int(np.argmax(vals))
-        best.append((float(vals[i]), r + 1 + i, r, int(ls[i])))
+    blocks = [_bounds_2_21(A, B, r0, min(r0 + _R_BLOCK, n_hi), n_hi) for r0 in range(0, n_hi, _R_BLOCK)]
+    failures = [failure for failure, _, _ in blocks if failure is not None]
     if failures:
-        return ConditionReport("2.21", math.inf, min(failures))
+        n, r = min(failures)  # a_{n,r} = 0: the scanned value of row n is its numerator, and l its argmax
+        return ConditionReport("2.21", math.inf, _scan_2_21(A, B, r, n, n + 1)[1:])
+    threshold = max((top for _, top, _ in blocks), default=0.0)
+    ub = np.concatenate([np.empty(0)] + [ub for _, _, ub in blocks])
+    scan = np.flatnonzero((ub >= threshold) & (ub > 0.0)).tolist()
+    best = [(0.0, 0, 0, 0)] + [_scan_2_21(A, B, r, r + 1, n_hi + 1) for r in scan]
     # first maximum in (n, r) loop order: largest value, then smallest n, then smallest r
     val, *witness = max(best, key=lambda c: (c[0], -c[1], -c[2]))
     return ConditionReport("2.21", val, tuple(witness))

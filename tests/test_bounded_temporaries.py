@@ -1,11 +1,14 @@
-"""The two temporaries that grow with the order n stay bounded and change no bits.
+"""The temporaries that grow with the order n stay bounded and change no bits.
 
 ab_weights adds its triangle 64 columns at a time, starting each block at the
 row where B's nonzero part begins, and _increment_norms samples the classical
 increments 256 t at a time.  Both must give the bits of the one-shot
 expressions they replace: (A.row(n)[:, None] * B.dense[:n+1, :n+1]).sum(axis=0)
 and one _lp_norms call over every t.  tracemalloc then bounds their peaks
-at n = 4096, where the one-shot forms held 134 MB and about 160 MB.
+at n = 4096, where the one-shot forms held 134 MB and about 160 MB.  Checker
+2.21 bounds its columns 16 at a time, and tracemalloc bounds its peak at
+n = 384 and n = 4096, where a full scan in two work buffers of n^2/4 floats
+would hold 67 MB.
 """
 
 import gc
@@ -77,3 +80,11 @@ def test_classical_modulus_peak_at_4096():
     f = by_name("sawtooth")
     moduli._classical_table.cache_clear()
     assert peak_mb(lambda: moduli.classical_modulus(f, PI / (np.arange(4097) + 1.0), 2.0)) < 16.0
+
+
+def test_check_2_21_peaks():
+    # measured 0.31 MB at n = 384, under the 0.79 MB of a full scan in two n^2/4 buffers, and
+    # 2.3 MB at n = 4096: a 16-column block of A's rows and its temporaries
+    for n, bound in ((384, 0.79), (4096, 4.0)):
+        C = summability.cesaro(n)
+        assert peak_mb(lambda: summability.check_condition_2_21(C, C)) <= bound, n

@@ -128,11 +128,19 @@ class TestExitCodes:
         ("T2.trunc", ["--truncated"], "--truncated applies to T3 and T4 only, not T2.trunc"),
         ("COR", ["--truncated"], "--truncated applies to T3 and T4 only, not COR"),
         ("T4", ["--matrix-a", "identity"], "--matrix-a must be cesaro for T4, got identity"),
-    ])
+    ] + [(theorem, ["--p", "2"], f"--p applies to T3 and T4 only, not {theorem}")
+         for theorem in ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc", "COR")])
     def test_flag_the_theorem_ignores_exits_2(self, theorem, flags, message, capsys):
         # refused before the function is even looked up
         assert run_cli(["verify", "--theorem", theorem, "--function", "nosuch", "--n", "4"] + flags) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_norm_theorems_default_p_to_2(self, capsys):
+        args = ["verify", "--theorem", "T3", "--function", "sin", "--n", "4"]
+        assert run_cli(args) == 0
+        default = capsys.readouterr().out
+        assert run_cli(args + ["--p", "2"]) == 0
+        assert capsys.readouterr().out == default and ",nan,2," in default
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1", "4"])
     def test_eps_outside_domain_names_flag(self, eps, capsys):
