@@ -71,7 +71,8 @@ def conj_dirichlet_complement(k: int, t):
 
 
 def conj_dirichlet_matrix(k_max: int, t: np.ndarray, k_min: int = 0) -> np.ndarray:
-    """Rows k = k_min..k_max of sum_{nu=0}^{k} sin(nu t) at the given t: the closed form, or the direct sum."""
+    """Rows k = k_min..k_max of sum_{nu=0}^{k} sin(nu t) at the given t: the closed form, or the direct sum;
+    the closed form is off by up to 0.2 eps/(t/2) absolutely near t = 0 (8.4e-10 at t = 1e-7, k <= 1024)."""
     if not 0 <= k_min <= k_max:
         raise ValueError("kernel orders must satisfy 0 <= k_min <= k_max")
     t = np.asarray(t, dtype=float)

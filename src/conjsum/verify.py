@@ -119,8 +119,8 @@ def rhs_theorem2(
     f: PeriodicFunction, x: float, n: int, grid: GridSpec = DEFAULT_GRID
 ) -> float:
     """(1/(n+1)) sum_r [ (1/(r+1)) sum_{k<=r} w~_x(pi/(k+1)) ], plain modulus."""
-    values = modulus_profile(f, x, n, "w_tilde", grid).values
-    return float(np.mean(_averaged_modulus(values)))
+    avg = _averaged_modulus(modulus_profile(f, x, n, "w_tilde", grid).values)
+    return float(avg.sum() / len(avg))
 
 
 def lhs_theorem1(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, x: float, n: int, truncated: bool,

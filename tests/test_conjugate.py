@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,18 +26,43 @@ from conjsum.functions import (
     eval_psi,
     psi_breakpoints,
 )
-from conjsum.kernels import conj_dirichlet_matrix, fourier_coeffs, partial_sum_table
+from conjsum.kernels import fourier_coeffs, partial_sum_table
 from conjsum.moduli import modulus_profile
-from conjsum.summability import ab_weights, cesaro, delta_at_zero, identity_matrix
+from conjsum.summability import ab_weights, cesaro, delta_at_zero, identity_matrix, nordlund
 from conjsum.verify import transform_value
 
 from conftest import graded_integral
 
 PI = math.pi
 KERNEL_FORM_TOL = 1e-13  # kernel form against value - conjugate; 6.7e-16 measured
+REF_BITS = 160  # fraction bits of the fixed-point kernel-mean reference
 
 # the eps each x is asked for: the CLI column, every pi/(n+1) of a verify grid, and a tiny one
 TABLE_EPS = np.array(sorted(set(DEFAULT_EPS) | {PI / (n + 1) for n in range(513)} | {1e-300}))
+
+
+def sine_series_reference(weights, t):
+    """(sum_nu C_nu sin(nu t), [C_1, ..., C_n]) per weight vector, C_nu = sum_{k>=nu} c_k exactly.
+
+    e^{it} comes from mpmath at 40 digits; its powers and the sums are kept in
+    REF_BITS-bit fixed point (Python integers), all t at once, so the reference
+    is good to about n 2**-REF_BITS.
+    """
+    def fixed(value):
+        return int(mpmath.nint(mpmath.ldexp(value, REF_BITS)))
+
+    with mpmath.workdps(40):
+        powers = [mpmath.expj(x) for x in t.tolist()]
+        z_re, z_im = (np.array([fixed(part(z)) for z in powers], dtype=object) for part in (mpmath.re, mpmath.im))
+    tails = [np.cumsum([Fraction(c) for c in w[:0:-1].tolist()])[::-1].tolist() for w in weights]
+    sums = [np.zeros(len(t), dtype=object) for _ in weights]
+    p_re, p_im = z_re, z_im  # e^{i nu t} at nu = 1
+    for nu in range(1, max(map(len, tails), default=0) + 1):
+        for total, c in zip(sums, tails):
+            if nu <= len(c):
+                total += round(c[nu - 1] * 2**REF_BITS) * p_im
+        p_re, p_im = (p_re * z_re - p_im * z_im) >> REF_BITS, (p_re * z_im + p_im * z_re) >> REF_BITS
+    return [((total / 2 ** (2 * REF_BITS)).astype(float), c) for total, c in zip(sums, tails)]
 
 
 def per_eps_quadrature(f, x, eps, grid):
@@ -239,20 +266,19 @@ class TestDeviationKernelForm:
         with pytest.raises(SingularIntegrandError, match="not finite"), np.errstate(over="ignore"):
             deviation_kernel_form(f, D, D, 1, 0.0, grid)
 
-    def test_blocked_kernel_matches_one_matrix(self, grid, monkeypatch):
-        # up to 63 the kernel mean is one block, so the pair has the bits of weights @ matrix
-        t = np.concatenate([np.linspace(1e-9, PI, 997), [1e-4, 2e-3]])
-        C = cesaro(300)
-        for n in (0, 1, 17, 63, 64, 200, 300):
-            want = ab_weights(C, C, n) @ conj_dirichlet_matrix(n, t)
-            got = conjugate._weighted_kernel(ab_weights(C, C, n), t)
-            if n <= 63:
-                assert np.array_equal(got, want), n
-            assert np.allclose(got, want, rtol=1e-13, atol=1e-15), n
-        f = by_name("hat")
-        blocked = [deviation_kernel_form(f, C, C, n, 0.3, grid) for n in (1, 8, 63)]
-        monkeypatch.setattr(conjugate, "_weighted_kernel", lambda w, t: w @ conj_dirichlet_matrix(len(w) - 1, t))
-        assert blocked == [deviation_kernel_form(f, C, C, n, 0.3, grid) for n in (1, 8, 63)]
+    def test_kernel_mean_within_horner_bound(self):
+        # |K - ref| <= n eps sum |C_nu|, also at t = 1e-7 and 3e-6, where the closed-form rows lose up to 8e-10
+        t = np.concatenate([np.linspace(1e-9, PI, 997), [1e-4, 2e-3, 1e-7, 3e-6]])
+        orders = (0, 1, 17, 63, 64, 200, 300, 1024)
+        top = max(orders)
+        p = (np.arange(top + 1.0) + 1.0) ** -0.75
+        pairs = ((cesaro(top),) * 2, (identity_matrix(top),) * 2, (nordlund(p, top), nordlund(np.sqrt(p), top)))
+        weights = [ab_weights(A, B, n) for A, B in pairs for n in orders]
+        for w, (ref, tails) in zip(weights, sine_series_reference(weights, t)):
+            n = len(w) - 1
+            bound = n * np.finfo(float).eps * float(sum(abs(c) for c in tails))
+            err = float(np.max(np.abs(conjugate._kernel_mean(w, t) - ref)))
+            assert err <= bound, (n, err, bound)
 
     def test_high_order_holds_no_kernel_matrix(self, grid):
         f, C = by_name("hat"), cesaro(1024)
