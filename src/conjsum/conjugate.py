@@ -14,8 +14,8 @@ conjugate_at raises.
 
 deviation_kernel_form integrates both of its kernel integrands in one fine
 ``PanelSums`` on the same kind of mesh, with h = pi/(n+1) inserted as a boundary.
-Its kernel mean sum_k c_k D~_k(t) = sum_{nu<=n} C_nu sin(nu t), C_nu = sum_{k>=nu} c_k,
-is n Horner steps in e^{it} on O(nodes) memory, within n eps sum |C_nu| (tested, n <= 1024).
+Its kernel mean sum_k c_k D~_k(t) comes from the one kernel evaluator,
+kernels.conj_kernel_mean, within n eps sum |C_nu| of the exact series.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from .functions import (
     graded_boundaries,
     psi_breakpoints,
 )
-from .summability import TriangularMatrix, ab_weights, exact_cumsum
+from .kernels import conj_kernel_mean
+from .summability import TriangularMatrix, ab_weights
 
 CONJUGATE_TOL = 1e-8  # largest error estimate conjugate_at accepts
 
@@ -120,16 +121,6 @@ def conjugate_at(f: PeriodicFunction, x: float, grid: GridSpec = DEFAULT_GRID) -
     return value
 
 
-def _kernel_mean(weights: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k c_k D~_k(t) = Im(z P(z)), P(z) = sum_{nu=1}^{n} C_nu z^(nu-1) by Horner's rule at z = e^{it}."""
-    z = np.exp(1j * t)
-    acc = np.zeros_like(z)
-    for tail in exact_cumsum(weights[:0:-1]).tolist():  # C_n, ..., C_1
-        acc *= z
-        acc += tail
-    return (z * acc).imag
-
-
 def deviation_kernel_form(
     f: PeriodicFunction,
     A: TriangularMatrix,
@@ -155,7 +146,7 @@ def deviation_kernel_form(
 
     def integrands(t):
         psi = eval_psi(f, x, t)
-        kernel = _kernel_mean(weights, t)
+        kernel = conj_kernel_mean(weights, t)
         # psi K is kept below h only, so its total is its integral over (0, h]
         inner = np.where(t < bounds[below], psi * kernel, 0.0)
         return np.stack((inner, psi * (0.5 / np.tan(0.5 * t) - kernel)))

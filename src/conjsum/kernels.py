@@ -1,7 +1,10 @@
 """Conjugate Dirichlet kernels, Fourier coefficients and (conjugate) partial sums.
 
-The kernel rows k = k_min..k_max (``conj_dirichlet_matrix``) and the partial sums
-k = 0..n (``partial_sum_table``) each come from one evaluator; order k is row k.
+One evaluator gives every conjugate kernel: ``conj_kernel_mean`` sums
+sum_k c_k D~_k(t) = sum_{nu<=n} C_nu sin(nu t), C_nu = sum_{k>=nu} c_k, by n
+Horner steps in e^{it} on O(len(t)) memory, within n eps sum |C_nu| (tested,
+n <= 1024); D~_k itself is the mean of the unit weights e_k.  The partial sums
+k = 0..n (``partial_sum_table``) come from one pass; order k is row k.
 ``fourier_coeffs`` sums its quadrature with one inverse FFT per Gauss node.
 numpy.fft is reached on the first build, so importing the package does not load it.
 """
@@ -22,12 +25,12 @@ from .functions import (
     _gl_nodes,
     _gl_weights,
     _insert_points,
+    check_finite,
     gl_panels,
     gl_rule,
 )
+from .summability import exact_cumsum
 
-# Below this the closed forms are 0/0; the direct sum is finite everywhere.
-DIRECT_SUM_CUTOFF = 1e-8
 SINGULAR_CUTOFF = 1e-12
 
 DEFAULT_COEFF_CUTOFF = 512
@@ -70,22 +73,14 @@ def conj_dirichlet_complement(k: int, t):
     return float(out) if out.ndim == 0 else out
 
 
-def conj_dirichlet_matrix(k_max: int, t: np.ndarray, k_min: int = 0) -> np.ndarray:
-    """Rows k = k_min..k_max of sum_{nu=0}^{k} sin(nu t) at the given t: the closed form, or the direct sum;
-    the closed form is off by up to 0.2 eps/(t/2) absolutely near t = 0 (8.4e-10 at t = 1e-7, k <= 1024)."""
-    if not 0 <= k_min <= k_max:
-        raise ValueError("kernel orders must satisfy 0 <= k_min <= k_max")
-    t = np.asarray(t, dtype=float)
-    s = np.sin(0.5 * t)
-    near = np.abs(s) < DIRECT_SUM_CUTOFF
-    denom = np.where(near, 1.0, 2.0 * s)
-    ks = np.arange(k_min, k_max + 1)
-    out = (np.cos(0.5 * t) - np.cos(np.multiply.outer(2 * ks + 1, 0.5 * t))) / denom
-    if np.any(near):
-        nu = np.arange(k_max + 1, dtype=float)
-        direct = np.cumsum(np.sin(np.multiply.outer(nu, t[near])), axis=0)
-        out[:, near] = direct[k_min:]
-    return out
+def conj_kernel_mean(weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k c_k D~_k(t) = Im(z P(z)), P(z) = sum_{nu=1}^{n} C_nu z^(nu-1) by Horner's rule at z = e^{it}."""
+    z = np.exp(1j * t)
+    acc = np.zeros_like(z)
+    for tail in exact_cumsum(weights[:0:-1]).tolist():  # C_n, ..., C_1
+        acc *= z
+        acc += tail
+    return (z * acc).imag
 
 
 def fourier_coeffs(
@@ -165,11 +160,12 @@ def conj_partial_sum_integral(
     """S~_k f(x) through its kernel form -(1/pi) int f(x+t) D~_k(t) dt."""
     if k < 0:
         raise ValueError("partial-sum order must be nonnegative")
+    x = check_finite("x", x)
     panels = max(grid.m // 8, 4 * (k + 1), 16)
     base = np.linspace(-PI, PI, panels + 1)
     # t where f(x + t) reaches a breakpoint; _insert_points keeps those inside (-pi, pi)
     shifted = [(t0 - x) % TWO_PI for t0 in f.breakpoints]
     nodes, weights = gl_rule(_insert_points(base, shifted + [t - TWO_PI for t in shifted]))
-    kernel = conj_dirichlet_matrix(k, nodes, k_min=k)[0]
+    kernel = conj_kernel_mean(np.eye(1, k + 1, k)[0], nodes)  # D~_k as the mean of e_k
     values = np.asarray(f(x + nodes), dtype=float)
     return float(-np.dot(weights, values * kernel) / PI)

@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from conjsum.functions import (
     DEFAULT_GRID, GridSpec, PanelSums, _insert_points, corpus, fine_rule, graded_boundaries, registry
 )
+
+# every property test draws the same examples on every run; each test keeps its own max_examples
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def graded_integral(g, a, b, grid=DEFAULT_GRID, breakpoints=()):

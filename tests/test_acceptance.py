@@ -16,7 +16,7 @@ from conjsum.conjugate import (
     deviation_kernel_form,
 )
 from conjsum.functions import DEFAULT_GRID, by_name, corpus
-from conjsum.kernels import conj_dirichlet_matrix
+from conjsum.kernels import conj_kernel_mean
 from conjsum.moduli import (
     classical_modulus,
     modulus_profile,
@@ -35,6 +35,7 @@ from conjsum.summability import (
 )
 from conjsum.verify import (
     lhs_theorem1,
+    pointwise_grid,
     ratio_of,
     rhs_theorem1,
     rhs_theorem2,
@@ -63,19 +64,30 @@ def direct_kernel_table(k_max: int, t: np.ndarray) -> np.ndarray:
     return np.cumsum(np.sin(np.multiply.outer(nu, t)), axis=0)
 
 
+def library_kernel_table(k_max: int, t: np.ndarray) -> np.ndarray:
+    """Rows D~_0..D~_{k_max}, each the library's kernel mean of the unit weights e_k."""
+    return np.stack([conj_kernel_mean(np.eye(1, k + 1, k)[0], t) for k in range(k_max + 1)])
+
+
 def test_criterion_1_kernel_identities():
     t = kernel_t_grid()
     direct = direct_kernel_table(128, t)
-    closed = conj_dirichlet_matrix(128, t)
+    rows = library_kernel_table(128, t)
     half_cot = 0.5 / np.tan(0.5 * t)
     ks = np.arange(129)
-    complement = np.cos(np.multiply.outer(2 * ks + 1, 0.5 * t)) / (2.0 * np.sin(0.5 * t))
-    err_closed = float(np.max(np.abs(closed - direct)))
+    # the paper's closed forms: D~_k = (cos(t/2) - cos((2k+1)t/2)) / (2 sin(t/2)) and its complement
+    cos_k = np.cos(np.multiply.outer(2 * ks + 1, 0.5 * t))
+    closed = (np.cos(0.5 * t) - cos_k) / (2.0 * np.sin(0.5 * t))
+    complement = cos_k / (2.0 * np.sin(0.5 * t))
+    err_direct = float(np.max(np.abs(rows - direct)))
+    err_closed = float(np.max(np.abs(rows - closed)))
     err_comp = float(np.max(np.abs(complement - (half_cot - direct))))
-    err_identity = float(np.max(np.abs(closed + complement - half_cot)))
-    ok = err_closed <= 1e-10 and err_comp <= 1e-10 and err_identity <= 1e-10
+    err_identity = float(np.max(np.abs(rows + complement - half_cot)))
+    ok = max(err_direct, err_closed, err_comp, err_identity) <= 1e-10
     report(1, "kernel identities", ok,
-           f"closed-vs-direct {err_closed:.2e}, complement {err_comp:.2e}, cot split {err_identity:.2e}")
+           f"rows-vs-direct {err_direct:.2e}, rows-vs-closed {err_closed:.2e}, "
+           f"complement {err_comp:.2e}, cot split {err_identity:.2e}")
+    assert err_direct <= 1e-10
     assert err_closed <= 1e-10
     assert err_comp <= 1e-10
     assert err_identity <= 1e-10
@@ -89,7 +101,7 @@ def test_criterion_2_lemma1_bounds():
     t_wide = t_wide[np.abs(np.sin(t_wide / 2)) >= 1e-6]
     direct_half = direct_kernel_table(128, t_half)
     complement_half = 0.5 / np.tan(0.5 * t_half) - direct_half
-    kernels_wide = conj_dirichlet_matrix(128, t_wide)
+    kernels_wide = library_kernel_table(128, t_wide)
     ok = True
     for k in range(129):
         ok &= bool(np.all(np.abs(complement_half[k]) <= PI / (2 * t_half) * slack))
@@ -251,8 +263,23 @@ def _running_max_growth(rhs_kind: str, A, B) -> float:
                     assert math.isfinite(r), (f.name, x, n)
                     best = max(best, r)
         per_n_max.append(best)
+    return _growth(per_n_max)
+
+
+def _growth(per_n_max) -> float:
+    """Last over first running maximum of the per-n maximum ratios."""
     running = np.maximum.accumulate(per_n_max)
     return float(running[-1] / running[0])
+
+
+def _remark16_growth(A, B) -> float:
+    """_growth of the R1.6 report ratios over N_RANGE, corpus x default x grid."""
+    per_n_max = dict.fromkeys(N_RANGE, 0.0)
+    for f in corpus():
+        for rep in pointwise_grid("R1.6", f, A, B, N_RANGE, X_GRID, GRID):
+            assert math.isfinite(rep.ratio), (f.name, rep.x, rep.n)
+            per_n_max[rep.n] = max(per_n_max[rep.n], rep.ratio)
+    return _growth(list(per_n_max.values()))
 
 
 def test_criterion_7_bound_ratio_stability():
@@ -324,3 +351,23 @@ def test_criterion_10_cli_determinism(tmp_path):
     ok = a.read_bytes() == b.read_bytes()
     report(10, "cmd_verify determinism", ok, f"{a.stat().st_size} bytes each")
     assert ok
+
+
+def test_criterion_11_remark16_ratio_stability_and_negative_control():
+    C, I, D0 = cesaro(128), identity_matrix(128), delta_at_zero(128)
+    growths = {
+        "R1.6 cesaro/cesaro": _remark16_growth(C, C),
+        "R1.6 cesaro/identity": _remark16_growth(C, I),
+    }
+    # delta0 fails condition (2.2) (criterion 6: its remark-1 sum is H(n+1)), so its ratios must outgrow the bound
+    controls = {
+        "T2 delta0/cesaro": _running_max_growth("T2", D0, C),
+        "R1.6 delta0/cesaro": _remark16_growth(D0, C),
+    }
+    ok = all(g < 1.05 for g in growths.values()) and all(g > 1.05 for g in controls.values())
+    detail = ", ".join(f"{k} x{v:.4f}" for k, v in {**growths, **controls}.items())
+    report(11, "Remark 1.6 ratio running max, delta0 negative control", ok, detail)
+    for key, g in growths.items():
+        assert g < 1.05, key
+    for key, g in controls.items():
+        assert g > 1.05, key

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from conjsum.cli import DEFAULT_EPS
-from conjsum import conjugate
 from conjsum.conjugate import (
     CONJUGATE_TOL,
     ConvergenceError,
@@ -26,7 +25,7 @@ from conjsum.functions import (
     eval_psi,
     psi_breakpoints,
 )
-from conjsum.kernels import fourier_coeffs, partial_sum_table
+from conjsum.kernels import conj_kernel_mean, fourier_coeffs, partial_sum_table
 from conjsum.moduli import modulus_profile
 from conjsum.summability import ab_weights, cesaro, delta_at_zero, identity_matrix, nordlund
 from conjsum.verify import transform_value
@@ -277,7 +276,7 @@ class TestDeviationKernelForm:
         for w, (ref, tails) in zip(weights, sine_series_reference(weights, t)):
             n = len(w) - 1
             bound = n * np.finfo(float).eps * float(sum(abs(c) for c in tails))
-            err = float(np.max(np.abs(conjugate._kernel_mean(w, t) - ref)))
+            err = float(np.max(np.abs(conj_kernel_mean(w, t) - ref)))
             assert err <= bound, (n, err, bound)
 
     def test_high_order_holds_no_kernel_matrix(self, grid):

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conjsum.functions import PeriodicFunction, _insert_points, by_name, corpus, gl_rule
+from conjsum.functions import DomainError, PeriodicFunction, _insert_points, by_name, corpus, gl_rule
 from conjsum.kernels import (
     CutoffError,
     SingularKernelError,
     conj_dirichlet_complement,
-    conj_dirichlet_matrix,
+    conj_kernel_mean,
     conj_partial_sum_integral,
     fourier_coeffs,
     partial_sum_table,
@@ -65,8 +65,8 @@ def direct_kernel(k: int, t: float) -> float:
 
 
 def kernel_row(k: int, t) -> np.ndarray:
-    """Row k of conj_dirichlet_matrix at the points t."""
-    return conj_dirichlet_matrix(k, np.atleast_1d(np.asarray(t, dtype=float)))[k]
+    """D~_k at the points t: the kernel mean of the unit weights e_k."""
+    return conj_kernel_mean(np.eye(1, k + 1, k)[0], np.atleast_1d(np.asarray(t, dtype=float)))
 
 
 def kernel_grid():
@@ -82,7 +82,7 @@ class TestConjDirichlet:
         # direct summation: sin(pi/2) + sin(pi) = 1
         assert kernel_row(2, PI / 2)[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_closed_form_matches_direct_sum(self):
+    def test_row_matches_direct_sum(self):
         t = 0.37
         assert kernel_row(64, t)[0] == pytest.approx(direct_kernel(64, t), abs=1e-10)
 
@@ -93,31 +93,11 @@ class TestConjDirichlet:
         want = np.array([direct_kernel(k, float(ti)) for ti in t])
         assert np.max(np.abs(got - want)) < 1e-10
 
-    def test_near_singular_fallback(self):
-        # |sin(t/2)| < 1e-8 switches to the direct sum; at t = 2*pi that is 0
+    def test_near_zero_and_two_pi(self):
+        # near multiples of 2*pi, where the closed form is 0/0
         assert kernel_row(12, 2 * PI)[0] == pytest.approx(0.0, abs=1e-12)
-        t = 1e-9
-        assert kernel_row(12, t)[0] == pytest.approx(direct_kernel(12, t), abs=1e-12)
-
-    def test_matrix_rows_match_scalar(self):
-        # row k does not depend on how many rows are built, near 2*pi included
-        t = np.concatenate([kernel_grid()[::31], [2 * PI, 1e-9, -3e-9]])
-        mat = conj_dirichlet_matrix(16, t)
-        for k in (0, 3, 16):
-            assert np.array_equal(mat[k], kernel_row(k, t))
-            assert np.max(np.abs(mat[k] - [direct_kernel(k, float(ti)) for ti in t])) < 1e-12
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            conj_dirichlet_matrix(-1, np.array([0.5]))
-        with pytest.raises(ValueError):
-            conj_dirichlet_matrix(3, np.array([0.5]), k_min=4)
-
-    def test_first_row_keeps_the_bits_of_the_full_matrix(self):
-        t = np.concatenate([kernel_grid()[::31], [2 * PI, 1e-9, -3e-9]])
-        full = conj_dirichlet_matrix(16, t)
-        for k_min in (0, 1, 7, 16):
-            assert np.array_equal(conj_dirichlet_matrix(16, t, k_min=k_min), full[k_min:])
+        for t in (1e-9, -3e-9):
+            assert kernel_row(12, t)[0] == pytest.approx(direct_kernel(12, t), abs=1e-12)
 
 
 class TestConjDirichletComplement:
@@ -259,19 +239,29 @@ class TestPartialSums:
 class TestConjPartialSumIntegral:
     @staticmethod
     def reference(f, k, x, grid):
-        """The kernel-form integral with row k read from every row 0..k."""
+        """The kernel-form integral on the same nodes, with D~_k summed directly."""
         panels = max(grid.m // 8, 4 * (k + 1), 16)
         shifted = [(t0 - x) % (2 * PI) for t0 in f.breakpoints]
         cuts = shifted + [t - 2 * PI for t in shifted]
         nodes, weights = gl_rule(_insert_points(np.linspace(-PI, PI, panels + 1), cuts))
-        kernel = conj_dirichlet_matrix(k, nodes)[k]
+        kernel = np.sin(np.multiply.outer(np.arange(k + 1.0), nodes)).sum(axis=0)
         return float(-np.dot(weights, np.asarray(f(x + nodes)) * kernel) / PI)
 
-    def test_row_k_alone_keeps_the_value(self, grid):
+    def test_matches_the_direct_sum_kernel(self, grid):
         for f in corpus():
             for k in (0, 1, 5, 17, 32):
                 for x in (-0.55, 0.3, PI / 2):
-                    assert conj_partial_sum_integral(f, k, x, grid) == self.reference(f, k, x, grid)
+                    assert conj_partial_sum_integral(f, k, x, grid) == pytest.approx(
+                        self.reference(f, k, x, grid), rel=0, abs=1e-14)
+
+    def test_negative_order_rejected(self, grid):
+        with pytest.raises(ValueError):
+            conj_partial_sum_integral(by_name("sin"), -1, 0.3, grid)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_rejected(self, x, grid):
+        with pytest.raises(DomainError, match="x must be finite"):
+            conj_partial_sum_integral(by_name("sin"), 4, x, grid)
 
     def test_high_order_builds_one_row(self, grid):
         f = by_name("sawtooth")

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from conjsum.summability import (
 from conjsum.verify import coefficients, transform_value
 
 PI = math.pi
+EPS = 2.0**-53  # unit roundoff of a double
+CLOSED_FORM_NS = (2, 3, 17, 128, 512)
 
 
 def harmonic(n: int) -> float:
@@ -353,6 +356,14 @@ class TestCondition32:
                 best = max(best, diff)
         assert check_condition_3_2(B).min_constant == pytest.approx(best, rel=1e-15)
 
+    @pytest.mark.parametrize("n_max", CLOSED_FORM_NS)
+    def test_cesaro_closed_form(self, n_max):
+        # K = N/(N+1) at (r, l) = (N-1, 0), within a relative 4 eps (N+1); 0.67 eps (N+1) measured
+        rep = check_condition_3_2(cesaro(n_max))
+        want = Fraction(n_max, n_max + 1)
+        assert abs(Fraction(rep.min_constant) - want) <= 4 * EPS * (n_max + 1) * want
+        assert rep.witness == (n_max - 1, 0)
+
 
 class TestRemarks:
     def test_remark1_cesaro_collapses_to_one(self):
@@ -381,6 +392,13 @@ class TestRemarks:
             )
             best = max(best, total)
         assert check_remark2_condition(B, n) == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("n_max", CLOSED_FORM_NS)
+    def test_remark2_cesaro_closed_form(self, n_max):
+        # the maximum is at s = 1: H_N + 2/(N+1) - 2, within a relative 4 eps (N+1); 0.5 eps N measured
+        want = sum(Fraction(1, k) for k in range(1, n_max + 1)) + Fraction(2, n_max + 1) - 2
+        got = Fraction(check_remark2_condition(cesaro(n_max)))
+        assert abs(got - want) <= 4 * EPS * (n_max + 1) * want
 
     def test_remark2_tiny_matrix(self):
         assert check_remark2_condition(cesaro(1)) == 0.0
