@@ -3,7 +3,8 @@
 Every command resolves a RunConfig from flags, computes its table through the
 library and writes CSV or JSON.  Floats are serialized with 17 significant
 digits so every numeric field parses back to the identical double; JSON
-writes a non-finite float as null, CSV as nan or inf.  Rows are
+writes a non-finite float as null, CSV as nan or inf.  A CSV field that
+holds a comma, double quote, CR or LF is quoted as RFC 4180 says.  Rows are
 produced in sorted key order, never by completion order, so identical configs
 yield byte-identical files.
 
@@ -44,6 +45,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_field(value) -> str:
+    """_fmt(value); a string holding a comma, quote, CR or LF goes in double quotes, its quotes doubled (RFC 4180)."""
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return _fmt(value)
+
+
 def _json_value(value):
     # strict JSON has no NaN or Infinity: a non-finite float is written as null
     if isinstance(value, float) and not math.isfinite(value):
@@ -57,7 +65,7 @@ def _write_rows(columns: Sequence[str], rows: Iterable[tuple], out: str | None, 
     if fmt == "csv":
         text_rows = [",".join(columns)]
         for row in rows:
-            text_rows.append(",".join(_fmt(value) for value in row))
+            text_rows.append(",".join(_csv_field(value) for value in row))
         payload = "\n".join(text_rows) + "\n"
     else:
         payload = json.dumps(
@@ -226,9 +234,7 @@ def _cmd_verify(args) -> int:
     grid = _grid_from(args)
     ns = _n_values(args)
     xs = _x_values(args)
-    p = 2.0 if args.p is None else args.p
-    if not p >= 1:
-        raise DomainError(f"--p must satisfy 1 <= p <= inf, got {p}")
+    p = functions.check_exponent("--p", 2.0 if args.p is None else args.p)
     A, B = _matrices_from(args, max(ns))
     if theorem in verify._POINTWISE_IDS:
         reports = verify.pointwise_grid(theorem, f, A, B, ns, xs, grid)

@@ -8,6 +8,8 @@ end of a mesh, with an optional leading x axis.  The conjugate (anchored at pi),
 the moduli (anchored at 0) and check_condition_2_511 (a total) all integrate
 through it.  ``eval_psi`` and ``eval_phi`` are the one definition of the
 increments psi_x and phi_x; x may be an array that broadcasts against t.
+``lp_norms`` is the one discrete L^p norm over x, and ``check_exponent`` the
+one test of its exponent.
 """
 
 from __future__ import annotations
@@ -90,6 +92,13 @@ def check_finite(name: str, value) -> float:
     if not math.isfinite(value := float(value)):
         raise DomainError(f"{name} must be finite, got {value}")
     return value
+
+
+def check_exponent(name: str, p):
+    """p unchanged, after a test that 1 <= p <= inf (NaN fails)."""
+    if not p >= 1:
+        raise DomainError(f"{name} must satisfy 1 <= p <= inf, got {p}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -220,6 +229,13 @@ class PanelSums:
             else:
                 out[..., off] = self.cum[..., below] + self._integrals(self.bounds[below], t[off])
         return out
+
+
+def lp_norms(values: np.ndarray, p: float, h: float) -> np.ndarray:
+    """Discrete L^p norms over the last axis of values >= 0 at nodes of weight h; p = inf is the maximum."""
+    if math.isinf(p):
+        return values.max(axis=-1)
+    return (h * np.sum(values**p, axis=-1)) ** (1.0 / p)
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:

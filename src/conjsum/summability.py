@@ -97,7 +97,10 @@ class TriangularMatrix:
     def __init__(self, rows: Sequence[Sequence[float]], name: str = "matrix"):
         dense = _zeros(len(rows) - 1, name)
         for i, raw in enumerate(rows):
-            row = np.asarray(raw, dtype=float)
+            try:
+                row = np.asarray(raw, dtype=float)
+            except OverflowError:  # an integer beyond the largest double
+                raise MatrixValidationError(f"{name}: row {i} has an entry too large for a double") from None
             if row.ndim != 1 or len(row) != i + 1:
                 raise MatrixValidationError(
                     f"{name}: row {i} must have {i + 1} entries, got shape {row.shape}"
@@ -200,10 +203,21 @@ def nordlund(p: Sequence[float], n_max: int) -> TriangularMatrix:
 
 def load_matrix_json(path: str) -> TriangularMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise MatrixValidationError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict) or "rows" not in data:
         raise MatrixValidationError(f"{path}: expected an object with a 'rows' field")
-    return TriangularMatrix(data["rows"], name=str(data.get("name", path)))
+    rows, name = data["rows"], data.get("name", path)
+    if not isinstance(rows, list):
+        raise MatrixValidationError(f"{path}: 'rows' must be a list of rows")
+    if not isinstance(name, str):
+        raise MatrixValidationError(f"{path}: 'name' must be a string")
+    for i, row in enumerate(rows):  # JSON numbers only: no bools, strings or nested values
+        if not isinstance(row, list) or not set(map(type, row)) <= {int, float}:
+            raise MatrixValidationError(f"{path}: row {i} must be a list of numbers")
+    return TriangularMatrix(rows, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import kernels, summability
 from .conjugate import conjugate_at, conjugate_truncated, default_x_grid
-from .functions import DEFAULT_GRID, PI, GridSpec, PeriodicFunction, check_finite
+from .functions import DEFAULT_GRID, PI, GridSpec, PeriodicFunction, check_exponent, check_finite, lp_norms
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, fourier_coeffs
-from .moduli import _check_p, classical_modulus, modulus_profile
+from .moduli import classical_modulus, modulus_profile
 from .summability import TriangularMatrix, exact_cumsum
 
 THEOREM_IDS = ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc", "T3", "T4", "COR")
@@ -203,18 +203,14 @@ def norm_grid(
     The lhs norm is discrete over the default evaluation grid (weight pi/16
     per point, max for p = inf); the rhs uses the classical L^p moduli.
     """
-    _check_p(p)
+    check_exponent("p", p)
     deviation = _deviations(f, A, B, ns, truncated, grid)
     xs = default_x_grid()
     top = min(max(ns, default=0), A.n_max)  # an order past A fails in its transform
     inner = _averaged_modulus(classical_modulus(f, PI / (np.arange(top + 1) + 1.0), p, grid))
     reports = []
     for n in ns:
-        devs = np.array([deviation(n, x) for x in xs])
-        if math.isinf(p):
-            lhs = float(devs.max())
-        else:
-            lhs = float((X_GRID_WEIGHT * np.sum(devs**p)) ** (1.0 / p))
+        lhs = float(lp_norms(np.array([deviation(n, x) for x in xs]), p, X_GRID_WEIGHT))
         rhs = _row_mean(A, n, inner)
         metadata = {
             "function": f.name,

@@ -4,7 +4,7 @@ ab_weights adds its triangle 64 columns at a time, starting each block at the
 row where B's nonzero part begins, and _increment_norms samples the classical
 increments 256 t at a time.  Both must give the bits of the one-shot
 expressions they replace: (A.row(n)[:, None] * B.dense[:n+1, :n+1]).sum(axis=0)
-and one _lp_norms call over every t.  tracemalloc then bounds their peaks
+and one lp_norms call over every t.  tracemalloc then bounds their peaks
 at n = 4096, where the one-shot forms held 134 MB and about 160 MB.  Checker
 2.21 bounds its columns 16 at a time, and tracemalloc bounds its peak at
 n = 384 and n = 4096, where a full scan in two work buffers of n^2/4 floats
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conjsum import moduli, summability
-from conjsum.functions import DEFAULT_GRID, PI, by_name
+from conjsum.functions import DEFAULT_GRID, PI, TWO_PI, by_name, lp_norms
 
 ORDERS = [0, 1, 63, 64, 65, 700, 4096]
 MATRICES = {
@@ -54,7 +54,7 @@ def test_chunked_increment_norms_match_one_shot():
     x = moduli._x_nodes(DEFAULT_GRID)[None, :]
     increments = np.abs(moduli._INCREMENTS["psi"](f, x, t[:, None]))
     for p in (1.0, 2.0, 3.5, np.inf):
-        one_shot = moduli._lp_norms(increments, p, DEFAULT_GRID)
+        one_shot = lp_norms(increments, p, TWO_PI / DEFAULT_GRID.m)
         assert moduli._increment_norms(f, t, p, "psi", DEFAULT_GRID).tobytes() == one_shot.tobytes(), p
 
 

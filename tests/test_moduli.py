@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conjsum import moduli
-from conjsum.functions import DomainError, by_name, corpus
+from conjsum.functions import DomainError, by_name, corpus, lp_norms
 from conjsum.moduli import (
     classical_modulus,
     lemma2_check,
@@ -160,6 +160,15 @@ class TestLpNorm:
     def test_nan_p_rejected(self, grid):
         with pytest.raises(DomainError):
             lp_norm(np.sin, math.nan, grid)
+
+    def test_array_norms_keep_the_bits_of_sum_and_sqrt(self, grid):
+        # numpy maps an array's **1.0 to a copy and **0.5 to sqrt, so the classical
+        # moduli (rows of norms) need no p = 1 or p = 2 branch to keep their bits
+        x = moduli._x_nodes(grid)[None, :]
+        values = np.abs(moduli._INCREMENTS["psi"](by_name("hat"), x, PI / np.arange(1.0, 300.0)[:, None]))
+        h = 2 * PI / grid.m
+        assert lp_norms(values, 1.0, h).tobytes() == (h * values.sum(axis=-1)).tobytes()
+        assert lp_norms(values, 2.0, h).tobytes() == np.sqrt(h * np.sum(values**2, axis=-1)).tobytes()
 
 
 class TestClassicalModulus:
