@@ -6,7 +6,9 @@ The engine is 8-node Gauss-Legendre panels (``gl_panels``, ``gl_rule``, and
 endpoint, and ``PanelSums``: running sums of panel integrals from one anchored
 end of a mesh, with an optional leading x axis.  The conjugate (anchored at pi),
 the moduli (anchored at 0) and check_condition_2_511 (a total) all integrate
-through it.  ``eval_psi`` and ``eval_phi`` are the one definition of the
+through it, on meshes that ``_insert_points`` merges: the one rule for cutting
+panels at extra points, which drops a boundary within 1e-15 of the one below
+it.  ``eval_psi`` and ``eval_phi`` are the one definition of the
 increments psi_x and phi_x; x may be an array that broadcasts against t.
 ``lp_norms`` is the one discrete L^p norm over x, and ``check_exponent`` the
 one test of its exponent.
@@ -249,16 +251,13 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 def _insert_points(boundaries: np.ndarray, points: Sequence[float]) -> np.ndarray:
-    if not len(points):
+    """boundaries (sorted) with the points inside them added, less each boundary within 1e-15 above the last one kept."""
+    points = np.asarray(points, dtype=float)
+    extra = points[(boundaries[0] < points) & (points < boundaries[-1])]
+    if not len(extra):
         return boundaries
-    a, b = boundaries[0], boundaries[-1]
-    extra = [p for p in points if a < p < b]
-    if not extra:
-        return boundaries
-    merged = sorted_unique(np.concatenate([boundaries, np.asarray(extra, dtype=float)]))
-    # drop near-duplicates that would create zero-width panels
-    keep = np.concatenate([[True], np.diff(merged) > 1e-15 * max(1.0, abs(b - a))])
-    return merged[keep]
+    merged = sorted_unique(np.concatenate([boundaries, extra]))
+    return merged[np.concatenate([[True], np.diff(merged) > 1e-15])]
 
 
 @lru_cache(maxsize=256)

@@ -39,10 +39,6 @@ class SingularKernelError(ValueError):
     """The complementary kernel was evaluated at a multiple of 2*pi."""
 
 
-class CutoffError(ValueError):
-    """Requested partial-sum order exceeds the coefficient cutoff."""
-
-
 @dataclass(frozen=True)
 class FourierCoefficients:
     """a0 and (a_nu, b_nu) for nu = 1..N."""
@@ -102,16 +98,15 @@ def fourier_coeffs(
     h = TWO_PI / panels
     nodes = (-PI + h * (np.arange(panels) + 0.5))[:, None] + 0.5 * h * _gl_nodes
     values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape) * (0.5 * h * _gl_weights)
-    # sub-panel boundaries of each panel a breakpoint cuts; a breakpoint within
-    # _insert_points' tolerance of a panel boundary lies on it and cuts nothing
-    tol = 1e-15 * TWO_PI
+    # sub-panel boundaries of each panel a breakpoint cuts
     cut = {}
     for t in f.breakpoints:
         if -PI < t < PI:
             p = min(int((t + PI) / h), panels - 1)
             lo = -PI + p * h
-            if t - lo > tol and lo + h - t > tol:
-                cut[p] = _insert_points(np.array([lo, lo + h]), f.breakpoints)
+            bounds = _insert_points(np.array([lo, lo + h]), f.breakpoints)
+            if len(bounds) > 2:
+                cut[p] = bounds
     values[list(cut)] = 0.0
     nu = np.arange(N + 1)
     # e^{i nu c_p} = (-1)^nu e^{2 pi i nu p / P} e^{i nu h / 2}: every phase below is under 2 pi
@@ -131,16 +126,12 @@ def fourier_coeffs(
     return FourierCoefficients(a0=float(z[0].real), a=z[1:].real.copy(), b=z[1:].imag.copy(), N=N)
 
 
-def _check_order(c: FourierCoefficients, k: int):
-    if k < 0:
-        raise ValueError("partial-sum order must be nonnegative")
-    if k > c.N:
-        raise CutoffError(f"order {k} exceeds coefficient cutoff N={c.N}")
-
-
 def partial_sum_table(c: FourierCoefficients, n: int, x: float, conjugate: bool) -> np.ndarray:
     """S~_k f(x) (or S_k f(x)) for k = 0..n in one pass."""
-    _check_order(c, n)
+    if not 0 <= n <= c.N:
+        raise ValueError(
+            f"order {n} exceeds coefficient cutoff N={c.N}" if n > 0 else "partial-sum order must be nonnegative"
+        )
     nu = np.arange(1, n + 1, dtype=float)
     if conjugate:
         terms = c.a[:n] * np.sin(nu * x) - c.b[:n] * np.cos(nu * x)

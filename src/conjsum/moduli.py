@@ -103,17 +103,12 @@ def _bisect_roots(g, lo: np.ndarray, hi: np.ndarray, iters: int = 52) -> np.ndar
     return 0.5 * (lo + hi)
 
 
-def _panel_bounds(pieces: list[np.ndarray]) -> np.ndarray:
-    bounds = sorted_unique(np.concatenate(pieces))
-    return bounds[np.concatenate([[True], np.diff(bounds) > 1e-15])]
-
-
-def _master_pieces(panels: int, refinement: int) -> list[np.ndarray]:
-    return [
+def _master_bounds(panels: int, refinement: int, breaks=()) -> np.ndarray:
+    """Uniform panels of (0, pi] cut at the dyadic cascade, every pi/(k+1) up to k = 256, and breaks."""
+    return _insert_points(
         np.linspace(0.0, PI, panels + 1),
-        PI * 2.0 ** (-np.arange(1.0, refinement + 17.0)),
-        PI / (np.arange(257.0) + 1.0),
-    ]
+        np.concatenate([PI * 2.0 ** (-np.arange(1.0, refinement + 17.0)), PI / (np.arange(257.0) + 1.0), breaks]),
+    )
 
 
 def _average(table: PanelSums, deltas: np.ndarray) -> np.ndarray:
@@ -146,12 +141,11 @@ def _bar(table: PanelSums, deltas: np.ndarray) -> np.ndarray:
 def _cumulative(f: PeriodicFunction, x: float, kind: str, grid: GridSpec) -> PanelSums:
     """One x: master boundaries plus psi's jumps and the roots of the increment."""
     signed = partial(_INCREMENTS[kind], f, x)
-    breaks = np.asarray(psi_breakpoints(f, x), dtype=float)
-    bounds = _panel_bounds(_master_pieces(grid.m // 2, grid.refinement) + [breaks])
+    bounds = _master_bounds(grid.m // 2, grid.refinement, psi_breakpoints(f, x))
     vals = np.asarray(signed(bounds[1:]), dtype=float)
     flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
     if len(flips):
-        bounds = _panel_bounds([bounds, _bisect_roots(signed, bounds[1:][flips], bounds[2:][flips])])
+        bounds = _insert_points(bounds, _bisect_roots(signed, bounds[1:][flips], bounds[2:][flips]))
     return PanelSums(_abs_increment(f, x, kind), bounds)
 
 
@@ -159,7 +153,7 @@ def _cumulative(f: PeriodicFunction, x: float, kind: str, grid: GridSpec) -> Pan
 def _node_table(f: PeriodicFunction, kind: str, grid: GridSpec) -> PanelSums:
     """Every uniform x node at once, on the master boundaries only: the build step of _node_values."""
     x = _x_nodes(grid)[:, None, None]
-    bounds = _panel_bounds(_master_pieces(min(grid.m // 2, _TABLE_MAX_PANELS), grid.refinement))
+    bounds = _master_bounds(min(grid.m // 2, _TABLE_MAX_PANELS), grid.refinement)
     cum = np.empty((grid.m, len(bounds)))
     for s in range(0, grid.m, _TABLE_ROWS):
         cum[s : s + _TABLE_ROWS] = PanelSums(_abs_increment(f, x[s : s + _TABLE_ROWS], kind), bounds).cum

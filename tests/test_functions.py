@@ -13,6 +13,7 @@ from conjsum.functions import (
     SingularIntegrandError,
     _gl_nodes,
     _gl_weights,
+    _insert_points,
     by_name,
     corpus,
     eval_phi,
@@ -207,6 +208,26 @@ class TestPanelSums:
     def test_nonfinite_value_raises(self):
         with np.errstate(divide="ignore"), pytest.raises(SingularIntegrandError, match="not finite"):
             PanelSums(lambda t: 1.0 / (t - t), self.BOUNDS)
+
+
+class TestInsertPoints:
+    """The one near-duplicate rule of every panel mesh: an absolute 1e-15, whatever the span."""
+
+    @pytest.mark.parametrize("a, b", [(0.0, PI / 9), (0.0, PI), (-PI, PI)])
+    def test_a_point_2e_15_away_is_kept_and_one_5e_16_away_merged(self, a, b):
+        base = np.linspace(a, b, 9)
+        c = base[3]
+        for side in (1.0, -1.0):
+            kept = _insert_points(base, [c + side * 2e-15])
+            assert len(kept) == len(base) + 1 and c in kept and c + side * 2e-15 in kept
+        assert np.array_equal(_insert_points(base, np.array([c + 5e-16])), base)
+        merged = _insert_points(base, [c - 5e-16])
+        assert len(merged) == len(base) and c not in merged and c - 5e-16 in merged
+
+    def test_points_outside_the_span_are_ignored(self):
+        base = np.linspace(0.0, PI, 5)
+        assert _insert_points(base, [-1.0, 0.0, PI, 4.0]) is base
+        assert _insert_points(base, []) is base
 
 
 class TestCorpus:

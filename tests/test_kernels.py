@@ -10,7 +10,6 @@ import pytest
 
 from conjsum.functions import DomainError, PeriodicFunction, _insert_points, by_name, corpus, gl_rule
 from conjsum.kernels import (
-    CutoffError,
     SingularKernelError,
     conj_dirichlet_complement,
     conj_kernel_mean,
@@ -185,9 +184,17 @@ class TestFourierCoeffs:
     def test_breakpoint_within_tolerance_of_panel_boundary_cuts_nothing(self, grid):
         # at N = 32 the default grid has 128 panels, and -pi/2 is one of their boundaries
         want = fourier_coeffs(by_name("cos"), 32, grid)
-        for t in (-PI / 2 - 2e-15, -PI / 2 + 2e-15):
+        for t in (-PI / 2 - 5e-16, -PI / 2 + 5e-16):
             got = fourier_coeffs(PeriodicFunction(name="cos", eval=np.cos, breakpoints=(t,)), 32, grid)
             assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b), t
+
+    def test_breakpoint_beyond_tolerance_of_panel_boundary_cuts(self, grid):
+        # 2e-15 is outside _insert_points' 1e-15, so the panel is summed on its two sub-panels
+        want = fourier_coeffs(by_name("cos"), 32, grid)
+        for t in (-PI / 2 - 2e-15, -PI / 2 + 2e-15):
+            got = fourier_coeffs(PeriodicFunction(name="cos", eval=np.cos, breakpoints=(t,)), 32, grid)
+            assert not (np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)), t
+            assert np.allclose(got.a, want.a, rtol=0, atol=1e-14) and np.allclose(got.b, want.b, rtol=0, atol=1e-14), t
 
     @pytest.mark.parametrize("N", [128, 512, 2000])
     def test_corpus_matches_known_coeffs(self, N, all_functions, grid):
@@ -230,10 +237,15 @@ class TestPartialSums:
 
     def test_cutoff_error(self, grid):
         c = fourier_coeffs(by_name("sin"), 4, grid)
-        with pytest.raises(CutoffError):
+        with pytest.raises(ValueError, match="exceeds coefficient cutoff"):
             partial_sum_table(c, 5, 0.0, conjugate=False)
-        with pytest.raises(CutoffError):
+        with pytest.raises(ValueError, match="exceeds coefficient cutoff"):
             partial_sum_table(c, 5, 0.0, conjugate=True)
+
+    def test_negative_order(self, grid):
+        c = fourier_coeffs(by_name("sin"), 4, grid)
+        with pytest.raises(ValueError, match="^partial-sum order must be nonnegative$"):
+            partial_sum_table(c, -1, 0.0, conjugate=True)
 
 
 class TestConjPartialSumIntegral:

@@ -1,10 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from conjsum import moduli
-from conjsum.functions import DomainError, by_name, corpus, lp_norms
+from conjsum.functions import DomainError, GridSpec, _insert_points, by_name, corpus, lp_norms, psi_breakpoints
 from conjsum.moduli import (
     classical_modulus,
     lemma2_check,
@@ -141,6 +142,37 @@ class TestProfiles:
         for kind in ("w", "w_bar", "w_tilde", "w_tilde_bar"):
             prof = modulus_profile(f, 0.33, 32, kind, grid)
             assert np.max(np.abs(prof.values)) < 1e-12
+
+
+class TestPanelMeshes:
+    """Both modulus tables cut (0, pi] with functions._insert_points and no rule of their own."""
+
+    GRIDS = [GridSpec(), GridSpec(m=64, refinement=6)]
+
+    @staticmethod
+    def master(panels: int, grid: GridSpec):
+        dyadic = PI * 2.0 ** -np.arange(1.0, grid.refinement + 17.0)
+        return np.linspace(0.0, PI, panels + 1), np.concatenate([dyadic, PI / np.arange(1.0, 258.0)])
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["default", "m64"])
+    def test_cumulative_is_master_and_breaks_then_roots(self, grid):
+        uniform, points = self.master(grid.m // 2, grid)
+        for f in corpus():
+            for x in (-PI / 8, 0.0, 0.3, 2.0, PI):
+                for kind in ("psi", "phi"):
+                    bounds = _insert_points(uniform, np.concatenate([points, psi_breakpoints(f, x)]))
+                    signed = partial(moduli._INCREMENTS[kind], f, x)
+                    vals = signed(bounds[1:])
+                    flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+                    roots = moduli._bisect_roots(signed, bounds[1:][flips], bounds[2:][flips])
+                    got = moduli._cumulative(f, x, kind, grid).bounds
+                    assert np.array_equal(got, _insert_points(bounds, roots)), (f.name, x, kind)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["default", "m64"])
+    def test_node_table_is_the_master_set(self, grid):
+        uniform, points = self.master(min(grid.m // 2, moduli._TABLE_MAX_PANELS), grid)
+        got = moduli._node_table(by_name("hat"), "psi", grid).bounds
+        assert np.array_equal(got, _insert_points(uniform, points))
 
 
 class TestLpNorm:

@@ -403,6 +403,24 @@ class TestRemarks:
     def test_remark2_tiny_matrix(self):
         assert check_remark2_condition(cesaro(1)) == 0.0
 
+    def test_remark2_equals_the_max_over_every_suffix(self):
+        # the scan that takes an fsum at every s: its maximum is the s = 1 sum, bit for bit
+        def every_suffix(B, n):
+            inner, best = np.zeros(max(n, 0)), 0.0
+            for s in range(n - 1, 0, -1):
+                inner[s:] += np.abs(np.diff(B.dense[: n + 1, : n + 1].diagonal(-s)))
+                best = max(best, math.fsum(inner[s:].tolist()))
+            return best
+
+        rng = np.random.default_rng(7)
+        n_max = 96
+        raw = np.tril(rng.random((n_max + 1, n_max + 1)) ** 3)
+        stochastic = TriangularMatrix([row[: i + 1] / math.fsum(row[: i + 1]) for i, row in enumerate(raw)])
+        powers = nordlund([(k + 1.0) ** -0.75 for k in range(n_max + 1)], n_max)
+        for B in (cesaro(n_max), identity_matrix(n_max), delta_at_zero(n_max), powers, stochastic):
+            for n in (0, 1, 2, 17, n_max):
+                assert check_remark2_condition(B, n) == every_suffix(B, n), n
+
     @pytest.mark.parametrize("n", [7, -1])
     def test_remark1_order_outside_the_rows(self, n):
         with pytest.raises(MatrixValidationError, match=rf"remark1 needs .*{n}.* 5$"):
