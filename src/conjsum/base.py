@@ -1,0 +1,67 @@
+"""The exit-code exceptions, GridSpec and the theorem and modulus names: what the CLI needs at load, without numpy.
+
+Each name is also importable from the module that uses it (functions, summability, conjugate, moduli, verify).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+THEOREM_IDS = ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc", "T3", "T4", "COR")
+MODULUS_KINDS = ("w", "w_bar", "w_tilde", "w_tilde_bar")
+
+# At this m the moduli node table takes about 104 MB and each 256*m increment
+# array of the classical moduli 34 MB.
+MAX_GRID_M = 2**14
+# Depth 64 grades down to pi * 2**-64 = 1.7e-19; near depth 1050, t/2 underflows to 0 at the finest nodes.
+MAX_GRID_REFINEMENT = 64
+
+
+class SingularIntegrandError(ValueError):
+    """The integrand produced a non-finite value at a quadrature node."""
+
+
+class DomainError(ValueError):
+    """An argument fell outside the operation's stated domain."""
+
+
+class UnknownNameError(KeyError):
+    """A name the registry does not hold; a KeyError whose message prints unquoted."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
+class ConvergenceError(RuntimeError):
+    """The quadrature error estimate exceeded conjugate.CONJUGATE_TOL; last_values is (value, est_error)."""
+
+    def __init__(self, message, last_values):
+        super().__init__(message)
+        self.last_values = tuple(last_values)
+
+
+class MatrixValidationError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Quadrature resolution: m nodes per period (16 <= m <= 2**14), dyadic grading depth (1 to 64)."""
+
+    m: int = 1024
+    refinement: int = 24
+
+    def __post_init__(self):
+        if self.m < 16:
+            raise DomainError(f"grid m must be >= 16, got {self.m}")
+        if self.m > MAX_GRID_M:
+            raise DomainError(f"grid m must be <= {MAX_GRID_M}, got {self.m}")
+        if self.m % 2 != 0:
+            raise DomainError(f"grid m must be even, got {self.m}")
+        if self.refinement < 1:
+            raise DomainError(f"refinement must be positive, got {self.refinement}")
+        if self.refinement > MAX_GRID_REFINEMENT:
+            raise DomainError(f"refinement must be <= {MAX_GRID_REFINEMENT}, got {self.refinement}")
+
+
+DEFAULT_GRID = GridSpec()

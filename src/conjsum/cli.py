@@ -11,6 +11,12 @@ yield byte-identical files.
 Exit codes: 0 ok, 1 numerical failure (error estimate over tolerance, singular
 integrand), 2 configuration error (unknown names, bad JSON, out-of-range or
 non-finite parameters).
+
+At load only base (exit-code exceptions, GridSpec, the parser's names) and
+summability are imported; each command imports what it runs: check-matrix
+nothing more, list functions, coeffs kernels, conjugate and moduli their
+namesakes (and conjugate for the default x grid), transform and verify verify.
+Without bytecode a module left out saves its compile time too.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ import math
 import sys
 from typing import Iterable, Sequence
 
-from . import conjugate as conj
-from . import functions, kernels, moduli, summability, verify
-from .functions import DomainError, GridSpec, SingularIntegrandError
+from . import summability
+from .base import (DEFAULT_GRID, MODULUS_KINDS, THEOREM_IDS, ConvergenceError, DomainError, GridSpec,
+                   MatrixValidationError, SingularIntegrandError, UnknownNameError)
 
 # builtin --matrix-a / --matrix-b name -> builder taking n_max
 _MATRIX_BUILDERS = {
@@ -32,7 +38,7 @@ _MATRIX_BUILDERS = {
 BUILTIN_MATRICES = tuple(_MATRIX_BUILDERS)
 
 # the conjugate command's default eps column: pi * 2**-j for j = 1..20
-DEFAULT_EPS = tuple(functions.PI * 2.0 ** (-j) for j in range(1, 21))
+DEFAULT_EPS = tuple(math.pi * 2.0 ** (-j) for j in range(1, 21))
 
 # largest --n / --n-list of every command, checked before anything is built:
 # check-matrix, verify and transform hold one or two dense (n+1)^2 matrices, 134 MB each at 4096
@@ -85,8 +91,9 @@ def _grid_from(args) -> GridSpec:
         raise DomainError(f"--grid-m / --grid-refinement: {exc}") from None
 
 
-def _function_from(args) -> functions.PeriodicFunction:
-    return functions.by_name(args.function)
+def _function_from(args):
+    from .functions import by_name
+    return by_name(args.function)
 
 
 def _matrix_from(spec: str, n_max: int) -> summability.TriangularMatrix:
@@ -95,9 +102,7 @@ def _matrix_from(spec: str, n_max: int) -> summability.TriangularMatrix:
         return _MATRIX_BUILDERS[spec](n_max)
     matrix = summability.load_matrix_json(spec)
     if matrix.n_max < n_max:
-        raise summability.MatrixValidationError(
-            f"{spec}: matrix has n_max={matrix.n_max}, need at least {n_max}"
-        )
+        raise MatrixValidationError(f"{spec}: matrix has n_max={matrix.n_max}, need at least {n_max}")
     if matrix.n_max > n_max:
         matrix = summability.TriangularMatrix([matrix.row(n) for n in range(n_max + 1)], matrix.name)
     return matrix
@@ -132,11 +137,14 @@ def _n_values(args) -> list[int]:
 
 def _x_values(args) -> list[float]:
     if getattr(args, "x", None) is not None:
-        return [functions.check_finite("--x", args.x)]
-    return conj.default_x_grid()
+        from .functions import check_finite
+        return [check_finite("--x", args.x)]
+    from .conjugate import default_x_grid
+    return default_x_grid()
 
 
 def _cmd_coeffs(args) -> int:
+    from . import kernels
     f = _function_from(args)
     grid = _grid_from(args)
     N = _n_or_default(args, kernels.DEFAULT_COEFF_CUTOFF)
@@ -148,6 +156,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_conjugate(args) -> int:
+    from . import conjugate as conj, functions
     f = _function_from(args)
     grid = _grid_from(args)
     eps_list = args.eps if args.eps else DEFAULT_EPS
@@ -162,6 +171,7 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from . import verify
     f = _function_from(args)
     grid = _grid_from(args)
     ns = _n_values(args)
@@ -198,6 +208,7 @@ def _cmd_check_matrix(args) -> int:
 def _cmd_moduli(args) -> int:
     if args.n is not None and args.delta is not None:
         raise DomainError("--n (a profile length) and --delta (a single delta) exclude each other")
+    from . import functions, moduli
     f = _function_from(args)
     grid = _grid_from(args)
     if args.delta is None:
@@ -213,7 +224,7 @@ def _cmd_moduli(args) -> int:
     return 0
 
 
-def _report_row(rep: verify.BoundReport) -> tuple:
+def _report_row(rep) -> tuple:
     meta = rep.metadata
     x = rep.x if rep.x is not None else math.nan
     return (rep.theorem_id, meta.get("function", ""), meta.get("matrix_a", ""), meta.get("matrix_b", ""),
@@ -221,6 +232,7 @@ def _report_row(rep: verify.BoundReport) -> tuple:
 
 
 def _cmd_verify(args) -> int:
+    from . import functions, verify
     theorem = args.theorem
     norm = theorem in ("T3", "T4")
     if norm and args.x is not None:
@@ -240,7 +252,7 @@ def _cmd_verify(args) -> int:
         reports = verify.pointwise_grid(theorem, f, A, B, ns, xs, grid)
     elif norm:
         reports = verify.norm_grid(f, A, B, ns, p, args.truncated, grid, theorem)
-    else:  # COR; argparse admits only verify.THEOREM_IDS
+    else:  # COR; argparse admits only THEOREM_IDS
         reports = verify.corollary_grid(f, A, B, ns, xs, grid)
     columns = ["theorem", "function", "matrix_a", "matrix_b", "n", "x", "p", "lhs", "rhs", "ratio"]
     _write_rows(columns, (_report_row(r) for r in reports), args.out, args.format)
@@ -258,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         # the quadrature grid integrates the function, so a command without one has no grid flags
         if function:
             p.add_argument("--function", required=True, help="registry name (see 'conjsum list')")
-            p.add_argument("--grid-m", type=int, default=functions.DEFAULT_GRID.m, help="quadrature nodes per period")
-            p.add_argument("--grid-refinement", type=int, default=functions.DEFAULT_GRID.refinement)
+            p.add_argument("--grid-m", type=int, default=DEFAULT_GRID.m, help="quadrature nodes per period")
+            p.add_argument("--grid-refinement", type=int, default=DEFAULT_GRID.refinement)
         p.add_argument("--out", default=None, help="output path (stdout if omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -304,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         "moduli", help="modulus profile (columns: function,kind,x,k,delta,value)"
     )
     common(p)
-    p.add_argument("--kind", choices=moduli.MODULUS_KINDS, default="w_tilde")
+    p.add_argument("--kind", choices=MODULUS_KINDS, default="w_tilde")
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--n", type=int, default=None, help="profile length (k = 0..n)")
     p.add_argument("--delta", type=float, default=None, help="single delta instead of a profile (k = -1 rows)")
@@ -315,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound reports (columns: theorem,function,matrix_a,matrix_b,n,x,p,lhs,rhs,ratio)",
     )
     common(p)
-    p.add_argument("--theorem", required=True, choices=verify.THEOREM_IDS)
+    p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     p.add_argument("--matrix-a", default="cesaro")
     p.add_argument("--matrix-b", default="cesaro")
     p.add_argument("--n", type=int, default=None)
@@ -331,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list(args) -> int:
-    for name in sorted(functions.registry()):
+    from .functions import registry
+    for name in sorted(registry()):
         print(name)
     return 0
 
@@ -341,17 +354,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (conj.ConvergenceError, SingularIntegrandError) as exc:
+    except (ConvergenceError, SingularIntegrandError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (
-        DomainError,
-        functions.UnknownNameError,
-        summability.MatrixValidationError,
-        json.JSONDecodeError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (DomainError, UnknownNameError, MatrixValidationError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,14 +24,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .base import DEFAULT_GRID, ConvergenceError, DomainError, GridSpec, SingularIntegrandError
 from .functions import (
-    DEFAULT_GRID,
     PI,
-    DomainError,
-    GridSpec,
     PanelSums,
     PeriodicFunction,
-    SingularIntegrandError,
     _insert_points,
     check_finite,
     check_half_period,
@@ -44,14 +41,6 @@ from .kernels import conj_kernel_mean
 from .summability import TriangularMatrix, ab_weights
 
 CONJUGATE_TOL = 1e-8  # largest error estimate conjugate_at accepts
-
-
-class ConvergenceError(RuntimeError):
-    """The quadrature error estimate exceeded CONJUGATE_TOL; last_values is (value, est_error)."""
-
-    def __init__(self, message, last_values):
-        super().__init__(message)
-        self.last_values = tuple(last_values)
 
 
 def default_x_grid() -> list[float]:

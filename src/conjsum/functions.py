@@ -8,10 +8,11 @@ end of a mesh, with an optional leading x axis.  The conjugate (anchored at pi),
 the moduli (anchored at 0) and check_condition_2_511 (a total) all integrate
 through it, on meshes that ``_insert_points`` merges: the one rule for cutting
 panels at extra points, which drops a boundary within 1e-15 of the one below
-it.  ``eval_psi`` and ``eval_phi`` are the one definition of the
-increments psi_x and phi_x; x may be an array that broadcasts against t.
-``lp_norms`` is the one discrete L^p norm over x, and ``check_exponent`` the
-one test of its exponent.
+it but keeps both ends.  ``eval_psi`` and ``eval_phi`` are the one definition
+of the increments psi_x and phi_x; x may be an array that broadcasts against
+t.  ``lp_norms`` is the one discrete L^p norm over x, and ``check_exponent``
+the one test of its exponent.  The exceptions and GridSpec live in ``base``
+and are importable from here.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .base import (DEFAULT_GRID, MAX_GRID_M, MAX_GRID_REFINEMENT, DomainError, GridSpec, SingularIntegrandError,
+                   UnknownNameError)
+
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
@@ -32,50 +36,6 @@ _gl_half_nodes = np.array([0.18343464249564978, 0.525532409916329, 0.79666647741
 _gl_half_weights = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
 _gl_nodes = np.concatenate((-_gl_half_nodes[::-1], _gl_half_nodes))
 _gl_weights = np.concatenate((_gl_half_weights[::-1], _gl_half_weights))
-
-# At this m the moduli node table takes about 104 MB and each 256*m increment
-# array of the classical moduli 34 MB.
-MAX_GRID_M = 2**14
-# Depth 64 grades down to pi * 2**-64 = 1.7e-19; near depth 1050, t/2 underflows to 0 at the finest nodes.
-MAX_GRID_REFINEMENT = 64
-
-
-class SingularIntegrandError(ValueError):
-    """The integrand produced a non-finite value at a quadrature node."""
-
-
-class DomainError(ValueError):
-    """An argument fell outside the operation's stated domain."""
-
-
-class UnknownNameError(KeyError):
-    """A name the registry does not hold; a KeyError whose message prints unquoted."""
-
-    def __str__(self) -> str:
-        return str(self.args[0])
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Quadrature resolution: m nodes per period (16 <= m <= 2**14), dyadic grading depth (1 to 64)."""
-
-    m: int = 1024
-    refinement: int = 24
-
-    def __post_init__(self):
-        if self.m < 16:
-            raise DomainError(f"grid m must be >= 16, got {self.m}")
-        if self.m > MAX_GRID_M:
-            raise DomainError(f"grid m must be <= {MAX_GRID_M}, got {self.m}")
-        if self.m % 2 != 0:
-            raise DomainError(f"grid m must be even, got {self.m}")
-        if self.refinement < 1:
-            raise DomainError(f"refinement must be positive, got {self.refinement}")
-        if self.refinement > MAX_GRID_REFINEMENT:
-            raise DomainError(f"refinement must be <= {MAX_GRID_REFINEMENT}, got {self.refinement}")
-
-
-DEFAULT_GRID = GridSpec()
 
 
 def check_half_period(name: str, value):
@@ -251,13 +211,17 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 def _insert_points(boundaries: np.ndarray, points: Sequence[float]) -> np.ndarray:
-    """boundaries (sorted) with the points inside them added, less each boundary within 1e-15 above the last one kept."""
+    """boundaries (sorted) with the points inside them added, less each boundary within 1e-15 above the one below it.
+
+    Both ends stay: a point within 1e-15 below the last boundary is dropped instead.
+    """
     points = np.asarray(points, dtype=float)
     extra = points[(boundaries[0] < points) & (points < boundaries[-1])]
     if not len(extra):
         return boundaries
     merged = sorted_unique(np.concatenate([boundaries, extra]))
-    return merged[np.concatenate([[True], np.diff(merged) > 1e-15])]
+    inner = (np.diff(merged[:-1]) > 1e-15) & (merged[-1] - merged[1:-1] > 1e-15)
+    return merged[np.concatenate([[True], inner, [True]])]
 
 
 @lru_cache(maxsize=256)

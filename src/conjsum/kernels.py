@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import DEFAULT_GRID, GridSpec
 from .functions import (
-    DEFAULT_GRID,
     PI,
     TWO_PI,
-    GridSpec,
     PeriodicFunction,
     _gl_nodes,
     _gl_weights,

@@ -38,12 +38,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from .base import DEFAULT_GRID, MODULUS_KINDS, DomainError, GridSpec
 from .functions import (
-    DEFAULT_GRID,
     PI,
     TWO_PI,
-    DomainError,
-    GridSpec,
     PanelSums,
     PeriodicFunction,
     _insert_points,
@@ -60,8 +58,6 @@ from .functions import (
 )
 from .kernels import DEFAULT_COEFF_CUTOFF
 
-MODULUS_KINDS = ("w", "w_bar", "w_tilde", "w_tilde_bar")
-
 # The node table is built 32 x nodes at a time (1.6 MB per sample array), and
 # its uniform part stops at 512 panels so that its size is linear in m; the
 # classical increments are sampled 256 t at a time (8*256*m bytes per array).
@@ -74,11 +70,12 @@ _INCREMENTS = {"psi": eval_psi, "phi": eval_phi}
 
 @dataclass(frozen=True)
 class ModulusProfile:
-    """Modulus values at delta = pi/(k+1), k = 0..n, for one x."""
+    """Modulus values at delta = pi/(k+1), k = 0..n, for one x, and their running averages (_averaged_modulus)."""
 
     kind: str
     values: np.ndarray
     x: float
+    averaged: np.ndarray
 
     @property
     def deltas(self) -> np.ndarray:
@@ -181,23 +178,30 @@ def modulus(f: PeriodicFunction, x: float, delta, kind: str, grid: GridSpec = DE
     return float(values[0]) if isinstance(delta, float) else values
 
 
+def _averaged_modulus(values: np.ndarray) -> np.ndarray:
+    """inner_r = (1/(r+1)) sum_{k<=r} values[k]; np.cumsum adds in index order, so a prefix keeps its bits."""
+    return np.cumsum(values) / (np.arange(len(values)) + 1.0)
+
+
 @lru_cache(maxsize=1024)
-def _profile(f: PeriodicFunction, x: float, kind: str, grid: GridSpec, top: int) -> np.ndarray:
-    """modulus at delta = pi/(k+1) for k = 0..top, read-only: 8*(top+1) bytes."""
+def _profile(f: PeriodicFunction, x: float, kind: str, grid: GridSpec, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """modulus at delta = pi/(k+1) for k = 0..top and its running averages, read-only: 16*(top+1) bytes."""
     values = modulus(f, x, PI / (np.arange(top + 1) + 1.0), kind, grid)
-    values.flags.writeable = False
-    return values
+    averaged = _averaged_modulus(values)
+    values.flags.writeable = averaged.flags.writeable = False
+    return values, averaged
 
 
 def modulus_profile(f: PeriodicFunction, x: float, n: int, kind: str, grid: GridSpec = DEFAULT_GRID) -> ModulusProfile:
-    """Modulus of the chosen kind at delta = pi/(k+1) for k = 0..n.
+    """Modulus of the chosen kind at delta = pi/(k+1) for k = 0..n, and its running averages.
 
-    A read-only prefix of the cached profile to k = max(n, 512), so every n <= 512 shares one profile per (f, x, kind).
+    Read-only prefixes of the cached profile to k = max(n, 512), so every n <= 512 shares one profile per (f, x, kind).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     x = check_finite("x", x)
-    return ModulusProfile(kind, _profile(f, x, kind, grid, max(n, DEFAULT_COEFF_CUTOFF))[: n + 1], x)
+    values, averaged = _profile(f, x, kind, grid, max(n, DEFAULT_COEFF_CUTOFF))
+    return ModulusProfile(kind, values[: n + 1], x, averaged[: n + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .base import MatrixValidationError
+
 ROW_SUM_TOL = 1e-9
 _FSUM_MARGIN = 1e-12  # row sums this close to ROW_SUM_TOL are decided by math.fsum
 DEFAULT_CHECKER_N_MAX = 128
 _BLOCK_ROWS, _BLOCK_ELEMENTS = 64, 2**12  # see _block_end; ab_weights adds _BLOCK_ROWS columns at a time
 _R_BLOCK, _SLACK, _TINY = 16, 16 * 2.0**-53, 2.0**-500  # checker 2.21: columns per block, 16 eps, see there
-
-
-class MatrixValidationError(ValueError):
-    pass
 
 
 def exact_cumsum(values) -> np.ndarray:

@@ -9,10 +9,11 @@ The report grids are loops over the one-point functions transform_value,
 lhs_theorem1, rhs_theorem1 and rhs_theorem2 (R1.6 builds its weights once per
 n).  transform_value weights a prefix of one cached partial-sum table per
 (f, x) that runs to max(n, 512), and the right-hand sides read prefixes of
-modulus_profile's cached profile per (f, x, kind), sized the same way: every
-n <= 512 shares one coefficient set and table, and an order above 512 gets
-its own.  np.cumsum adds in index order and each modulus value depends on its
-own delta alone, so a prefix has the bits of an array built for that n alone.
+the running averages that modulus_profile caches beside its profile per
+(f, x, kind), sized the same way: every n <= 512 shares one coefficient set
+and table, and an order above 512 gets its own.  np.cumsum adds in index
+order and each modulus value depends on its own delta alone, so a prefix has
+the bits of an array built for that n alone.
 The one batched piece: a grid reads the truncated conjugates of an x in one
 conjugate_truncated array call, with the bits of the float-eps calls, at the
 first (n, x) of that x and after its transform, so the first failing (n, x)
@@ -29,13 +30,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels, summability
+from .base import DEFAULT_GRID, THEOREM_IDS, GridSpec
 from .conjugate import conjugate_at, conjugate_truncated, default_x_grid
-from .functions import DEFAULT_GRID, PI, GridSpec, PeriodicFunction, check_exponent, check_finite, lp_norms
+from .functions import PI, PeriodicFunction, check_exponent, check_finite, lp_norms
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, fourier_coeffs
-from .moduli import classical_modulus, modulus_profile
+from .moduli import _averaged_modulus, classical_modulus, modulus_profile
 from .summability import TriangularMatrix, exact_cumsum
-
-THEOREM_IDS = ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc", "T3", "T4", "COR")
 
 RATIO_ZERO_TOL = 1e-11
 
@@ -77,11 +77,6 @@ def _partial_sums(f: PeriodicFunction, x: float, grid: GridSpec, conjugate: bool
     return sums
 
 
-def _averaged_modulus(values: np.ndarray) -> np.ndarray:
-    """inner_r = (1/(r+1)) sum_{k<=r} values[k]."""
-    return np.cumsum(values) / (np.arange(len(values)) + 1.0)
-
-
 def _row_mean(A: TriangularMatrix, n: int, inner: np.ndarray) -> float:
     """sum_r a_{n,r} inner_r: the Theorem 1 and the norm right-hand sides."""
     return float(np.dot(A.row(n), inner[: n + 1]))
@@ -111,15 +106,14 @@ def rhs_theorem1(
     f: PeriodicFunction, A: TriangularMatrix, x: float, n: int, grid: GridSpec = DEFAULT_GRID
 ) -> float:
     """sum_r a_{n,r} [ (1/(r+1)) sum_{k<=r} bar-w~_x(pi/(k+1)) ]."""
-    values = modulus_profile(f, x, n, "w_tilde_bar", grid).values
-    return _row_mean(A, n, _averaged_modulus(values))
+    return _row_mean(A, n, modulus_profile(f, x, n, "w_tilde_bar", grid).averaged)
 
 
 def rhs_theorem2(
     f: PeriodicFunction, x: float, n: int, grid: GridSpec = DEFAULT_GRID
 ) -> float:
     """(1/(n+1)) sum_r [ (1/(r+1)) sum_{k<=r} w~_x(pi/(k+1)) ], plain modulus."""
-    avg = _averaged_modulus(modulus_profile(f, x, n, "w_tilde", grid).values)
+    avg = modulus_profile(f, x, n, "w_tilde", grid).averaged
     return float(avg.sum() / len(avg))
 
 
@@ -180,7 +174,7 @@ def pointwise_grid(
                 rhs = rhs_theorem1(f, A, x, n, grid)
             elif theorem_id == "R1.6":
                 weights = _remark1_weights(A, n) if weights is None else weights
-                rhs = _remark1_sum(weights, n, _averaged_modulus(modulus_profile(f, x, n, "w_tilde", grid).values))
+                rhs = _remark1_sum(weights, n, modulus_profile(f, x, n, "w_tilde", grid).averaged)
             else:
                 rhs = rhs_theorem2(f, x, n, grid)
             metadata = {"function": f.name, "matrix_a": A.name, "matrix_b": B.name}

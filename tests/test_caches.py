@@ -78,8 +78,9 @@ def test_cached_arrays_are_read_only(name):
 
 def test_shared_arrays_outside_the_caches_are_read_only():
     C, I = summability.cesaro(9), summability.identity_matrix(9)
-    arrays = [C.prefix_sums(4), summability.ab_weights(C, I, 4), moduli.modulus_profile(HAT, 0.3, 4, "w", GRID).values]
-    assert [array.flags.writeable for array in arrays] == [False] * 3
+    profile = moduli.modulus_profile(HAT, 0.3, 4, "w", GRID)
+    arrays = [C.prefix_sums(4), summability.ab_weights(C, I, 4), profile.values, profile.averaged]
+    assert [array.flags.writeable for array in arrays] == [False] * 4
     with pytest.raises(ValueError):
         arrays[1][0] = 1.0
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conjsum import cli, summability
+from conjsum import cli, conjugate, kernels, summability
 from conjsum.conjugate import ConvergenceError
 from conjsum.functions import by_name
 from conjsum.summability import cesaro, nordlund
@@ -110,7 +110,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise KeyError("internal")
 
-        monkeypatch.setattr(cli.kernels, "fourier_coeffs", broken)
+        monkeypatch.setattr(kernels, "fourier_coeffs", broken)
         with pytest.raises(KeyError, match="internal"):
             run_cli(["coeffs", "--function", "sin", "--n", "2"])
 
@@ -218,7 +218,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise ConvergenceError("no convergence", (0.1, 0.2))
 
-        monkeypatch.setattr(cli.conj, "conjugate_at", boom)
+        monkeypatch.setattr(conjugate, "conjugate_at", boom)
         code = run_cli(
             ["conjugate", "--function", "sin", "--x", "0.5", "--out", str(tmp_path / "c.csv")]
         )
@@ -471,7 +471,8 @@ def test_import_loads_neither_fft_nor_ma():
     # numpy.fft is imported on the first coefficient build, numpy.ma by np.unique's first call;
     # numpy.polynomial not at all, as the Gauss-Legendre rule is written out
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    code = ("import sys, conjsum.cli; print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+    # conjsum.cli loads no quadrature module at import, and conjsum.verify loads them all
+    code = ("import sys, conjsum.cli, conjsum.verify; print(sorted(m for m in sys.modules if m.split('.')[:2] in "
             "(['numpy', 'fft'], ['numpy', 'ma'], ['numpy', 'polynomial'])))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

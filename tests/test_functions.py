@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conjsum.conjugate import _mesh
 from conjsum.functions import (
     _GL_POINTS,
+    DEFAULT_GRID,
     DomainError,
     GridSpec,
     PanelSums,
@@ -223,6 +225,18 @@ class TestInsertPoints:
         assert np.array_equal(_insert_points(base, np.array([c + 5e-16])), base)
         merged = _insert_points(base, [c - 5e-16])
         assert len(merged) == len(base) and c not in merged and c - 5e-16 in merged
+
+    @pytest.mark.parametrize("a, b", [(0.0, PI / 9), (0.0, PI), (-PI, PI)])
+    def test_a_point_5e_16_below_the_last_boundary_is_dropped(self, a, b):
+        base = np.linspace(a, b, 9)
+        assert np.array_equal(_insert_points(base, [b - 5e-16]), base)
+        kept = _insert_points(base, [b - 2e-15])
+        assert len(kept) == len(base) + 1 and kept[-1] == b
+
+    def test_sawtooth_mesh_next_to_its_jump_ends_at_pi(self):
+        # psi_x's one breakpoint in (0, pi) lies 4.4e-16 below pi: the mesh keeps pi and drops the breakpoint
+        mesh = _mesh(by_name("sawtooth"), PI - 5e-16, DEFAULT_GRID)
+        assert mesh[-1] == PI and np.array_equal(mesh, graded_boundaries(0.0, PI, DEFAULT_GRID))
 
     def test_points_outside_the_span_are_ignored(self):
         base = np.linspace(0.0, PI, 5)

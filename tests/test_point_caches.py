@@ -98,6 +98,17 @@ def test_profile_above_the_cutoff(kind):
         assert len(profile.values) == n + 1 and not profile.values.flags.writeable
 
 
+@pytest.mark.parametrize("kind", MODULUS_KINDS)
+def test_averaged_profile_is_the_average_of_each_n(kind):
+    # the cached running averages, read as a prefix, have the bits of averaging that n's own profile
+    f = by_name("hat")
+    for x in XS:
+        for n in (700, 0, 1, 8, DEFAULT_COEFF_CUTOFF, 701):
+            averaged = modulus_profile(f, x, n, kind).averaged
+            assert averaged.tobytes() == ref_averaged(ref_profile(f, x, n, kind)).tobytes(), (x, n)
+            assert len(averaged) == n + 1 and not averaged.flags.writeable
+
+
 def test_transform_above_512_reads_its_own_coefficients():
     # every n <= 512 reads the N = 512 coefficients, and each n above 512 its own N = n set
     f, x, A = by_name("hat"), 0.3, cesaro(1000)

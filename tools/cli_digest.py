@@ -10,8 +10,12 @@ Runs every command of the cli-verify and check-matrix workloads of
 bench/run.py (full sizes, check-matrix on the seed-1 Norlund matrix), then
 the T3/T4 grid: {T3, T4} x {hat, sawtooth, sin3, cos} x p in {1, 2, 3.5, inf},
 full and truncated, against B = cesaro and B = identity, at the orders 0, 1,
-2, 4, ..., 512.  Each command runs ``python -m conjsum.cli`` from the given
-checkout's src/ with the benchmark's environment.  One line per command:
+2, 4, ..., 512, then the error paths, ``list`` and ``--help``: a command for
+each exception class that main turns into exit code 1 or 2, the JSON
+decoder's error and argparse's own exit 2 (SingularIntegrandError has none:
+no command reaches it on the built-in functions).  Each command runs
+``python -m conjsum.cli`` from the given checkout's src/ with the
+benchmark's environment.  One line per command:
 
     <sha256 of stdout> <sha256 of stderr> <sha256 of the --out file, or -> <exit code> <command name>
 
@@ -54,6 +58,27 @@ def norm_grid_ops() -> list[bench.Op]:
     return ops
 
 
+def error_path_ops(work: Path) -> list[bench.Op]:
+    short, bad = work / "short.json", work / "bad.json"
+    short.write_text('{"name": "short", "rows": [[1.0], [0.5, 0.5]]}')
+    bad.write_text('{"rows": [[1.0], [0.5, 0.5')
+    ops = [
+        ("check-matrix short matrix", ["check-matrix", "--matrix-a", str(short), "--n", "4"]),  # MatrixValidationError
+        ("check-matrix bad json", ["check-matrix", "--matrix-a", str(bad), "--n", "1"]),  # json.JSONDecodeError
+        ("check-matrix n=-1", ["check-matrix", "--n", "-1"]),  # DomainError
+        ("moduli grid-m 17", ["moduli", "--function", "sin", "--x", "1", "--grid-m", "17"]),  # DomainError
+        ("verify unknown function", ["verify", "--theorem", "T1.5", "--function", "nosuch", "--n", "3"]),
+        ("conjugate near the jump", ["conjugate", "--function", "sawtooth", "--x", "1e-9", "--eps", "0.5"]),
+        ("verify unknown theorem", ["verify", "--theorem", "T9", "--function", "sin", "--n", "3"]),  # argparse
+        ("moduli unknown kind", ["moduli", "--function", "sin", "--kind", "w_hat"]),  # argparse
+        ("list", ["list"]),
+        ("--help", ["--help"]),
+    ]
+    ops += [(f"{command} --help", [command, "--help"])
+            for command in ("coeffs", "conjugate", "transform", "check-matrix", "moduli", "verify")]
+    return [bench.Op(name, args, "error-path") for name, args in ops]
+
+
 def digest(op: bench.Op, root: Path, work: Path) -> str:
     env = bench.child_env()
     env["PYTHONPATH"] = str(root / "src")
@@ -76,7 +101,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="cli-digest-") as tmp:
         work = Path(tmp)
         ops = bench.cli_verify_ops(False, work)
-        ops += bench.check_matrix_ops(work, bench.nordlund_rows(1, 384)) + norm_grid_ops()
+        ops += bench.check_matrix_ops(work, bench.nordlund_rows(1, 384)) + norm_grid_ops() + error_path_ops(work)
         # an --out file is hashed after its command; each op writes a distinct path or none
         with ThreadPoolExecutor(JOBS) as pool:
             for line in pool.map(lambda op: digest(op, root, work), ops):
