@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Every command resolves a RunConfig from flags, computes its table through the
-library and writes CSV or JSON.  Floats are serialized with 17 significant
+Each command reads its flags, computes its table through the library and
+writes CSV or JSON.  Floats are serialized with 17 significant
 digits so every numeric field parses back to the identical double; JSON
 writes a non-finite float as null, CSV as nan or inf.  A CSV field that
 holds a comma, double quote, CR or LF is quoted as RFC 4180 says.  Rows are

@@ -94,12 +94,13 @@ class PeriodicFunction:
     def __call__(self, x):
         return self.eval(np.asarray(x, dtype=float))
 
-    def is_singular_at(self, x: float, tol: float = 1e-12) -> bool:
+    def is_singular_at(self, x: float) -> bool:
+        """Whether x lies within 1e-12, taken mod 2*pi, of a known singular point of the conjugate."""
         if self.known_conjugate is None:
             return False
         for s in self.known_conjugate.singular_points:
             d = (x - s) % TWO_PI
-            if min(d, TWO_PI - d) < tol:
+            if min(d, TWO_PI - d) < 1e-12:
                 return True
         return False
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_GRID, GridSpec
+from .base import DEFAULT_GRID, DomainError, GridSpec
 from .functions import (
     PI,
     TWO_PI,
@@ -33,9 +33,6 @@ from .summability import exact_cumsum
 SINGULAR_CUTOFF = 1e-12
 
 DEFAULT_COEFF_CUTOFF = 512
-
-class SingularKernelError(ValueError):
-    """The complementary kernel was evaluated at a multiple of 2*pi."""
 
 
 @dataclass(frozen=True)
@@ -61,9 +58,7 @@ def conj_dirichlet_complement(k: int, t):
     t_arr = np.asarray(t, dtype=float)
     s = np.sin(0.5 * t_arr)
     if np.any(np.abs(s) < SINGULAR_CUTOFF):
-        raise SingularKernelError(
-            "complementary conjugate Dirichlet kernel is singular at multiples of 2*pi"
-        )
+        raise DomainError("complementary conjugate Dirichlet kernel is singular at multiples of 2*pi")
     out = np.cos((2 * k + 1) * 0.5 * t_arr) / (2.0 * s)
     return float(out) if out.ndim == 0 else out
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,18 +69,11 @@ _INCREMENT_ROWS = 256
 _INCREMENTS = {"psi": eval_psi, "phi": eval_phi}
 
 
-@dataclass(frozen=True)
-class ModulusProfile:
-    """Modulus values at delta = pi/(k+1), k = 0..n, for one x, and their running averages (_averaged_modulus)."""
+class ModulusProfile(NamedTuple):
+    """The record _profile caches: modulus values at delta = pi/(k+1), k = 0..n, and their running averages."""
 
-    kind: str
     values: np.ndarray
-    x: float
     averaged: np.ndarray
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return PI / (np.arange(len(self.values)) + 1.0)
 
 
 def _abs_increment(f: PeriodicFunction, x, kind: str):
@@ -88,9 +82,9 @@ def _abs_increment(f: PeriodicFunction, x, kind: str):
     return lambda t: np.abs(increment(f, x, t))
 
 
-def _bisect_roots(g, lo: np.ndarray, hi: np.ndarray, iters: int = 52) -> np.ndarray:
+def _bisect_roots(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     glo = np.asarray(g(lo), dtype=float)
-    for _ in range(iters):
+    for _ in range(52):
         mid = 0.5 * (lo + hi)
         gm = np.asarray(g(mid), dtype=float)
         left = glo * gm <= 0.0
@@ -184,12 +178,12 @@ def _averaged_modulus(values: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _profile(f: PeriodicFunction, x: float, kind: str, grid: GridSpec, top: int) -> tuple[np.ndarray, np.ndarray]:
+def _profile(f: PeriodicFunction, x: float, kind: str, grid: GridSpec, top: int) -> ModulusProfile:
     """modulus at delta = pi/(k+1) for k = 0..top and its running averages, read-only: 16*(top+1) bytes."""
     values = modulus(f, x, PI / (np.arange(top + 1) + 1.0), kind, grid)
     averaged = _averaged_modulus(values)
     values.flags.writeable = averaged.flags.writeable = False
-    return values, averaged
+    return ModulusProfile(values, averaged)
 
 
 def modulus_profile(f: PeriodicFunction, x: float, n: int, kind: str, grid: GridSpec = DEFAULT_GRID) -> ModulusProfile:
@@ -199,9 +193,8 @@ def modulus_profile(f: PeriodicFunction, x: float, n: int, kind: str, grid: Grid
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    x = check_finite("x", x)
-    values, averaged = _profile(f, x, kind, grid, max(n, DEFAULT_COEFF_CUTOFF))
-    return ModulusProfile(kind, values[: n + 1], x, averaged[: n + 1])
+    values, averaged = _profile(f, check_finite("x", x), kind, grid, max(n, DEFAULT_COEFF_CUTOFF))
+    return ModulusProfile(values[: n + 1], averaged[: n + 1])
 
 
 # ---------------------------------------------------------------------------

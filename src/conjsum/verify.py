@@ -95,11 +95,11 @@ def _remark1_sum(weights: np.ndarray, n: int, inner: np.ndarray) -> float:
 
 def transform_value(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, n: int, x: float,
                     grid: GridSpec = DEFAULT_GRID, conjugate: bool = True) -> float:
-    """T~_{n,A,B} f(x), or the plain transform; the order checks come first, so a failing call caches nothing."""
+    """T~_{n,A,B} f(x), or the plain transform; an order outside A or B fails in ab_weights before any cache fills."""
     x = check_finite("x", x)
-    summability._check_transform_order(A, B, n)
+    weights = summability.ab_weights(A, B, n)
     sums = _partial_sums(f, x, grid, conjugate, max(n, DEFAULT_COEFF_CUTOFF))[: n + 1]
-    return math.fsum((summability.ab_weights(A, B, n) * sums).tolist())
+    return math.fsum((weights * sums).tolist())
 
 
 def rhs_theorem1(

@@ -211,6 +211,32 @@ def test_criterion_5_eq81():
     assert ok
 
 
+IDENTITY_SIZES = (1, 2, 8, 128, 512)
+
+
+def identity_closed_forms(N: int) -> dict:
+    """Whether each checker on I (and on C, I for 2.21) gives its closed form exactly, at size N.
+
+    2.1: (n+1) a_{n,n} = n + 1, largest at n = N.  2.2: ratio 1/(n+1) on the
+    diagonal, 0 below it.  2.21 of (I, I): a_{1,0} = 0 but a_{1,1} = 1.
+    2.21 of (C, I): Cesaro rows are constant below the diagonal.
+    """
+    C, I = cesaro(N), identity_matrix(N)
+
+    def got(report):
+        return report.min_constant, report.witness
+
+    return {
+        "2.1": got(check_condition_2_1(I)) == (N + 1, (N,)),
+        "2.2": got(check_condition_2_2(I)) == (1.0, (0, 0)),
+        "2.21 I/I": got(check_condition_2_21(I, I)) == (math.inf, (1, 0, 0)),
+        "2.21 C/I": got(check_condition_2_21(C, I)) == (0.0, (0, 0, 0)),
+        "3.2": got(check_condition_3_2(I)) == (0.0, (0, 0)),
+        "remark1": all(check_remark1_condition(I, n) == 1 / (n + 1) for n in range(N + 1)),
+        "remark2": check_remark2_condition(I) == 0.0,
+    }
+
+
 def test_criterion_6_matrix_checkers():
     C, I, D0 = cesaro(128), identity_matrix(128), delta_at_zero(128)
     c21 = check_condition_2_1(C).min_constant
@@ -228,6 +254,8 @@ def test_criterion_6_matrix_checkers():
         harmonics_ok &= abs(got - want) <= 1e-12
         grows.append(got)
     unbounded = all(b > a for a, b in zip(grows, grows[1:]))
+    identity = {N: identity_closed_forms(N) for N in IDENTITY_SIZES}
+    identity_ok = all(all(forms.values()) for forms in identity.values())
     ok = (
         c21 == 1.0
         and c22 == 1.0
@@ -236,15 +264,19 @@ def test_criterion_6_matrix_checkers():
         and r2 == 0.0
         and harmonics_ok
         and unbounded
+        and identity_ok
     )
     report(6, "matrix condition checkers", ok,
-           f"2.1={c21}, 2.2={c22}, 2.21={c221:.6f}, 3.2={c32}, remark2={r2}, remark1=H(n+1)")
+           f"2.1={c21}, 2.2={c22}, 2.21={c221:.6f}, 3.2={c32}, remark2={r2}, remark1=H(n+1), "
+           f"identity closed forms at N in {IDENTITY_SIZES}")
     assert c21 == 1.0
     assert c22 == 1.0
     assert c221_ok, c221
     assert c32 == 0.0
     assert r2 == 0.0
     assert harmonics_ok and unbounded
+    for N, forms in identity.items():
+        assert all(forms.values()), (N, forms)
 
 
 def _running_max_growth(rhs_kind: str, A, B) -> float:
@@ -291,11 +323,15 @@ def test_criterion_7_bound_ratio_stability():
         "T2 cesaro/identity": _running_max_growth("T2", C, I),
         "T2 cesaro/cesaro": _running_max_growth("T2", C, C),
     }
-    ok = all(g < 1.05 for g in growths.values())
-    detail = ", ".join(f"{k} x{v:.4f}" for k, v in growths.items())
-    report(7, "Theorem 1/2 ratio running max", ok, detail)
+    # B = delta0 leaves c_0 = 1 alone, so T~ = S~_0 = 0: the lhs stays |f~(x)| while the T1 rhs decays
+    controls = {"T1 cesaro/delta0": _running_max_growth("T1", C, delta_at_zero(128))}
+    ok = all(g < 1.05 for g in growths.values()) and all(g > 1.05 for g in controls.values())
+    detail = ", ".join(f"{k} x{v:.4f}" for k, v in {**growths, **controls}.items())
+    report(7, "Theorem 1/2 ratio running max, delta0 negative control", ok, detail)
     for key, g in growths.items():
         assert g < 1.05, key
+    for key, g in controls.items():
+        assert g > 1.05, key
 
 
 def test_criterion_8_corollary_decay():

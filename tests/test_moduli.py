@@ -118,16 +118,22 @@ class TestProfiles:
         x = 5 * PI / 16
         n = 16
         prof = modulus_profile(f, x, n, "w_tilde", grid)
-        assert prof.x == x
         for k in (0, 3, 16):
             assert prof.values[k] == pytest.approx(modulus(f, x, PI / (k + 1), "w_tilde", grid), abs=1e-13)
         bar = modulus_profile(f, x, n, "w_tilde_bar", grid)
         for k in (0, 7):
             assert bar.values[k] == pytest.approx(modulus(f, x, PI / (k + 1), "w_tilde_bar", grid), abs=1e-13)
 
-    def test_profile_deltas(self, grid):
-        prof = modulus_profile(by_name("sin"), 0.1, 4, "w", grid)
-        assert np.allclose(prof.deltas, PI / np.arange(1.0, 6.0))
+    def test_profile_is_the_cached_record_prefix(self, grid):
+        assert moduli.ModulusProfile._fields == ("values", "averaged")
+        f, x = by_name("hat"), 3 * PI / 16
+        for kind in ("w_tilde", "w_tilde_bar"):
+            for n in (0, 7, 512, 700):
+                cached = moduli._profile(f, x, kind, grid, max(n, 512))
+                assert isinstance(cached, moduli.ModulusProfile)
+                prof = modulus_profile(f, x, n, kind, grid)
+                assert prof.values.tobytes() == cached.values[: n + 1].tobytes(), (kind, n)
+                assert prof.averaged.tobytes() == cached.averaged[: n + 1].tobytes(), (kind, n)
 
     def test_unknown_kind(self, grid):
         with pytest.raises(ValueError):

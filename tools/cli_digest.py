@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""sha256 digests of the benchmark's CLI commands, to show that a change keeps their bytes.
+"""sha256 digests of the benchmark's CLI commands and library sweep, to show that a change keeps their bytes.
 
 Usage, from the repository root:
 
@@ -19,6 +19,13 @@ benchmark's environment.  One line per command:
 
     <sha256 of stdout> <sha256 of stderr> <sha256 of the --out file, or -> <exit code> <command name>
 
+No command reaches modulus_profile, pointwise_modulus_on_nodes or
+deviation_kernel_form, so a last line covers the library: this repository's
+bench/sweep.py runs at seed 1, full size and without trace, on the given
+checkout's src/, and the line is
+
+    <sha256 of its first-pass outputs and same_every_pass, or -> - - <exit code> library-sweep first pass, seed 1
+
 The work directory holding the input and output files is replaced by <work>
 in stdout and stderr, so two runs, or two checkouts, print identical lines
 exactly when their outputs are byte-identical.  Compare them with diff.
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import subprocess
 import sys
 import tempfile
@@ -93,6 +101,20 @@ def digest(op: bench.Op, root: Path, work: Path) -> str:
     return f"{sha(done.stdout)} {sha(done.stderr)} {out_sha} {done.returncode} {op.name}"
 
 
+def sweep_digest(root: Path, work: Path) -> str:
+    env = bench.child_env()
+    env.update(PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = work / "sweep.json"
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / "sweep.py"), str(result), "1", "0", "0", "0"],
+                          cwd=work, env=env, capture_output=True)
+    sha = "-"
+    if result.exists():
+        first = json.loads(result.read_text())
+        payload = json.dumps({"outputs": first["outputs"], "same_every_pass": first["same_every_pass"]}, sort_keys=True)
+        sha = hashlib.sha256(payload.encode()).hexdigest()
+    return f"{sha} - - {done.returncode} library-sweep first pass, seed 1"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("root", nargs="?", type=Path, default=ROOT, help="checkout whose src/ is run")
@@ -104,8 +126,10 @@ def main() -> int:
         ops += bench.check_matrix_ops(work, bench.nordlund_rows(1, 384)) + norm_grid_ops() + error_path_ops(work)
         # an --out file is hashed after its command; each op writes a distinct path or none
         with ThreadPoolExecutor(JOBS) as pool:
+            sweep = pool.submit(sweep_digest, root, work)
             for line in pool.map(lambda op: digest(op, root, work), ops):
                 print(line, flush=True)
+            print(sweep.result(), flush=True)
     return 0
 
 
