@@ -137,8 +137,8 @@ def _n_values(args) -> list[int]:
 
 def _x_values(args) -> list[float]:
     if getattr(args, "x", None) is not None:
-        from .functions import check_finite
-        return [check_finite("--x", args.x)]
+        from .functions import check_x
+        return [check_x("--x", args.x)]
     from .conjugate import default_x_grid
     return default_x_grid()
 

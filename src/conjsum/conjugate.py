@@ -12,10 +12,21 @@ eps in one pass.  |fine - coarse| is each value's error estimate; for the
 full conjugate it is the divergence signal, and above CONJUGATE_TOL
 conjugate_at raises.
 
-deviation_kernel_form integrates both of its kernel integrands in one fine
-``PanelSums`` on the same kind of mesh, with h = pi/(n+1) inserted as a boundary.
-Its kernel mean sum_k c_k D~_k(t) comes from the one kernel evaluator,
-kernels.conj_kernel_mean, within n eps sum |C_nu| of the exact series.
+deviation_kernel_form integrates both of its kernel integrands with the fine
+rule on the same kind of mesh, cut at h = pi/(n+1), and sums them from pi as
+a fine ``PanelSums`` would.  One cached table per (f, x, grid),
+_kernel_nodes, holds the uncut mesh and, at its fine nodes, the weights,
+psi_x, e^{it} and (1/2) cot(t/2): 48 bytes a node, about 129 kB at the default
+grid.  A call gathers the rows of every panel the cut leaves whole and
+evaluates only the two halves of the panel h splits (none when h is already
+a boundary, as at n = 2^j - 1).  Every value is elementwise per node and
+every panel sum a vecdot of its own row, so the bits are those of evaluating
+every node afresh.  The kernel mean sum_k c_k D~_k(t) comes from the one
+kernel evaluator, kernels.conj_kernel_mean_z at the cached e^{it}, within
+n eps sum |C_nu| of the exact series.
+
+Every x passes functions.check_x first, which reduces an x outside [-pi, pi] by
+the period and refuses one beyond 2^20.
 """
 
 from __future__ import annotations
@@ -30,14 +41,16 @@ from .functions import (
     PanelSums,
     PeriodicFunction,
     _insert_points,
-    check_finite,
     check_half_period,
+    check_x,
     eval_psi,
     fine_rule,
     graded_boundaries,
+    panel_integrals,
     psi_breakpoints,
+    running_sums,
 )
-from .kernels import conj_kernel_mean
+from .kernels import conj_kernel_mean_z
 from .summability import TriangularMatrix, ab_weights
 
 CONJUGATE_TOL = 1e-8  # largest error estimate conjugate_at accepts
@@ -84,18 +97,18 @@ def conjugate_truncated(f: PeriodicFunction, x: float, eps, grid: GridSpec = DEF
     Each value of an array has the bits of the float call at its eps.
     """
     eps = check_half_period("eps", eps)
-    x = check_finite("x", x)
+    x = check_x("x", x)
     if isinstance(eps, float):
         return _truncated_cached(f, x, eps, grid)[0]
     return _truncated(f, x, eps, grid)[0]
 
 
 def _check_regular(f: PeriodicFunction, x: float) -> float:
-    """x as a float, unless it is not finite or is a known singular point of f."""
-    x = check_finite("x", x)
-    if f.is_singular_at(x):
-        raise DomainError(f"x={x} is a known singular point of {f.name}")
-    return x
+    """x as check_x gives it, unless it is not finite or is a known singular point of f (named as given)."""
+    reduced = check_x("x", x)
+    if f.is_singular_at(reduced):
+        raise DomainError(f"x={float(x)} is a known singular point of {f.name}")
+    return reduced
 
 
 def conjugate_at(f: PeriodicFunction, x: float, grid: GridSpec = DEFAULT_GRID) -> float:
@@ -108,6 +121,25 @@ def conjugate_at(f: PeriodicFunction, x: float, grid: GridSpec = DEFAULT_GRID) -
             (value, est_error),
         )
     return value
+
+
+def _kernel_rows(f: PeriodicFunction, x: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """fine_rule nodes and weights on the panels [lo, hi], and psi_x, e^{it} and (1/2) cot(t/2) there, by panel."""
+    nodes, weights = fine_rule(lo, hi)
+    return nodes, weights, eval_psi(f, x, nodes), np.exp(1j * nodes), 0.5 / np.tan(0.5 * nodes)
+
+
+@lru_cache(maxsize=16)
+def _kernel_nodes(f: PeriodicFunction, x: float, grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """The mesh for (f, x, grid) and its _kernel_rows, read-only.
+
+    48 bytes a node: about 129 kB at the default grid, 1.7 MB at the largest (m = 16384, refinement 64).
+    """
+    bounds = _mesh(f, x, grid)
+    table = (bounds, *_kernel_rows(f, x, bounds[:-1], bounds[1:]))
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def deviation_kernel_form(
@@ -126,21 +158,27 @@ def deviation_kernel_form(
     the first is (-int_0^h psi K + int_h^pi psi (cot/2 - K)) / pi with
     h = pi/(n+1), the second int_0^pi psi (cot/2 - K) / pi.  At a known
     singular point of f the full conjugate diverges, so it raises there.
+    Each panel of the mesh cut at h that is a panel of the uncut mesh reads
+    its rows from _kernel_nodes; only the others are evaluated here.
     """
     x = _check_regular(f, x)
     weights = ab_weights(A, B, n)
     h = PI / (n + 1)
     bounds = _mesh(f, x, grid, cuts=[h])
     below = int(np.argmin(np.abs(bounds - h)))  # h itself, or the boundary that stood in for it
-
-    def integrands(t):
-        psi = eval_psi(f, x, t)
-        kernel = conj_kernel_mean(weights, t)
-        # psi K is kept below h only, so its total is its integral over (0, h]
-        inner = np.where(t < bounds[below], psi * kernel, 0.0)
-        return np.stack((inner, psi * (0.5 / np.tan(0.5 * t) - kernel)))
-
-    inner, outer = PanelSums(integrands, bounds, fine_rule, from_top=True).cum
+    base, *table = _kernel_nodes(f, x, grid)
+    lo, hi = bounds[:-1], bounds[1:]
+    row = np.minimum(np.searchsorted(base, lo), len(base) - 2)
+    fresh = np.flatnonzero((base[row] != lo) | (base[row + 1] != hi))
+    nodes, rule_weights, psi, z, half_cot = rows = [column[row] for column in table]
+    if len(fresh):
+        for column, values in zip(rows, _kernel_rows(f, x, lo[fresh], hi[fresh])):
+            column[fresh] = values
+    kernel = conj_kernel_mean_z(weights, z)
+    # psi K is kept below h only, so its total is its integral over (0, h]
+    inner = np.where(nodes < bounds[below], psi * kernel, 0.0)
+    values = np.stack((inner, psi * (half_cot - kernel)))
+    inner, outer = running_sums(panel_integrals(rule_weights, values), from_top=True)
     dev_truncated = (-inner[0] + outer[below]) / PI
     dev_full = outer[0] / PI
     if not (np.isfinite(dev_truncated) and np.isfinite(dev_full)):

@@ -11,8 +11,8 @@ panels at extra points, which drops a boundary within 1e-15 of the one below
 it but keeps both ends.  ``eval_psi`` and ``eval_phi`` are the one definition
 of the increments psi_x and phi_x; x may be an array that broadcasts against
 t.  ``lp_norms`` is the one discrete L^p norm over x, and ``check_exponent``
-the one test of its exponent.  The exceptions and GridSpec live in ``base``
-and are importable from here.
+the one test of its exponent; ``check_x`` is the one test of a point x.  The
+exceptions and GridSpec live in ``base`` and are importable from here.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .base import (DEFAULT_GRID, MAX_GRID_M, MAX_GRID_REFINEMENT, DomainError, G
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
+MAX_ABS_X = 2.0**20  # the largest |x| that check_x reduces by the period
 
 _GL_POINTS = 8
 # np.polynomial.legendre.leggauss(_GL_POINTS), written out so no process imports numpy.polynomial
@@ -49,11 +50,19 @@ def check_half_period(name: str, value):
     return float(value) if value.ndim == 0 else value
 
 
-def check_finite(name: str, value) -> float:
-    """value as a float, after a test that it is finite; run before any cache keyed by it."""
-    if not math.isfinite(value := float(value)):
-        raise DomainError(f"{name} must be finite, got {value}")
-    return value
+def check_x(name: str, x) -> float:
+    """x as a float in [-pi, pi], after a test that it is finite and |x| <= MAX_ABS_X; run before any cache keyed by x.
+
+    An x in [-pi, pi] keeps its bits.  Any other x is reduced by math.remainder(x, TWO_PI), which is exact with
+    respect to the double TWO_PI; that lies 2.45e-16 below 2 pi, so the reduced x is off by about |x| * 3.9e-17,
+    at most 4.1e-11 at |x| = MAX_ABS_X.  A larger |x| is refused: the offset would reach O(1) (3.9 at 1e17), and
+    unreduced, x + t rounds back to x there, so psi_x would vanish.
+    """
+    if not math.isfinite(x := float(x)):
+        raise DomainError(f"{name} must be finite, got {x}")
+    if abs(x) > MAX_ABS_X:
+        raise DomainError(f"{name} must lie in [-2^20, 2^20], got {x}")
+    return math.remainder(x, TWO_PI) if abs(x) > PI else x
 
 
 def check_exponent(name: str, p):
@@ -143,6 +152,22 @@ def fine_rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack((n1, n2)), np.hstack((w1, w2))
 
 
+def panel_integrals(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each panel's integral from its row of rule weights and of integrand values, which must all be finite."""
+    if not np.all(np.isfinite(values)):
+        raise SingularIntegrandError("integrand is not finite at a quadrature node")
+    # vecdot adds each panel in np.dot's order, so a panel gives the same bits in any batch
+    return np.vecdot(weights, values)
+
+
+def running_sums(panels: np.ndarray, from_top: bool) -> np.ndarray:
+    """Sums of the panel integrals (last axis) from the anchored end to each boundary: 0 at the anchor."""
+    zero = np.zeros(panels.shape[:-1] + (1,))
+    if from_top:
+        return np.concatenate((np.cumsum(panels[..., ::-1], axis=-1)[..., ::-1], zero), axis=-1)
+    return np.concatenate((zero, np.cumsum(panels, axis=-1)), axis=-1)
+
+
 class PanelSums:
     """Integrals of g from one anchored end of a mesh to each boundary, and to any t.
 
@@ -158,22 +183,13 @@ class PanelSums:
     def __init__(self, g, bounds: np.ndarray, rule=gl_panels, from_top: bool = False, cum=None):
         self.g, self.bounds, self.rule, self.from_top = g, bounds, rule, from_top
         if cum is None:
-            panels = self._integrals(bounds[:-1], bounds[1:])
-            zero = np.zeros(panels.shape[:-1] + (1,))
-            if from_top:
-                cum = np.concatenate((np.cumsum(panels[..., ::-1], axis=-1)[..., ::-1], zero), axis=-1)
-            else:
-                cum = np.concatenate((zero, np.cumsum(panels, axis=-1)), axis=-1)
+            cum = running_sums(self._integrals(bounds[:-1], bounds[1:]), from_top)
         bounds.flags.writeable = cum.flags.writeable = False
         self.cum = cum
 
     def _integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         nodes, weights = self.rule(lo, hi)
-        values = self.g(nodes)
-        if not np.all(np.isfinite(values)):
-            raise SingularIntegrandError("integrand is not finite at a quadrature node")
-        # vecdot adds each panel in np.dot's order, so a panel gives the same bits in any batch
-        return np.vecdot(weights, values)
+        return panel_integrals(weights, self.g(nodes))
 
     def at(self, t) -> np.ndarray:
         """The integral between the anchor and each t in [bounds[0], bounds[-1]].

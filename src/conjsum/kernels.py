@@ -1,10 +1,13 @@
 """Conjugate Dirichlet kernels, Fourier coefficients and (conjugate) partial sums.
 
-One evaluator gives every conjugate kernel: ``conj_kernel_mean`` sums
+One evaluator gives every conjugate kernel: ``conj_kernel_mean_z`` sums
 sum_k c_k D~_k(t) = sum_{nu<=n} C_nu sin(nu t), C_nu = sum_{k>=nu} c_k, by n
-Horner steps in e^{it} on O(len(t)) memory, within n eps sum |C_nu| (tested,
-n <= 1024); D~_k itself is the mean of the unit weights e_k.  The partial sums
-k = 0..n (``partial_sum_table``) come from one pass; order k is row k.
+Horner steps in z = e^{it} on O(len(t)) memory, within n eps sum |C_nu|
+(tested, n <= 1024).  ``conj_kernel_mean`` forms z from t first; the
+kernel-form deviations pass the z of their cached node table per (f, x),
+about 129 kB at the default grid.  D~_k itself is the mean of the unit
+weights e_k.  The partial sums k = 0..n (``partial_sum_table``) come from one
+pass; order k is row k.
 ``fourier_coeffs`` sums its quadrature with one inverse FFT per Gauss node.
 numpy.fft is reached on the first build, so importing the package does not load it.
 """
@@ -24,7 +27,7 @@ from .functions import (
     _gl_nodes,
     _gl_weights,
     _insert_points,
-    check_finite,
+    check_x,
     gl_panels,
     gl_rule,
 )
@@ -64,8 +67,12 @@ def conj_dirichlet_complement(k: int, t):
 
 
 def conj_kernel_mean(weights: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k c_k D~_k(t) = Im(z P(z)), P(z) = sum_{nu=1}^{n} C_nu z^(nu-1) by Horner's rule at z = e^{it}."""
-    z = np.exp(1j * t)
+    """sum_k c_k D~_k(t), from conj_kernel_mean_z at z = e^{it}."""
+    return conj_kernel_mean_z(weights, np.exp(1j * t))
+
+
+def conj_kernel_mean_z(weights: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k c_k D~_k(t) = Im(z P(z)), P(z) = sum_{nu=1}^{n} C_nu z^(nu-1) by Horner's rule, given z = e^{it}."""
     acc = np.zeros_like(z)
     for tail in exact_cumsum(weights[:0:-1]).tolist():  # C_n, ..., C_1
         acc *= z
@@ -145,7 +152,7 @@ def conj_partial_sum_integral(
     """S~_k f(x) through its kernel form -(1/pi) int f(x+t) D~_k(t) dt."""
     if k < 0:
         raise ValueError("partial-sum order must be nonnegative")
-    x = check_finite("x", x)
+    x = check_x("x", x)
     panels = max(grid.m // 8, 4 * (k + 1), 16)
     base = np.linspace(-PI, PI, panels + 1)
     # t where f(x + t) reaches a breakpoint; _insert_points keeps those inside (-pi, pi)

@@ -47,7 +47,7 @@ from .functions import (
     PeriodicFunction,
     _insert_points,
     check_exponent,
-    check_finite,
+    check_x,
     check_half_period,
     eval_phi,
     eval_psi,
@@ -167,7 +167,7 @@ def modulus(f: PeriodicFunction, x: float, delta, kind: str, grid: GridSpec = DE
     if kind not in MODULUS_KINDS:
         raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
     delta = check_half_period("delta", delta)
-    table = _cumulative(f, check_finite("x", x), "psi" if "tilde" in kind else "phi", grid)
+    table = _cumulative(f, check_x("x", x), "psi" if "tilde" in kind else "phi", grid)
     values = (_bar if kind.endswith("bar") else _average)(table, np.atleast_1d(delta))
     return float(values[0]) if isinstance(delta, float) else values
 
@@ -193,7 +193,7 @@ def modulus_profile(f: PeriodicFunction, x: float, n: int, kind: str, grid: Grid
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    values, averaged = _profile(f, check_finite("x", x), kind, grid, max(n, DEFAULT_COEFF_CUTOFF))
+    values, averaged = _profile(f, check_x("x", x), kind, grid, max(n, DEFAULT_COEFF_CUTOFF))
     return ModulusProfile(values[: n + 1], averaged[: n + 1])
 
 
@@ -318,7 +318,7 @@ def check_condition_2_511(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    x = check_finite("x", x)
+    x = check_x("x", x)
     if f.is_singular_at(x):
         return math.inf
     h = PI / (n + 1)

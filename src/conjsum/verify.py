@@ -32,7 +32,7 @@ import numpy as np
 from . import kernels, summability
 from .base import DEFAULT_GRID, THEOREM_IDS, GridSpec
 from .conjugate import conjugate_at, conjugate_truncated, default_x_grid
-from .functions import PI, PeriodicFunction, check_exponent, check_finite, lp_norms
+from .functions import PI, PeriodicFunction, check_exponent, check_x, lp_norms
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, fourier_coeffs
 from .moduli import _averaged_modulus, classical_modulus, modulus_profile
 from .summability import TriangularMatrix, exact_cumsum
@@ -96,7 +96,7 @@ def _remark1_sum(weights: np.ndarray, n: int, inner: np.ndarray) -> float:
 def transform_value(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, n: int, x: float,
                     grid: GridSpec = DEFAULT_GRID, conjugate: bool = True) -> float:
     """T~_{n,A,B} f(x), or the plain transform; an order outside A or B fails in ab_weights before any cache fills."""
-    x = check_finite("x", x)
+    x = check_x("x", x)
     weights = summability.ab_weights(A, B, n)
     sums = _partial_sums(f, x, grid, conjugate, max(n, DEFAULT_COEFF_CUTOFF))[: n + 1]
     return math.fsum((weights * sums).tolist())

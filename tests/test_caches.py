@@ -32,6 +32,7 @@ CALLS = {
     "moduli._profile": lambda: moduli._profile(HAT, 0.3, "w_tilde_bar", GRID, 16),
     "conjugate._table": lambda: conjugate._table(HAT, 0.3, GRID),
     "conjugate._truncated_cached": lambda: conjugate._truncated_cached(HAT, 0.3, 0.1, GRID),
+    "conjugate._kernel_nodes": lambda: conjugate._kernel_nodes(HAT, 0.3, GRID),
     "verify.coefficients": lambda: verify.coefficients(HAT, GRID, 16),
     "verify._partial_sums": lambda: verify._partial_sums(HAT, 0.3, GRID, True, 16),
 }

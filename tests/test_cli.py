@@ -95,6 +95,44 @@ class TestExitCodes:
         assert captured.out == ""
         assert "--x must be finite" in captured.err
 
+    FAR_X_COMMANDS = pytest.mark.parametrize(
+        "args",
+        [
+            ["conjugate", "--function", "hat", "--eps", "0.5"],
+            ["moduli", "--function", "hat", "--delta", "0.5"],
+            ["transform", "--function", "hat", "--n", "4"],
+            ["verify", "--theorem", "T1.5", "--function", "hat", "--n", "4"],
+        ],
+        ids=["conjugate", "moduli", "transform", "verify"],
+    )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", ["1e6", "-1048576", "7.5"])
+    @FAR_X_COMMANDS
+    def test_far_x_is_reduced_by_the_period(self, args, x, capsys):
+        # the output, x column included, is the reduced x's
+        assert run_cli(args + [f"--x={x}"]) == 0
+        far = capsys.readouterr()
+        assert run_cli(args + [f"--x={math.remainder(float(x), 2 * PI)!r}"]) == 0
+        assert capsys.readouterr() == far
+        assert far.err == ""
+
+    @pytest.mark.parametrize("x", ["1e17", "-1e308", "1048576.0000000002"])
+    @FAR_X_COMMANDS
+    def test_x_beyond_the_bound_names_flag(self, args, x, capsys):
+        # at 1e17, x + t rounds back to x, and fl(2 pi) differs from 2 pi by O(1) over x / 2 pi periods
+        assert run_cli(args + [f"--x={x}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--x must lie in [-2^20, 2^20], got {float(x)}" in captured.err
+
+    @pytest.mark.parametrize("name, closed_form", [("sin", lambda x: -math.cos(x)), ("cos", math.sin)])
+    def test_far_x_conjugate_meets_the_closed_form_at_the_unreduced_x(self, name, closed_form, capsys):
+        # math.cos reduces 1e6 by the true period; the reduction by fl(2 pi) is off by about 4e-11 here
+        assert run_cli(["conjugate", "--function", name, "--x", "1e6"]) == 0
+        row = next(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert float(row["conjugate"]) == pytest.approx(closed_form(1e6), abs=1e-10)
+
     @pytest.mark.parametrize("source", ["--grid-m"])
     def test_oversized_grid_names_source(self, source, capsys):
         assert run_cli(["coeffs", "--function", "sin", "--n", "2", source, str(2**14 + 2)]) == 2

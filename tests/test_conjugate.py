@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conjsum.cli import DEFAULT_EPS
+from conjsum import conjugate
 from conjsum.conjugate import (
     CONJUGATE_TOL,
     ConvergenceError,
@@ -17,12 +18,16 @@ from conjsum.conjugate import (
     deviation_kernel_form,
 )
 from conjsum.functions import (
+    DEFAULT_GRID,
     DomainError,
+    GridSpec,
+    PanelSums,
     PeriodicFunction,
     SingularIntegrandError,
     by_name,
     corpus,
     eval_psi,
+    fine_rule,
     psi_breakpoints,
 )
 from conjsum.kernels import conj_kernel_mean, fourier_coeffs, partial_sum_table
@@ -302,3 +307,84 @@ class TestDeviationKernelForm:
                     full = conjugate_at(f, x, grid=grid)
                     assert dt == pytest.approx(value - trunc, abs=KERNEL_FORM_TOL)
                     assert df == pytest.approx(value - full, abs=KERNEL_FORM_TOL)
+
+
+def kernel_form_reference(f, A, B, n, x, grid):
+    """deviation_kernel_form from scratch: one PanelSums on the mesh cut at h, every node evaluated afresh."""
+    weights = ab_weights(A, B, n)
+    h = PI / (n + 1)
+    bounds = conjugate._mesh(f, x, grid, cuts=[h])
+    below = int(np.argmin(np.abs(bounds - h)))
+
+    def integrands(t):
+        psi = eval_psi(f, x, t)
+        kernel = conj_kernel_mean(weights, t)
+        inner = np.where(t < bounds[below], psi * kernel, 0.0)
+        return np.stack((inner, psi * (0.5 / np.tan(0.5 * t) - kernel)))
+
+    inner, outer = PanelSums(integrands, bounds, fine_rule, from_top=True).cum
+    dev_truncated = (-inner[0] + outer[below]) / PI
+    dev_full = outer[0] / PI
+    if not (np.isfinite(dev_truncated) and np.isfinite(dev_full)):
+        raise SingularIntegrandError("kernel-form deviation integral is not finite")
+    return float(dev_truncated), float(dev_full)
+
+
+class TestKernelFormBitIdentity:
+    """The cached node table and the panels evaluated per call give the bits of the from-scratch reference."""
+
+    TOP = 1024
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        C, I = cesaro(self.TOP), identity_matrix(self.TOP)
+        return (C, C), (I, I), (C, I)
+
+    def check(self, f, pairs, ns, x, grid=DEFAULT_GRID):
+        for A, B in pairs:
+            for n in ns:
+                assert deviation_kernel_form(f, A, B, n, x, grid) == kernel_form_reference(f, A, B, n, x, grid), \
+                    (f.name, A.name, B.name, n, x)
+
+    @pytest.mark.parametrize("f", corpus(), ids=lambda f: f.name)
+    def test_h_on_a_base_boundary(self, f, pairs):
+        ns = (1, 3, 7, 15, 31)
+        base = conjugate._kernel_nodes(f, 0.3, DEFAULT_GRID)[0]
+        assert all(PI / (n + 1) in base for n in ns)  # nothing left to evaluate afresh
+        self.check(f, pairs, ns, 0.3)
+
+    @pytest.mark.parametrize("f", corpus(), ids=lambda f: f.name)
+    def test_h_is_pi_and_the_top_order(self, f, pairs):
+        self.check(f, pairs, (0, 2, 5, 100, self.TOP), -2.2)
+
+    @pytest.mark.parametrize("shift", [0.0, 4e-16, 1e-15, 2e-15, -4e-16, -1e-15, 1e-12])
+    def test_h_next_to_a_psi_breakpoint(self, shift, pairs):
+        # hat breaks at 0, so t = -x is a breakpoint of psi_x: put it at h + shift
+        f, n = by_name("hat"), 5
+        x = -(PI / (n + 1) + shift)
+        assert -x in psi_breakpoints(f, x)
+        self.check(f, pairs, (n, n - 1, 31), x)
+
+    @pytest.mark.parametrize("x", [1e-9, -1e-9, PI - 1e-9, 1e-9 - PI, PI])
+    @pytest.mark.parametrize("name", ["sawtooth", "hat", "sin3"])
+    def test_x_next_to_0_and_pi(self, name, x, pairs):
+        self.check(by_name(name), pairs, (0, 1, 4, 31, 64), x)
+
+    def test_coarse_grid(self, pairs):
+        self.check(by_name("hat"), pairs, (0, 1, 6, 64), 0.3, GridSpec(m=64, refinement=8))
+
+    @pytest.mark.parametrize("case", ["node", "integral"])
+    def test_non_finite_paths_keep_their_message(self, case):
+        if case == "node":  # psi is NaN at some nodes
+            f = PeriodicFunction(name="nan-tail", eval=lambda t: np.where(t > 3.0, np.nan, np.sin(t)))
+        else:  # finite at every node, but the integral overflows
+            f = PeriodicFunction(name="huge-sine", eval=lambda t: 8e307 * np.sin(t))
+        D = delta_at_zero(1)
+        messages = []
+        for run in (deviation_kernel_form, kernel_form_reference):
+            with pytest.raises(SingularIntegrandError) as info, np.errstate(over="ignore", invalid="ignore"):
+                run(f, D, D, 1, 0.0, DEFAULT_GRID)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == ("integrand is not finite at a quadrature node" if case == "node"
+                               else "kernel-form deviation integral is not finite")

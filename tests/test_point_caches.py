@@ -9,14 +9,16 @@ those caches is read, so a failing call adds nothing to them, and a
 non-finite x is refused before any cache keyed by x is consulted.
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conjsum import conjugate, moduli, verify
 from conjsum.conjugate import conjugate_at, conjugate_truncated, deviation_kernel_form
-from conjsum.functions import DEFAULT_GRID, PI, DomainError, by_name, corpus
+from conjsum.functions import DEFAULT_GRID, PI, DomainError, by_name, check_x, corpus
 from conjsum.kernels import DEFAULT_COEFF_CUTOFF, fourier_coeffs, partial_sum_table
 from conjsum.moduli import MODULUS_KINDS, lemma2_check, modulus, modulus_profile
 from conjsum.summability import MatrixValidationError, ab_weights, cesaro, identity_matrix, nordlund
@@ -143,7 +145,8 @@ def test_failing_profiles_cache_nothing():
     assert new_cache_sizes() == before
 
 
-X_KEYED = (moduli._cumulative, moduli._profile, conjugate._table, conjugate._truncated_cached, verify._partial_sums)
+X_KEYED = (moduli._cumulative, moduli._profile, conjugate._table, conjugate._truncated_cached,
+           conjugate._kernel_nodes, verify._partial_sums)
 
 NON_FINITE_CALLS = {
     "transform_value": lambda f, C, x: transform_value(f, C, C, 4, x),
@@ -158,6 +161,45 @@ NON_FINITE_CALLS = {
     "deviation_kernel_form": lambda f, C, x: deviation_kernel_form(f, C, C, 4, x),
     "check_condition_2_511": lambda f, C, x: moduli.check_condition_2_511(f, x, 4),
 }
+
+
+def as_bytes(value):
+    if dataclasses.is_dataclass(value):
+        return tuple(as_bytes(getattr(value, field.name)) for field in dataclasses.fields(value))
+    return np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_far_x_is_reduced_by_the_period(name):
+    # an x in [-pi, pi] is kept as it is; any other x up to 2^20 gives the bits of math.remainder(x, 2 pi)
+    f, C = by_name("hat"), cesaro(8)
+    for x in (2.0**20, -2.0**20, 1e6, 7.5, -4.0):
+        reduced = math.remainder(x, 2 * PI)
+        assert -PI <= reduced <= PI and check_x("x", x) == reduced
+        assert as_bytes(NON_FINITE_CALLS[name](f, C, x)) == as_bytes(NON_FINITE_CALLS[name](f, C, reduced)), x
+    assert [check_x("x", x) for x in (PI, -PI, 0.3, -1e-300)] == [PI, -PI, 0.3, -1e-300]
+
+
+@pytest.mark.parametrize("x", [1e17, -1e308, math.nextafter(2.0**20, math.inf)])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_x_beyond_the_bound_is_refused_before_any_cache(name, x):
+    f, C = by_name("hat"), cesaro(8)
+    before = [cache.cache_info() for cache in X_KEYED]
+    with pytest.raises(DomainError, match=rf"^x must lie in \[-2\^20, 2\^20\], got {re.escape(str(x))}$"):
+        NON_FINITE_CALLS[name](f, C, x)
+    assert [cache.cache_info() for cache in X_KEYED] == before
+    assert len(C._ab_weights) == 0
+
+
+def test_out_of_range_order_fills_no_x_keyed_cache():
+    f, C = by_name("hat"), cesaro(8)
+    calls = (lambda: transform_value(f, C, C, 9, 0.77), lambda: lhs_theorem1(f, C, C, 0.77, 9, False),
+             lambda: deviation_kernel_form(f, C, C, 9, 0.77))
+    before = [cache.cache_info() for cache in X_KEYED]
+    for call in calls:
+        with pytest.raises(MatrixValidationError):
+            call()
+    assert [cache.cache_info() for cache in X_KEYED] == before
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

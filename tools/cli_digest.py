@@ -26,6 +26,14 @@ checkout's src/, and the line is
 
     <sha256 of its first-pass outputs and same_every_pass, or -> - - <exit code> library-sweep first pass, seed 1
 
+The sweep makes only 144 deviation_kernel_form calls, so a fresh interpreter
+on the given checkout's src/ makes 13,320 more: the corpus, cesaro/cesaro,
+identity/identity and cesaro/identity built to 32 and to 1024, 37 x and 20
+orders from 0 to 1024.  The repr of each result, or the exception's type and
+message, is one line of one sha256:
+
+    <sha256 of those lines, or -> - - <exit code> kernel-form grid
+
 The work directory holding the input and output files is replaced by <work>
 in stdout and stderr, so two runs, or two checkouts, print identical lines
 exactly when their outputs are byte-identical.  Compare them with diff.
@@ -115,6 +123,35 @@ def sweep_digest(root: Path, work: Path) -> str:
     return f"{sha} - - {done.returncode} library-sweep first pass, seed 1"
 
 
+KERNEL_FORM = """
+import hashlib
+from conjsum import conjugate, functions, summability
+PI = functions.PI
+xs = conjugate.default_x_grid() + [0.0, 1e-9, -1e-9, 1.0, PI, PI - 1e-9, 1e-9 - PI]
+orders = {32: (0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32), 1024: (0, 63, 64, 127, 255, 511, 1023, 1024)}
+digest = hashlib.sha256()
+for size, ns in orders.items():
+    C, I = summability.cesaro(size), summability.identity_matrix(size)
+    for f in functions.corpus():
+        for A, B in ((C, C), (I, I), (C, I)):
+            for x in xs:
+                for n in ns:
+                    try:
+                        line = repr(conjugate.deviation_kernel_form(f, A, B, n, x))
+                    except Exception as exc:
+                        line = f"{type(exc).__name__}: {exc}"
+                    digest.update(line.encode() + b"\\n")
+print(digest.hexdigest())
+"""
+
+
+def kernel_form_digest(root: Path, work: Path) -> str:
+    env = bench.child_env()
+    env.update(PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", KERNEL_FORM], cwd=work, env=env, capture_output=True, text=True)
+    return f"{done.stdout.strip() or '-'} - - {done.returncode} kernel-form grid"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("root", nargs="?", type=Path, default=ROOT, help="checkout whose src/ is run")
@@ -127,9 +164,11 @@ def main() -> int:
         # an --out file is hashed after its command; each op writes a distinct path or none
         with ThreadPoolExecutor(JOBS) as pool:
             sweep = pool.submit(sweep_digest, root, work)
+            kernel_form = pool.submit(kernel_form_digest, root, work)
             for line in pool.map(lambda op: digest(op, root, work), ops):
                 print(line, flush=True)
             print(sweep.result(), flush=True)
+            print(kernel_form.result(), flush=True)
     return 0
 
 
