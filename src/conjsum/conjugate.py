@@ -1,29 +1,30 @@
-"""Truncated and full conjugate function from one pair of panel-sum tables per x.
+"""Truncated and full conjugate function from one panel-sum table per x.
 
 Both integrate psi_x(t) (1/2) cot(t/2) over (eps, pi]; the full conjugate is
 the eps = 0 case, whose integrand is bounded at t -> 0 wherever f is
 Dini-continuous at x.  One mesh per (f, x, grid), graded_boundaries(0, pi)
-with psi's breakpoints inserted, holds two ``PanelSums`` anchored at pi: one
-with the 8-node Gauss-Legendre rule on each panel (coarse) and one on both
-halves of it (fine).  The full conjugate is the fine total; a truncated one is
-the sum from the first boundary above eps plus the partial panel [eps, b], so
-every eps of an x shares one mesh, and conjugate_truncated reads an array of
-eps in one pass.  |fine - coarse| is each value's error estimate; for the
-full conjugate it is the divergence signal, and above CONJUGATE_TOL
+with psi's breakpoints inserted, holds one ``PanelSums`` anchored at pi with
+the Gauss-Kronrod 7/15 pair: its 15 nodes per panel give the Kronrod sum and
+the embedded Gauss sum at once.  The full conjugate is the Kronrod total; a
+truncated one is the sum from the first boundary above eps plus the partial
+panel [eps, b], so every eps of an x shares one mesh, and conjugate_truncated
+reads an array of eps in one pass.  |Kronrod - Gauss| is each value's error
+estimate, which bounds the Gauss sum's error and overstates the Kronrod sum's;
+for the full conjugate it is the divergence signal, and above CONJUGATE_TOL
 conjugate_at raises.
 
-deviation_kernel_form integrates both of its kernel integrands with the fine
-rule on the same kind of mesh, cut at h = pi/(n+1), and sums them from pi as
-a fine ``PanelSums`` would.  One cached table per (f, x, grid),
-_kernel_nodes, holds the uncut mesh and, at its fine nodes, the weights,
-psi_x, e^{it} and (1/2) cot(t/2): 48 bytes a node, about 129 kB at the default
-grid.  A call gathers the rows of every panel the cut leaves whole and
-evaluates only the two halves of the panel h splits (none when h is already
-a boundary, as at n = 2^j - 1).  Every value is elementwise per node and
-every panel sum a vecdot of its own row, so the bits are those of evaluating
-every node afresh.  The kernel mean sum_k c_k D~_k(t) comes from the one
-kernel evaluator, kernels.conj_kernel_mean_z at the cached e^{it}, within
-n eps sum |C_nu| of the exact series.
+deviation_kernel_form integrates both of its kernel integrands with the
+Kronrod row on the same kind of mesh, cut at h = pi/(n+1), and sums them from
+pi as a ``PanelSums`` would.  One cached table per (f, x, grid),
+_kernel_nodes, holds the uncut mesh and, at its 15 nodes a panel, the
+weights, psi_x, e^{it} and (1/2) cot(t/2): 48 bytes a node, about 120 kB at
+the default grid.  A call gathers the rows of every panel the cut leaves
+whole and evaluates only the two panels into which h splits one (none when h
+is already a boundary, as at n = 2^j - 1).  Every value is elementwise per
+node and every panel sum a vecdot of its own row, so the bits are those of
+evaluating every node afresh.  The kernel mean sum_k c_k D~_k(t) comes from
+the one kernel evaluator, kernels.conj_kernel_mean_z at the cached e^{it},
+within n eps sum |C_nu| of the exact series.
 
 Every x passes functions.check_x first, which reduces an x outside [-pi, pi] by
 the period and refuses one beyond 2^20.
@@ -44,8 +45,8 @@ from .functions import (
     check_half_period,
     check_x,
     eval_psi,
-    fine_rule,
     graded_boundaries,
+    kronrod_panels,
     panel_integrals,
     psi_breakpoints,
     running_sums,
@@ -54,11 +55,12 @@ from .kernels import conj_kernel_mean_z
 from .summability import TriangularMatrix, ab_weights
 
 CONJUGATE_TOL = 1e-8  # largest error estimate conjugate_at accepts
+X_GRID_WEIGHT = PI / 16.0  # spacing of default_x_grid, the weight of each point in its L^p norms
 
 
 def default_x_grid() -> list[float]:
     """Evaluation points {+-j*pi/16 : j=1..15}; avoids all corpus singularities."""
-    pos = [j * PI / 16.0 for j in range(1, 16)]
+    pos = [j * X_GRID_WEIGHT for j in range(1, 16)]
     return sorted(-v for v in pos) + pos
 
 
@@ -68,20 +70,19 @@ def _mesh(f: PeriodicFunction, x: float, grid: GridSpec, cuts=()) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _table(f: PeriodicFunction, x: float, grid: GridSpec) -> tuple[PanelSums, PanelSums]:
-    """Fine and coarse sums from pi of psi_x(t) (1/2) cot(t/2) on the mesh for (f, x, grid)."""
+def _table(f: PeriodicFunction, x: float, grid: GridSpec) -> PanelSums:
+    """Kronrod and Gauss sums from pi of psi_x(t) (1/2) cot(t/2) on the mesh for (f, x, grid)."""
 
     def integrand(t):
         return eval_psi(f, x, t) * 0.5 / np.tan(0.5 * t)
 
-    bounds = _mesh(f, x, grid)
-    return PanelSums(integrand, bounds, fine_rule, from_top=True), PanelSums(integrand, bounds, from_top=True)
+    return PanelSums(integrand, _mesh(f, x, grid), kronrod_panels, from_top=True)
 
 
 def _truncated(f: PeriodicFunction, x: float, eps: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """(-(1/pi) int_eps^pi psi_x(t) (1/2) cot(t/2) dt, its error estimate) at each eps; 0 at eps = pi."""
-    fine, coarse = (table.at(eps) for table in _table(f, x, grid))
-    return np.where(eps == PI, 0.0, -fine / PI), np.abs(fine - coarse) / PI
+    kronrod, gauss = _table(f, x, grid).at(eps)
+    return np.where(eps == PI, 0.0, -kronrod / PI), np.abs(kronrod - gauss) / PI
 
 
 @lru_cache(maxsize=100000)
@@ -124,16 +125,16 @@ def conjugate_at(f: PeriodicFunction, x: float, grid: GridSpec = DEFAULT_GRID) -
 
 
 def _kernel_rows(f: PeriodicFunction, x: float, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """fine_rule nodes and weights on the panels [lo, hi], and psi_x, e^{it} and (1/2) cot(t/2) there, by panel."""
-    nodes, weights = fine_rule(lo, hi)
-    return nodes, weights, eval_psi(f, x, nodes), np.exp(1j * nodes), 0.5 / np.tan(0.5 * nodes)
+    """Kronrod nodes and weights on the panels [lo, hi], and psi_x, e^{it} and (1/2) cot(t/2) there, by panel."""
+    nodes, weights = kronrod_panels(lo, hi)
+    return nodes, weights[0], eval_psi(f, x, nodes), np.exp(1j * nodes), 0.5 / np.tan(0.5 * nodes)
 
 
 @lru_cache(maxsize=16)
 def _kernel_nodes(f: PeriodicFunction, x: float, grid: GridSpec) -> tuple[np.ndarray, ...]:
     """The mesh for (f, x, grid) and its _kernel_rows, read-only.
 
-    48 bytes a node: about 129 kB at the default grid, 1.7 MB at the largest (m = 16384, refinement 64).
+    48 bytes a node: about 120 kB at the default grid, 1.5 MB at the largest (m = 16384, refinement 64).
     """
     bounds = _mesh(f, x, grid)
     table = (bounds, *_kernel_rows(f, x, bounds[:-1], bounds[1:]))
@@ -160,6 +161,12 @@ def deviation_kernel_form(
     singular point of f the full conjugate diverges, so it raises there.
     Each panel of the mesh cut at h that is a panel of the uncut mesh reads
     its rows from _kernel_nodes; only the others are evaluated here.
+
+    Tested orders: up to n = 16 within 1e-13 of value minus conjugate, and at
+    n = 1024 against the same integral on a mesh eight times finer, within
+    2e-11 for Cesaro means, 3e-9 for Cesaro/identity and 1e-6 for identity
+    rows.  The default mesh does not resolve n = 4096: there the errors reach
+    6.8e-7 (Cesaro) and 0.35 (identity), and no estimate reports them.
     """
     x = _check_regular(f, x)
     weights = ab_weights(A, B, n)

@@ -1,10 +1,11 @@
 """2*pi-periodic test functions, the shared quadrature engine and the corpus.
 
-The engine is 8-node Gauss-Legendre panels (``gl_panels``, ``gl_rule``, and
-``fine_rule`` on both halves of each panel), the dyadically graded meshes of
+The engine is 8-node Gauss-Legendre panels (``gl_panels``, ``gl_rule``), the
+embedded Gauss-Kronrod 7/15 pair (``kronrod_panels``: one set of 15 nodes, a
+Kronrod and a Gauss row of weights), the dyadically graded meshes of
 ``graded_boundaries`` for integrands with a 1/t-type feature at the left
 endpoint, and ``PanelSums``: running sums of panel integrals from one anchored
-end of a mesh, with an optional leading x axis.  The conjugate (anchored at pi),
+end of a mesh, with an optional leading axis.  The conjugate (anchored at pi),
 the moduli (anchored at 0) and check_condition_2_511 (a total) all integrate
 through it, on meshes that ``_insert_points`` merges: the one rule for cutting
 panels at extra points, which drops a boundary within 1e-15 of the one below
@@ -37,6 +38,16 @@ _gl_half_nodes = np.array([0.18343464249564978, 0.525532409916329, 0.79666647741
 _gl_half_weights = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
 _gl_nodes = np.concatenate((-_gl_half_nodes[::-1], _gl_half_nodes))
 _gl_weights = np.concatenate((_gl_half_weights[::-1], _gl_half_weights))
+# QUADPACK qk15 (Piessens et al., 1983) from the centre out: the Kronrod nodes, the Kronrod weights, and the weights
+# of the 7-node Gauss rule that they embed at the even entries (0 at the Kronrod-only nodes)
+_k15_half_nodes = np.array([0.0, 0.20778495500789848, 0.4058451513773972, 0.5860872354676911, 0.7415311855993945,
+                            0.8648644233597691, 0.9491079123427585, 0.9914553711208126])
+_k15_half_weights = np.array([0.20948214108472782, 0.20443294007529889, 0.19035057806478542, 0.1690047266392679,
+                              0.14065325971552592, 0.10479001032225019, 0.06309209262997856, 0.022935322010529224])
+_g7_half_weights = np.array([0.4179591836734694, 0.0, 0.3818300505051189, 0.0, 0.27970539148927664, 0.0,
+                             0.1294849661688697, 0.0])
+_k15_nodes = np.concatenate((-_k15_half_nodes[:0:-1], _k15_half_nodes))
+_k15_weights = np.stack([np.concatenate((half[:0:-1], half)) for half in (_k15_half_weights, _g7_half_weights)])
 
 
 def check_half_period(name: str, value):
@@ -145,11 +156,16 @@ def gl_rule(boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), weights.ravel()
 
 
-def fine_rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 8-node rule on both halves of each panel [lo[k], hi[k]], one row of 16 per panel."""
-    mid = lo + 0.5 * (hi - lo)
-    (n1, w1), (n2, w2) = gl_panels(lo, mid), gl_panels(mid, hi)
-    return np.hstack((n1, n2)), np.hstack((w1, w2))
+def kronrod_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Kronrod 15 nodes, one row per panel [lo[k], hi[k]], and weights of shape (2, panels, 15).
+
+    Weight row 0 is the 15-node Kronrod rule (exact to degree 22), row 1 the embedded 7-node Gauss rule (degree 13),
+    so one evaluation of the integrand gives both sums; their difference is the error estimate of the Gauss sum,
+    a cautious one of the Kronrod sum.
+    """
+    half = 0.5 * (hi - lo)[:, None]
+    mid = 0.5 * (hi + lo)[:, None]
+    return mid + half * _k15_nodes, half * _k15_weights[:, None, :]
 
 
 def panel_integrals(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -175,9 +191,12 @@ class PanelSums:
     [bounds[i], bounds[-1]] when ``from_top``.  The sums run from the anchor,
     so a short integral beside it is never a total minus a long one.  g maps a
     (panels, nodes) array of t to its values, with a leading x axis if g has
-    one; ``rule`` is ``gl_panels`` or ``fine_rule``.  ``cum`` may be passed in
-    already filled, as the moduli node table does block by block.  Tables are
-    shared through caches, so ``bounds`` and ``cum`` are made read-only.
+    one; ``rule`` is ``gl_panels`` or ``kronrod_panels``, whose weights carry
+    the Kronrod and the Gauss row on a leading axis of 2: with it, ``cum`` and
+    ``at`` give both sums on that axis (after g's x axis, which must then end
+    in a unit axis).  ``cum`` may be passed in already filled, as the moduli
+    node table does block by block.  Tables are shared through caches, so
+    ``bounds`` and ``cum`` are made read-only.
     """
 
     def __init__(self, g, bounds: np.ndarray, rule=gl_panels, from_top: bool = False, cum=None):

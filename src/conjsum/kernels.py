@@ -5,7 +5,7 @@ sum_k c_k D~_k(t) = sum_{nu<=n} C_nu sin(nu t), C_nu = sum_{k>=nu} c_k, by n
 Horner steps in z = e^{it} on O(len(t)) memory, within n eps sum |C_nu|
 (tested, n <= 1024).  ``conj_kernel_mean`` forms z from t first; the
 kernel-form deviations pass the z of their cached node table per (f, x),
-about 129 kB at the default grid.  D~_k itself is the mean of the unit
+about 120 kB at the default grid.  D~_k itself is the mean of the unit
 weights e_k.  The partial sums k = 0..n (``partial_sum_table``) come from one
 pass; order k is row k.
 ``fourier_coeffs`` sums its quadrature with one inverse FFT per Gauss node.

@@ -51,8 +51,8 @@ from .functions import (
     check_half_period,
     eval_phi,
     eval_psi,
-    fine_rule,
     graded_boundaries,
+    kronrod_panels,
     lp_norms,
     psi_breakpoints,
     sorted_unique,
@@ -229,10 +229,9 @@ def _increment_norms(f: PeriodicFunction, t: np.ndarray, p: float, kind: str, gr
 
 @lru_cache(maxsize=256)
 def _classical_table(f: PeriodicFunction, p: float, kind: str, grid: GridSpec):
-    """The t-set, the norm at each t and their running max, read-only."""
+    """The t-set and the running max of the norms at its t, read-only."""
     t = _classical_t_set()
-    norms = _increment_norms(f, t, p, kind, grid)
-    table = t, norms, _running_max(norms)
+    table = t, _running_max(_increment_norms(f, t, p, kind, grid))
     for array in table:
         array.flags.writeable = False
     return table
@@ -246,7 +245,7 @@ def classical_modulus(f: PeriodicFunction, delta, p: float, grid: GridSpec = DEF
     delta = check_half_period("delta", delta)
     check_exponent("p", p)
     kind = "psi" if conjugate else "phi"
-    t, _, running = _classical_table(f, float(p), kind, grid)
+    t, running = _classical_table(f, float(p), kind, grid)
     values = _sup_up_to(t, running, np.atleast_1d(delta), lambda d: _increment_norms(f, d, p, kind, grid))
     return float(values[0]) if isinstance(delta, float) else values
 
@@ -327,7 +326,7 @@ def check_condition_2_511(
         return np.abs(eval_psi(f, x, t)) / t
 
     bounds = _insert_points(graded_boundaries(0.0, h, grid), psi_breakpoints(f, x))
-    lhs = float(PanelSums(integrand, bounds, fine_rule).cum[-1]) / PI
+    lhs = float(PanelSums(integrand, bounds, kronrod_panels).cum[0, -1]) / PI  # the Kronrod total
     rhs = modulus(f, x, h, "w_tilde", grid)
     tiny = 1e-13
     if rhs < tiny:

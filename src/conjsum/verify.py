@@ -13,11 +13,9 @@ the running averages that modulus_profile caches beside its profile per
 (f, x, kind), sized the same way: every n <= 512 shares one coefficient set
 and table, and an order above 512 gets its own.  np.cumsum adds in index
 order and each modulus value depends on its own delta alone, so a prefix has
-the bits of an array built for that n alone.
-The one batched piece: a grid reads the truncated conjugates of an x in one
-conjugate_truncated array call, with the bits of the float-eps calls, at the
-first (n, x) of that x and after its transform, so the first failing (n, x)
-keeps the loop order.
+the bits of an array built for that n alone.  Every left side is
+lhs_theorem1 at its (n, x): a truncated conjugate is one cached lookup in the
+conjugate table of x, so the first failing (n, x) is that of the loop order.
 """
 
 from __future__ import annotations
@@ -31,15 +29,13 @@ import numpy as np
 
 from . import kernels, summability
 from .base import DEFAULT_GRID, THEOREM_IDS, GridSpec
-from .conjugate import conjugate_at, conjugate_truncated, default_x_grid
+from .conjugate import X_GRID_WEIGHT, conjugate_at, conjugate_truncated, default_x_grid
 from .functions import PI, PeriodicFunction, check_exponent, check_x, lp_norms
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, fourier_coeffs
 from .moduli import _averaged_modulus, classical_modulus, modulus_profile
 from .summability import TriangularMatrix, exact_cumsum
 
 RATIO_ZERO_TOL = 1e-11
-
-X_GRID_WEIGHT = PI / 16.0  # spacing of the default evaluation grid
 
 
 @dataclass(frozen=True)
@@ -125,30 +121,6 @@ def lhs_theorem1(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, 
     return abs(value - target)
 
 
-def _deviations(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, ns: Sequence[int], truncated: bool,
-                grid: GridSpec):
-    """lhs_theorem1 as a function of (n, x), for a grid whose orders are ns.
-
-    Against the truncated conjugate, the targets of an x come from one
-    conjugate_truncated array call over eps = pi/(n+1), for each n >= 0 of ns.
-    It is made at the first (n, x) of that x, after its transform, so a
-    failing (n, x) raises what lhs_theorem1 raises there.
-    """
-    if not truncated:
-        return lambda n, x: lhs_theorem1(f, A, B, x, n, False, grid)
-    orders = sorted({n for n in ns if n >= 0})
-    targets: dict = {}
-
-    def deviation(n: int, x: float) -> float:
-        value = transform_value(f, A, B, n, x, grid)
-        if x not in targets:
-            values = conjugate_truncated(f, x, PI / (np.array(orders) + 1.0), grid)
-            targets[x] = dict(zip(orders, values.tolist()))
-        return abs(value - targets[x][n])
-
-    return deviation
-
-
 _POINTWISE_IDS = ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc")
 
 
@@ -164,12 +136,12 @@ def pointwise_grid(
     """Pointwise BoundReports for T1.51, T1.5, R1.6, T2 or T2.trunc, n outer and x inner."""
     if theorem_id not in _POINTWISE_IDS:
         raise ValueError(f"unknown pointwise theorem id {theorem_id!r}")
-    deviation = _deviations(f, A, B, ns, theorem_id in ("T1.51", "T2.trunc"), grid)
+    truncated = theorem_id in ("T1.51", "T2.trunc")
     reports = []
     for n in ns:
         weights = None  # R1.6's, built at the first x of n, after its transform
         for x in xs:
-            lhs = deviation(n, x)
+            lhs = lhs_theorem1(f, A, B, x, n, truncated, grid)
             if theorem_id in ("T1.51", "T1.5"):
                 rhs = rhs_theorem1(f, A, x, n, grid)
             elif theorem_id == "R1.6":
@@ -198,13 +170,12 @@ def norm_grid(
     per point, max for p = inf); the rhs uses the classical L^p moduli.
     """
     check_exponent("p", p)
-    deviation = _deviations(f, A, B, ns, truncated, grid)
     xs = default_x_grid()
     top = min(max(ns, default=0), A.n_max)  # an order past A fails in its transform
     inner = _averaged_modulus(classical_modulus(f, PI / (np.arange(top + 1) + 1.0), p, grid))
     reports = []
     for n in ns:
-        lhs = float(lp_norms(np.array([deviation(n, x) for x in xs]), p, X_GRID_WEIGHT))
+        lhs = float(lp_norms(np.array([lhs_theorem1(f, A, B, x, n, truncated, grid) for x in xs]), p, X_GRID_WEIGHT))
         rhs = _row_mean(A, n, inner)
         metadata = {
             "function": f.name,

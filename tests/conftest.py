@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from conjsum.functions import (
-    DEFAULT_GRID, GridSpec, PanelSums, _insert_points, corpus, fine_rule, graded_boundaries, registry
+    DEFAULT_GRID, GridSpec, PanelSums, _insert_points, corpus, graded_boundaries, kronrod_panels, registry
 )
 
 # every property test draws the same examples on every run; each test keeps its own max_examples
@@ -11,10 +11,10 @@ settings.load_profile("deterministic")
 
 
 def graded_integral(g, a, b, grid=DEFAULT_GRID, breakpoints=()):
-    """Integral of g over [a, b] on the mesh graded toward a: the fine total and |fine - coarse|."""
+    """Integral of g over [a, b] on the mesh graded toward a: the Kronrod total and |Kronrod - Gauss|."""
     bounds = _insert_points(graded_boundaries(a, b, grid), breakpoints)
-    fine = float(PanelSums(g, bounds, fine_rule).cum[-1])
-    return fine, abs(fine - float(PanelSums(g, bounds).cum[-1]))
+    kronrod, gauss = PanelSums(g, bounds, kronrod_panels).cum[:, -1].tolist()
+    return kronrod, abs(kronrod - gauss)
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ from conjsum.functions import (
     by_name,
     corpus,
     eval_psi,
-    fine_rule,
+    kronrod_panels,
     psi_breakpoints,
 )
 from conjsum.kernels import conj_kernel_mean, fourier_coeffs, partial_sum_table
@@ -309,25 +309,59 @@ class TestDeviationKernelForm:
                     assert df == pytest.approx(value - full, abs=KERNEL_FORM_TOL)
 
 
-def kernel_form_reference(f, A, B, n, x, grid):
-    """deviation_kernel_form from scratch: one PanelSums on the mesh cut at h, every node evaluated afresh."""
+def kernel_form_reference(f, A, B, n, x, grid, parts=1):
+    """deviation_kernel_form from scratch: one PanelSums on the mesh cut at h, every node evaluated afresh.
+
+    With parts > 1 each panel of that mesh is split into parts equal ones.
+    """
     weights = ab_weights(A, B, n)
     h = PI / (n + 1)
     bounds = conjugate._mesh(f, x, grid, cuts=[h])
     below = int(np.argmin(np.abs(bounds - h)))
+    if parts > 1:
+        lo, hi = bounds[:-1, None], bounds[1:, None]
+        bounds, below = np.append((lo + (hi - lo) * (np.arange(parts) / parts)).ravel(), bounds[-1]), below * parts
 
     def integrands(t):
         psi = eval_psi(f, x, t)
         kernel = conj_kernel_mean(weights, t)
         inner = np.where(t < bounds[below], psi * kernel, 0.0)
-        return np.stack((inner, psi * (0.5 / np.tan(0.5 * t) - kernel)))
+        return np.stack((inner, psi * (0.5 / np.tan(0.5 * t) - kernel)))[:, None]  # a unit axis for the rule's
 
-    inner, outer = PanelSums(integrands, bounds, fine_rule, from_top=True).cum
+    (inner, _), (outer, _) = PanelSums(integrands, bounds, kronrod_panels, from_top=True).cum  # the Kronrod rows
     dev_truncated = (-inner[0] + outer[below]) / PI
     dev_full = outer[0] / PI
     if not (np.isfinite(dev_truncated) and np.isfinite(dev_full)):
         raise SingularIntegrandError("kernel-form deviation integral is not finite")
     return float(dev_truncated), float(dev_full)
+
+
+# the largest error measured at n = 1024 over the corpus and HIGH_ORDER_X, by (A, B): 1.2e-11, 1.6e-9 and 5.2e-7
+KERNEL_FORM_HIGH_ORDER_TOL = {("cesaro", "cesaro"): 2e-11, ("cesaro", "identity"): 3e-9, ("identity", "identity"): 1e-6}
+HIGH_ORDER_X = (0.3, -2.2, 1.0, 2.9, -0.05)
+
+
+class TestKernelFormHighOrder:
+    """At n = 1024 the kernel form meets the same integral on a mesh whose every panel is split in 8.
+
+    That reference is itself converged: splitting in 16 moves it by at most 7e-15.  The kernels of identity rows
+    oscillate at the full order n, so their error is the largest.
+    """
+
+    TOP = 1024
+
+    @pytest.fixture(scope="class")
+    def matrices(self):
+        return {"cesaro": cesaro(self.TOP), "identity": identity_matrix(self.TOP)}
+
+    @pytest.mark.parametrize("pair", sorted(KERNEL_FORM_HIGH_ORDER_TOL), ids="/".join)
+    @pytest.mark.parametrize("f", corpus(), ids=lambda f: f.name)
+    def test_order_1024_meets_a_mesh_eight_times_finer(self, f, pair, matrices):
+        A, B = (matrices[name] for name in pair)
+        for x in HIGH_ORDER_X:
+            got = deviation_kernel_form(f, A, B, self.TOP, x)
+            want = kernel_form_reference(f, A, B, self.TOP, x, DEFAULT_GRID, parts=8)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= KERNEL_FORM_HIGH_ORDER_TOL[pair], (x, got, want)
 
 
 class TestKernelFormBitIdentity:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,13 +17,15 @@ from conjsum.functions import (
     _gl_nodes,
     _gl_weights,
     _insert_points,
+    _k15_nodes,
+    _k15_weights,
     by_name,
     corpus,
     eval_phi,
     eval_psi,
-    fine_rule,
     gl_panels,
     graded_boundaries,
+    kronrod_panels,
 )
 
 from conftest import graded_integral
@@ -163,6 +166,40 @@ def test_written_out_gauss_legendre_rule_is_leggauss():
     assert np.array_equal(_gl_nodes, nodes) and np.array_equal(_gl_weights, weights)
 
 
+class TestKronrodConstants:
+    """The written-out QUADPACK qk15 constants: the 15-node Kronrod row and the embedded 7-node Gauss row."""
+
+    @pytest.mark.parametrize("row, degree", [(0, 22), (1, 13)], ids=["kronrod", "gauss"])
+    def test_exact_up_to_the_rule_degree(self, row, degree):
+        # summed as exact fractions of the doubles, so only the constants' rounding (below 6e-17) remains
+        def error(k):
+            got = sum(Fraction(w) * Fraction(t) ** k for w, t in zip(_k15_weights[row].tolist(), _k15_nodes.tolist()))
+            return abs(float(got - (Fraction(2, k + 1) if k % 2 == 0 else 0)))
+
+        assert max(error(k) for k in range(degree + 1)) <= 1e-16
+        assert error(degree + 1 if degree % 2 else degree + 2) > 1e-9  # the next even degree is not exact
+
+    def test_nodes_and_weights_are_symmetric(self):
+        assert np.array_equal(_k15_nodes, -_k15_nodes[::-1]) and np.all(np.diff(_k15_nodes) > 0.0)
+        assert -1.0 < _k15_nodes[0] and _k15_nodes[7] == 0.0
+        assert np.array_equal(_k15_weights, _k15_weights[:, ::-1])
+
+    def test_each_row_sums_to_two(self):
+        assert [math.fsum(row) for row in _k15_weights.tolist()] == [2.0, 2.0]
+
+    def test_gauss_row_is_leggauss_at_every_other_node(self):
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        assert np.array_equal(np.flatnonzero(_k15_weights[1]), np.arange(1, 15, 2))
+        assert np.max(np.abs(_k15_nodes[1::2] - nodes)) <= 2.3e-16
+        assert np.max(np.abs(_k15_weights[1, 1::2] - weights)) <= 2.3e-16
+
+    def test_panels_map_the_rule(self):
+        nodes, weights = kronrod_panels(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
+        assert nodes.shape == (2, 15) and weights.shape == (2, 2, 15)
+        assert np.array_equal(nodes[1], 2.0 + _k15_nodes) and np.array_equal(weights[:, 1], _k15_weights)
+        assert np.array_equal(weights[:, 0], 0.5 * _k15_weights)
+
+
 class TestPanelSums:
     """The one running-sum table behind the conjugate, the moduli and condition 2.511."""
 
@@ -171,17 +208,19 @@ class TestPanelSums:
 
     def table(self, x, rule, from_top):
         f = by_name("hat")
+        if rule is kronrod_panels and np.ndim(x):
+            x = x[..., None]  # a unit axis for the rule's leading axis of 2
         return PanelSums(lambda t: np.abs(eval_psi(f, x, t)), self.BOUNDS, rule, from_top)
 
     @pytest.mark.parametrize("from_top", [False, True])
-    @pytest.mark.parametrize("rule", [gl_panels, fine_rule])
+    @pytest.mark.parametrize("rule", [gl_panels, kronrod_panels])
     @pytest.mark.parametrize("x", [0.3, X_AXIS], ids=["one-x", "x-axis"])
     def test_a_t_alone_and_in_any_batch_gives_the_same_bits(self, x, rule, from_top):
         table = self.table(x, rule, from_top)
         rng = np.random.default_rng(3)
         t = np.concatenate((rng.uniform(0.0, PI, 40), self.BOUNDS[::5], [1e-300, PI]))
         batch = table.at(t)
-        assert batch.shape == np.shape(x)[:1] + t.shape
+        assert batch.shape == np.shape(x)[:1] + ((2,) if rule is kronrod_panels else ()) + t.shape
         for k in range(len(t)):
             assert np.array_equal(table.at(t[k : k + 1])[..., 0], batch[..., k])
         order = rng.permutation(len(t))
@@ -197,7 +236,8 @@ class TestPanelSums:
     def test_both_anchors_meet_the_closed_form(self):
         # int_0^t sin = 1 - cos t and int_t^pi sin = 1 + cos t
         t = np.array([1e-9, 0.2, 1.0, 2.5, PI])
-        bottom, top = (PanelSums(np.sin, self.BOUNDS, fine_rule, from_top) for from_top in (False, True))
+        # both rows: the Kronrod and the Gauss sums
+        bottom, top = (PanelSums(np.sin, self.BOUNDS, kronrod_panels, from_top) for from_top in (False, True))
         assert np.max(np.abs(bottom.at(t) - (1.0 - np.cos(t)))) < 1e-14
         assert np.max(np.abs(top.at(t) - (1.0 + np.cos(t)))) < 1e-14
 

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from conjsum import cli
-from conjsum.conjugate import conjugate_at, conjugate_truncated, default_x_grid
+from conjsum.conjugate import X_GRID_WEIGHT, conjugate_at, conjugate_truncated, default_x_grid
 from conjsum.functions import (
     DEFAULT_GRID,
     PI,
@@ -37,7 +37,6 @@ from conjsum.kernels import DEFAULT_COEFF_CUTOFF, partial_sum_table
 from conjsum.moduli import classical_modulus, modulus
 from conjsum.summability import _check_transform_order, cesaro, exact_cumsum, identity_matrix, nordlund
 from conjsum.verify import (
-    X_GRID_WEIGHT,
     BoundReport,
     coefficients,
     corollary_grid,

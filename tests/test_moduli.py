@@ -245,7 +245,8 @@ class TestClassicalModulus:
         want = {}
         for f, p, conjugate in cases:
             kind = "psi" if conjugate else "phi"
-            norms = moduli._classical_table(f, p, kind, grid)[1]
+            norms = moduli._increment_norms(f, t, p, kind, grid)
+            moduli._classical_table(f, p, kind, grid)  # filled here, so the reads below evaluate nothing
             for d in deltas:
                 endpoint = moduli._increment_norms(f, np.array([d]), p, kind, grid)[0]
                 want[f.name, p, conjugate, d] = max(float(norms[t <= d].max()), float(endpoint))

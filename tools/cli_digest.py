@@ -5,6 +5,7 @@ Usage, from the repository root:
 
     python3 tools/cli_digest.py                      # this checkout
     python3 tools/cli_digest.py /path/to/other/checkout
+    python3 tools/cli_digest.py --numeric OTHER      # this checkout against OTHER, field by field
 
 Runs every command of the cli-verify and check-matrix workloads of
 bench/run.py (full sizes, check-matrix on the seed-1 Norlund matrix), then
@@ -37,6 +38,17 @@ message, is one line of one sha256:
 The work directory holding the input and output files is replaced by <work>
 in stdout and stderr, so two runs, or two checkouts, print identical lines
 exactly when their outputs are byte-identical.  Compare them with diff.
+
+With --numeric OTHER, every command above runs on the given checkout (A) and
+on OTHER (B), one after the other, and each line reads
+
+    <exit code A> <exit code B> <largest absolute difference> <largest relative difference> <text> <command name>
+
+over every number in stdout, stderr, the --out file, the sweep's outputs or
+the kernel-form lines: a CSV or JSON field, or a number inside a message.
+Relative is |a - b| / max(|a|, |b|).  <text> is "same" when everything else,
+the count of numbers included, is equal; otherwise it is "DIFFERS" and the
+differences are nan.  Byte-identical outputs read 0 0 same.
 """
 
 from __future__ import annotations
@@ -44,6 +56,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -95,41 +109,38 @@ def error_path_ops(work: Path) -> list[bench.Op]:
     return [bench.Op(name, args, "error-path") for name, args in ops]
 
 
-def digest(op: bench.Op, root: Path, work: Path) -> str:
+# one run's exit code and outputs (stdout, stderr, --out file), None where there is none
+Outputs = tuple[int, list]
+
+
+def run_op(op: bench.Op, root: Path, work: Path) -> Outputs:
     env = bench.child_env()
     env["PYTHONPATH"] = str(root / "src")
     done = subprocess.run([sys.executable, "-m", "conjsum.cli", *op.args], cwd=work, env=env, capture_output=True)
-    marker = str(work).encode()
-
-    def sha(data: bytes) -> str:
-        return hashlib.sha256(data.replace(marker, b"<work>")).hexdigest()
-
     out = op.args[op.args.index("--out") + 1] if "--out" in op.args else None
-    out_sha = sha(Path(out).read_bytes()) if out else "-"
-    return f"{sha(done.stdout)} {sha(done.stderr)} {out_sha} {done.returncode} {op.name}"
+    return done.returncode, [done.stdout, done.stderr, Path(out).read_bytes() if out else None]
 
 
-def sweep_digest(root: Path, work: Path) -> str:
+def run_sweep(root: Path, work: Path) -> Outputs:
     env = bench.child_env()
     env.update(PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     result = work / "sweep.json"
+    result.unlink(missing_ok=True)
     done = subprocess.run([sys.executable, str(ROOT / "bench" / "sweep.py"), str(result), "1", "0", "0", "0"],
                           cwd=work, env=env, capture_output=True)
-    sha = "-"
+    payload = None
     if result.exists():
         first = json.loads(result.read_text())
-        payload = json.dumps({"outputs": first["outputs"], "same_every_pass": first["same_every_pass"]}, sort_keys=True)
-        sha = hashlib.sha256(payload.encode()).hexdigest()
-    return f"{sha} - - {done.returncode} library-sweep first pass, seed 1"
+        payload = json.dumps({"outputs": first["outputs"], "same_every_pass": first["same_every_pass"]},
+                             sort_keys=True).encode()
+    return done.returncode, [payload, None, None]
 
 
 KERNEL_FORM = """
-import hashlib
 from conjsum import conjugate, functions, summability
 PI = functions.PI
 xs = conjugate.default_x_grid() + [0.0, 1e-9, -1e-9, 1.0, PI, PI - 1e-9, 1e-9 - PI]
 orders = {32: (0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32), 1024: (0, 63, 64, 127, 255, 511, 1023, 1024)}
-digest = hashlib.sha256()
 for size, ns in orders.items():
     C, I = summability.cesaro(size), summability.identity_matrix(size)
     for f in functions.corpus():
@@ -140,35 +151,82 @@ for size, ns in orders.items():
                         line = repr(conjugate.deviation_kernel_form(f, A, B, n, x))
                     except Exception as exc:
                         line = f"{type(exc).__name__}: {exc}"
-                    digest.update(line.encode() + b"\\n")
-print(digest.hexdigest())
+                    print(line)
 """
 
 
-def kernel_form_digest(root: Path, work: Path) -> str:
+def run_kernel_form(root: Path, work: Path) -> Outputs:
     env = bench.child_env()
     env.update(PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-c", KERNEL_FORM], cwd=work, env=env, capture_output=True, text=True)
-    return f"{done.stdout.strip() or '-'} - - {done.returncode} kernel-form grid"
+    done = subprocess.run([sys.executable, "-c", KERNEL_FORM], cwd=work, env=env, capture_output=True)
+    return done.returncode, [done.stdout if done.returncode == 0 else None, None, None]
+
+
+def jobs(work: Path) -> list:
+    """(name, run) for every line: run(root, work) gives that checkout's Outputs."""
+    ops = bench.cli_verify_ops(False, work)
+    ops += bench.check_matrix_ops(work, bench.nordlund_rows(1, 384)) + norm_grid_ops() + error_path_ops(work)
+    # an --out file is read after its command; each op writes a distinct path or none
+    out = [(op.name, lambda root, work, op=op: run_op(op, root, work)) for op in ops]
+    return out + [("library-sweep first pass, seed 1", run_sweep), ("kernel-form grid", run_kernel_form)]
+
+
+def digest_line(name: str, outputs: Outputs, work: Path) -> str:
+    code, parts = outputs
+    marker = str(work).encode()
+    shas = [hashlib.sha256(part.replace(marker, b"<work>")).hexdigest() if part is not None else "-" for part in parts]
+    return f"{' '.join(shas)} {code} {name}"
+
+
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|(?<![A-Za-z])[-+]?(?:nan|inf)(?![A-Za-z])")
+
+
+def split_numbers(data: bytes) -> tuple[list, list]:
+    """The text between the numbers of data, and the numbers as floats."""
+    return NUMBER.split(data), [float(number) for number in NUMBER.findall(data)]
+
+
+def numeric_line(name: str, a: Outputs, b: Outputs) -> str:
+    """Both exit codes and the largest absolute and relative differences between the numbers of a and b."""
+    same, abs_diff, rel_diff = True, 0.0, 0.0
+    for part_a, part_b in zip(a[1], b[1]):
+        if part_a is None or part_b is None:
+            same = same and part_a is part_b
+            continue
+        (text_a, numbers_a), (text_b, numbers_b) = split_numbers(part_a), split_numbers(part_b)
+        same = same and text_a == text_b and len(numbers_a) == len(numbers_b)
+        for x, y in zip(numbers_a, numbers_b):
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            gap = abs(x - y)
+            if not math.isfinite(gap):  # nan or an infinity on one side only
+                gap = relative = math.inf
+            else:
+                relative = gap / max(abs(x), abs(y))
+            abs_diff, rel_diff = max(abs_diff, gap), max(rel_diff, relative)
+    if not same:
+        abs_diff = rel_diff = math.nan
+    return f"{a[0]} {b[0]} {abs_diff:.3g} {rel_diff:.3g} {'same' if same else 'DIFFERS'} {name}"
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("root", nargs="?", type=Path, default=ROOT, help="checkout whose src/ is run")
+    parser.add_argument("--numeric", type=Path, metavar="OTHER", help="compare the numbers with this checkout's")
     args = parser.parse_args()
     root = args.root.resolve()
     with tempfile.TemporaryDirectory(prefix="cli-digest-") as tmp:
         work = Path(tmp)
-        ops = bench.cli_verify_ops(False, work)
-        ops += bench.check_matrix_ops(work, bench.nordlund_rows(1, 384)) + norm_grid_ops() + error_path_ops(work)
-        # an --out file is hashed after its command; each op writes a distinct path or none
+
+        def line(job) -> str:
+            name, run = job
+            if args.numeric is None:
+                return digest_line(name, run(root, work), work)
+            return numeric_line(name, run(root, work), run(args.numeric.resolve(), work))
+
         with ThreadPoolExecutor(JOBS) as pool:
-            sweep = pool.submit(sweep_digest, root, work)
-            kernel_form = pool.submit(kernel_form_digest, root, work)
-            for line in pool.map(lambda op: digest(op, root, work), ops):
-                print(line, flush=True)
-            print(sweep.result(), flush=True)
-            print(kernel_form.result(), flush=True)
+            for text in pool.map(line, jobs(work)):
+                print(text, flush=True)
     return 0
 
 
