@@ -76,7 +76,7 @@ def _table(f: PeriodicFunction, x: float, grid: GridSpec) -> PanelSums:
     def integrand(t):
         return eval_psi(f, x, t) * 0.5 / np.tan(0.5 * t)
 
-    return PanelSums(integrand, _mesh(f, x, grid), kronrod_panels, from_top=True)
+    return PanelSums(integrand, _mesh(f, x, grid), from_top=True)
 
 
 def _truncated(f: PeriodicFunction, x: float, eps: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:

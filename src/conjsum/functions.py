@@ -1,19 +1,19 @@
 """2*pi-periodic test functions, the shared quadrature engine and the corpus.
 
-The engine is 8-node Gauss-Legendre panels (``gl_panels``, ``gl_rule``), the
-embedded Gauss-Kronrod 7/15 pair (``kronrod_panels``: one set of 15 nodes, a
-Kronrod and a Gauss row of weights), the dyadically graded meshes of
-``graded_boundaries`` for integrands with a 1/t-type feature at the left
-endpoint, and ``PanelSums``: running sums of panel integrals from one anchored
-end of a mesh, with an optional leading axis.  The conjugate (anchored at pi),
-the moduli (anchored at 0) and check_condition_2_511 (a total) all integrate
-through it, on meshes that ``_insert_points`` merges: the one rule for cutting
-panels at extra points, which drops a boundary within 1e-15 of the one below
-it but keeps both ends.  ``eval_psi`` and ``eval_phi`` are the one definition
-of the increments psi_x and phi_x; x may be an array that broadcasts against
-t.  ``lp_norms`` is the one discrete L^p norm over x, and ``check_exponent``
-the one test of its exponent; ``check_x`` is the one test of a point x.  The
-exceptions and GridSpec live in ``base`` and are importable from here.
+The engine is the embedded Gauss-Kronrod 7/15 pair (``kronrod_panels``: one
+set of 15 nodes, a Kronrod and a Gauss row of weights), the one panel rule of
+every integral; the dyadically graded meshes of ``graded_boundaries`` for
+integrands with a 1/t-type feature at the left endpoint; and ``PanelSums``:
+running sums of the Kronrod and Gauss panel integrals from one anchored end of
+a mesh.  The conjugate (anchored at pi), the moduli (anchored at 0) and
+check_condition_2_511 (a total) all integrate through it, on meshes that
+``_insert_points`` merges: the one rule for cutting panels at extra points,
+which drops a boundary within 1e-15 of the one below it but keeps both ends.
+``eval_psi`` and ``eval_phi`` are the one definition of the increments psi_x
+and phi_x; x may be an array that broadcasts against t.  ``lp_norms`` is the
+one discrete L^p norm over x, and ``check_exponent`` the one test of its
+exponent; ``check_x`` is the one test of a point x.  The exceptions and
+GridSpec live in ``base`` and are importable from here.
 """
 
 from __future__ import annotations
@@ -32,14 +32,9 @@ PI = math.pi
 TWO_PI = 2.0 * math.pi
 MAX_ABS_X = 2.0**20  # the largest |x| that check_x reduces by the period
 
-_GL_POINTS = 8
-# np.polynomial.legendre.leggauss(_GL_POINTS), written out so no process imports numpy.polynomial
-_gl_half_nodes = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
-_gl_half_weights = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
-_gl_nodes = np.concatenate((-_gl_half_nodes[::-1], _gl_half_nodes))
-_gl_weights = np.concatenate((_gl_half_weights[::-1], _gl_half_weights))
-# QUADPACK qk15 (Piessens et al., 1983) from the centre out: the Kronrod nodes, the Kronrod weights, and the weights
-# of the 7-node Gauss rule that they embed at the even entries (0 at the Kronrod-only nodes)
+# QUADPACK qk15 (Piessens et al., 1983) from the centre out, written out so no process imports numpy.polynomial:
+# the Kronrod nodes, the Kronrod weights, and the weights of the 7-node Gauss rule that they embed at the even
+# entries (0 at the Kronrod-only nodes)
 _k15_half_nodes = np.array([0.0, 0.20778495500789848, 0.4058451513773972, 0.5860872354676911, 0.7415311855993945,
                             0.8648644233597691, 0.9491079123427585, 0.9914553711208126])
 _k15_half_weights = np.array([0.20948214108472782, 0.20443294007529889, 0.19035057806478542, 0.1690047266392679,
@@ -143,19 +138,6 @@ def eval_phi(f: PeriodicFunction, x: float, t):
 # quadrature engine
 
 
-def gl_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights, one row of 8 per panel [lo[k], hi[k]]."""
-    half = 0.5 * (hi - lo)[:, None]
-    mid = 0.5 * (hi + lo)[:, None]
-    return mid + half * _gl_nodes, half * _gl_weights
-
-
-def gl_rule(boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights for the panels between boundaries."""
-    nodes, weights = gl_panels(boundaries[:-1], boundaries[1:])
-    return nodes.ravel(), weights.ravel()
-
-
 def kronrod_panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Kronrod 15 nodes, one row per panel [lo[k], hi[k]], and weights of shape (2, panels, 15).
 
@@ -187,27 +169,23 @@ def running_sums(panels: np.ndarray, from_top: bool) -> np.ndarray:
 class PanelSums:
     """Integrals of g from one anchored end of a mesh to each boundary, and to any t.
 
-    ``cum[..., i]`` integrates g over [bounds[0], bounds[i]], or over
-    [bounds[i], bounds[-1]] when ``from_top``.  The sums run from the anchor,
-    so a short integral beside it is never a total minus a long one.  g maps a
-    (panels, nodes) array of t to its values, with a leading x axis if g has
-    one; ``rule`` is ``gl_panels`` or ``kronrod_panels``, whose weights carry
-    the Kronrod and the Gauss row on a leading axis of 2: with it, ``cum`` and
-    ``at`` give both sums on that axis (after g's x axis, which must then end
-    in a unit axis).  ``cum`` may be passed in already filled, as the moduli
-    node table does block by block.  Tables are shared through caches, so
-    ``bounds`` and ``cum`` are made read-only.
+    ``cum[..., r, i]`` integrates g over [bounds[0], bounds[i]], or over
+    [bounds[i], bounds[-1]] when ``from_top``, with the Kronrod rule (r = 0)
+    or the embedded Gauss rule (r = 1) of ``kronrod_panels``; ``at`` gives
+    both sums on the same axis.  The sums run from the anchor, so a short
+    integral beside it is never a total minus a long one.  g maps a
+    (panels, 15) array of t to its values, with a leading x axis if g has one,
+    which must then end in a unit axis for the rule axis.  Tables are shared
+    through caches, so ``bounds`` and ``cum`` are made read-only.
     """
 
-    def __init__(self, g, bounds: np.ndarray, rule=gl_panels, from_top: bool = False, cum=None):
-        self.g, self.bounds, self.rule, self.from_top = g, bounds, rule, from_top
-        if cum is None:
-            cum = running_sums(self._integrals(bounds[:-1], bounds[1:]), from_top)
-        bounds.flags.writeable = cum.flags.writeable = False
-        self.cum = cum
+    def __init__(self, g, bounds: np.ndarray, from_top: bool = False):
+        self.g, self.bounds, self.from_top = g, bounds, from_top
+        self.cum = running_sums(self._integrals(bounds[:-1], bounds[1:]), from_top)
+        bounds.flags.writeable = self.cum.flags.writeable = False
 
     def _integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        nodes, weights = self.rule(lo, hi)
+        nodes, weights = kronrod_panels(lo, hi)
         return panel_integrals(weights, self.g(nodes))
 
     def at(self, t) -> np.ndarray:
@@ -270,7 +248,7 @@ def graded_boundaries(a: float, b: float, grid: GridSpec) -> np.ndarray:
     """
     length = b - a
     pieces = [np.array([b])]
-    per_gap_budget = max(2, grid.m // (2 * _GL_POINTS))
+    per_gap_budget = max(2, grid.m // 16)
     for j in range(grid.refinement):
         hi = a + length * 2.0 ** (-j)
         lo = a + length * 2.0 ** (-(j + 1))

@@ -8,7 +8,7 @@ kernel-form deviations pass the z of their cached node table per (f, x),
 about 120 kB at the default grid.  D~_k itself is the mean of the unit
 weights e_k.  The partial sums k = 0..n (``partial_sum_table``) come from one
 pass; order k is row k.
-``fourier_coeffs`` sums its quadrature with one inverse FFT per Gauss node.
+``fourier_coeffs`` sums its Kronrod quadrature with one inverse FFT per node offset.
 numpy.fft is reached on the first build, so importing the package does not load it.
 """
 
@@ -24,12 +24,11 @@ from .functions import (
     PI,
     TWO_PI,
     PeriodicFunction,
-    _gl_nodes,
-    _gl_weights,
     _insert_points,
+    _k15_nodes,
+    _k15_weights,
     check_x,
-    gl_panels,
-    gl_rule,
+    kronrod_panels,
 )
 from .summability import exact_cumsum
 
@@ -85,20 +84,21 @@ def fourier_coeffs(
 ) -> FourierCoefficients:
     """Quadrature coefficients a_nu = (1/pi) int f cos(nu t), b_nu likewise with sin.
 
-    8-node Gauss-Legendre on P uniform panels of [-pi, pi], with P > N so that
-    e^{i N t} is resolved.  The nodes are c_p + (h/2) s_j with centres
-    c_p = -pi + h (p + 1/2), so for each Gauss node s_j the sum over p is one
-    inverse FFT (Numerical Recipes 13.9); nu <= N < P do not alias.  A panel that
-    a breakpoint of f cuts is left out of the FFT and its sub-panels are summed
-    directly.  Never consults ``f.known_coeffs``; closed forms are for tests only.
+    The Kronrod row of the Gauss-Kronrod 7/15 pair on P uniform panels of
+    [-pi, pi], with P > N so that e^{i N t} is resolved.  The nodes are
+    c_p + (h/2) s_j with centres c_p = -pi + h (p + 1/2), so for each of the 15
+    node offsets s_j the sum over p is one inverse FFT (Numerical Recipes 13.9);
+    nu <= N < P do not alias.  A panel that a breakpoint of f cuts is left out
+    of the FFT and its sub-panels are summed directly.  Never consults
+    ``f.known_coeffs``; closed forms are for tests only.
     """
     if N < 0:
         raise ValueError("coefficient cutoff must be nonnegative")
     panels = max(grid.m // 8, int(math.ceil(1.3 * max(N, 1))), 16)
     assert panels > N, "nu = 1..N would alias on the panel grid"
     h = TWO_PI / panels
-    nodes = (-PI + h * (np.arange(panels) + 0.5))[:, None] + 0.5 * h * _gl_nodes
-    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape) * (0.5 * h * _gl_weights)
+    nodes = (-PI + h * (np.arange(panels) + 0.5))[:, None] + 0.5 * h * _k15_nodes
+    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape) * (0.5 * h * _k15_weights[0])
     # sub-panel boundaries of each panel a breakpoint cuts
     cut = {}
     for t in f.breakpoints:
@@ -112,14 +112,14 @@ def fourier_coeffs(
     nu = np.arange(N + 1)
     # e^{i nu c_p} = (-1)^nu e^{2 pi i nu p / P} e^{i nu h / 2}: every phase below is under 2 pi
     sums = np.fft.ifft(values, axis=0)[: N + 1] * panels
-    shift = np.exp(0.5j * h * np.multiply.outer(nu, 1.0 + _gl_nodes))
+    shift = np.exp(0.5j * h * np.multiply.outer(nu, 1.0 + _k15_nodes))
     z = np.where(nu % 2, -1.0, 1.0) * (sums * shift).sum(axis=1)
     if cut:
-        sub_nodes, sub_weights = gl_panels(
+        sub_nodes, sub_weights = kronrod_panels(
             np.concatenate([b[:-1] for b in cut.values()]), np.concatenate([b[1:] for b in cut.values()])
         )
         sub_nodes = sub_nodes.ravel()
-        sub_values = (np.asarray(f(sub_nodes), dtype=float) * sub_weights.ravel())[:, None]
+        sub_values = (np.asarray(f(sub_nodes), dtype=float) * sub_weights[0].ravel())[:, None]
         phases = np.multiply.outer(sub_nodes, nu)
         # an elementwise product and sum, not a gemv: no bit depends on the BLAS thread count
         z += (np.cos(phases) * sub_values).sum(axis=0) + 1j * (np.sin(phases) * sub_values).sum(axis=0)
@@ -157,7 +157,9 @@ def conj_partial_sum_integral(
     base = np.linspace(-PI, PI, panels + 1)
     # t where f(x + t) reaches a breakpoint; _insert_points keeps those inside (-pi, pi)
     shifted = [(t0 - x) % TWO_PI for t0 in f.breakpoints]
-    nodes, weights = gl_rule(_insert_points(base, shifted + [t - TWO_PI for t in shifted]))
+    bounds = _insert_points(base, shifted + [t - TWO_PI for t in shifted])
+    nodes, weights = kronrod_panels(bounds[:-1], bounds[1:])
+    nodes, weights = nodes.ravel(), weights[0].ravel()  # the Kronrod row
     kernel = conj_kernel_mean(np.eye(1, k + 1, k)[0], nodes)  # D~_k as the mean of e_k
     values = np.asarray(f(x + nodes), dtype=float)
     return float(-np.dot(weights, values * kernel) / PI)

@@ -1,25 +1,26 @@
 """Pointwise and classical moduli of continuity, L^p norms, averaged-moduli facts, condition (2.511).
 
-Every pointwise modulus is a lookup in a ``PanelSums`` of |psi_x| (or
+Every pointwise modulus is a lookup in the Kronrod sums of |psi_x| (or
 |phi_x|) anchored at 0, over panels of (0, pi].  The master panel boundaries
 are a uniform grid, a dyadic cascade toward 0 and every delta = pi/(k+1) up
 to k = 256.  Two tables hold them:
 
-- ``_cumulative`` (one x): the master set with m/2 uniform panels, plus psi's
-  jump locations and the refined roots of the signed increment, so the
-  integrand is smooth inside every panel.
+- ``_cumulative`` (one x): a ``PanelSums`` on the master set with m/2 uniform
+  panels, plus psi's jump locations and the refined roots of the signed
+  increment, so the integrand is smooth inside every panel.
 - ``_node_table`` (every uniform x node of ``lp_norm``): the master set alone,
-  with at most 512 uniform panels, since the kinks move with x.  It holds
-  8*m*P bytes for P boundaries (P = 792 at the default grid: 6.5 MB at
-  m = 1024, about 104 MB at the largest m).  It is only the build step for
-  a first-time (f, delta): the most recent table alone is kept, and the
-  cache is ``_node_values``, one read-only length-m vector per (f, delta),
-  at most 256 * 8*m bytes (2 MB at m = 1024, under a third of one table).
+  with at most 512 uniform panels, since the kinks move with x.  It is a
+  read-only (bounds, cum) pair of the Kronrod sums only, 8*m*P bytes for P
+  boundaries (P = 792 at the default grid: 6.5 MB at m = 1024, about 104 MB
+  at the largest m).  It is only the build step for a first-time
+  (f, delta): the most recent table alone is kept, and the cache is
+  ``_node_values``, one read-only length-m vector per (f, delta), at most
+  256 * 8*m bytes (2 MB at m = 1024, under a third of one table).
 
 ``modulus(f, x, delta, kind)`` is the one pointwise entry point, for a float
 delta or an array of them (each with the float's bits).  A delta on the
-boundary set reads cum[i] / delta; any other delta adds one 8-node
-Gauss-Legendre panel from the boundary below it.
+boundary set reads cum[i] / delta; any other delta adds one Kronrod panel
+from the boundary below it.
 
 The sup over 0 < t <= delta in the bar and classical moduli is one helper,
 ``_sup_up_to``: the running maximum over a fixed t-set (the master boundaries,
@@ -54,15 +55,17 @@ from .functions import (
     graded_boundaries,
     kronrod_panels,
     lp_norms,
+    panel_integrals,
     psi_breakpoints,
     sorted_unique,
 )
 from .kernels import DEFAULT_COEFF_CUTOFF
 
-# The node table is built 32 x nodes at a time (1.6 MB per sample array), and
-# its uniform part stops at 512 panels so that its size is linear in m; the
-# classical increments are sampled 256 t at a time (8*256*m bytes per array).
-_TABLE_ROWS = 32
+# The node table is built 8 x nodes at a time (8*15*P doubles per sample array,
+# 0.76 MB at P = 792), and its uniform part stops at 512 panels so that its size
+# is linear in m; the classical increments are sampled 256 t at a time (8*256*m
+# bytes per array).
+_TABLE_ROWS = 8
 _TABLE_MAX_PANELS = 512
 _INCREMENT_ROWS = 256
 
@@ -103,8 +106,8 @@ def _master_bounds(panels: int, refinement: int, breaks=()) -> np.ndarray:
 
 
 def _average(table: PanelSums, deltas: np.ndarray) -> np.ndarray:
-    """(1/delta) times the integral over (0, delta], one row per x if the table has an x axis."""
-    return table.at(deltas) / deltas
+    """(1/delta) times the Kronrod integral over (0, delta]."""
+    return table.at(deltas)[0] / deltas
 
 
 def _running_max(values: np.ndarray) -> np.ndarray:
@@ -125,7 +128,7 @@ def _sup_up_to(t: np.ndarray, running: np.ndarray, deltas: np.ndarray, endpoint)
 def _bar(table: PanelSums, deltas: np.ndarray) -> np.ndarray:
     """Largest average over the boundaries up to delta and delta itself."""
     t = table.bounds[1:]
-    return _sup_up_to(t, _running_max(table.cum[1:] / t), deltas, partial(_average, table))
+    return _sup_up_to(t, _running_max(table.cum[0, 1:] / t), deltas, partial(_average, table))
 
 
 @lru_cache(maxsize=4096)
@@ -141,20 +144,28 @@ def _cumulative(f: PeriodicFunction, x: float, kind: str, grid: GridSpec) -> Pan
 
 
 @lru_cache(maxsize=1)
-def _node_table(f: PeriodicFunction, kind: str, grid: GridSpec) -> PanelSums:
-    """Every uniform x node at once, on the master boundaries only: the build step of _node_values."""
-    x = _x_nodes(grid)[:, None, None]
+def _node_table(f: PeriodicFunction, kind: str, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Every uniform x node on the master boundaries only, the build step of _node_values: (bounds, Kronrod cum)."""
+    x = _x_nodes(grid)[:, None, None, None]  # a unit axis for the rule axis
     bounds = _master_bounds(min(grid.m // 2, _TABLE_MAX_PANELS), grid.refinement)
     cum = np.empty((grid.m, len(bounds)))
     for s in range(0, grid.m, _TABLE_ROWS):
-        cum[s : s + _TABLE_ROWS] = PanelSums(_abs_increment(f, x[s : s + _TABLE_ROWS], kind), bounds).cum
-    return PanelSums(_abs_increment(f, x, kind), bounds, cum=cum)
+        cum[s : s + _TABLE_ROWS] = PanelSums(_abs_increment(f, x[s : s + _TABLE_ROWS], kind), bounds).cum[:, 0]
+    bounds.flags.writeable = cum.flags.writeable = False
+    return bounds, cum
 
 
 @lru_cache(maxsize=256)
 def _node_values(f: PeriodicFunction, delta: float, kind: str, grid: GridSpec) -> np.ndarray:
     """The node table's averages at one delta, read-only: 8*m bytes, against 8*m*P for the table."""
-    values = _average(_node_table(f, kind, grid), np.array([delta]))[:, 0]
+    bounds, cum = _node_table(f, kind, grid)
+    i = int(np.searchsorted(bounds, delta, side="right")) - 1
+    values = cum[:, i]
+    if bounds[i] != delta:
+        nodes, weights = kronrod_panels(bounds[i : i + 1], np.array([delta]))
+        g = _abs_increment(f, _x_nodes(grid)[:, None, None], kind)
+        values = values + panel_integrals(weights[0], g(nodes))[:, 0]
+    values = values / delta
     values.flags.writeable = False
     return values
 
@@ -326,7 +337,7 @@ def check_condition_2_511(
         return np.abs(eval_psi(f, x, t)) / t
 
     bounds = _insert_points(graded_boundaries(0.0, h, grid), psi_breakpoints(f, x))
-    lhs = float(PanelSums(integrand, bounds, kronrod_panels).cum[0, -1]) / PI  # the Kronrod total
+    lhs = float(PanelSums(integrand, bounds).cum[0, -1]) / PI  # the Kronrod total
     rhs = modulus(f, x, h, "w_tilde", grid)
     tiny = 1e-13
     if rhs < tiny:

@@ -77,6 +77,14 @@ def test_cached_arrays_are_read_only(name):
     assert writeable == []
 
 
+def test_node_table_is_a_read_only_pair_of_kronrod_sums():
+    bounds, cum = moduli._node_table(HAT, "psi", GRID)
+    assert cum.shape == (GRID.m, len(bounds))  # one row of Kronrod sums per x node, no Gauss row
+    assert not bounds.flags.writeable and not cum.flags.writeable
+    with pytest.raises(ValueError):
+        cum[0, 0] = 1.0
+
+
 def test_shared_arrays_outside_the_caches_are_read_only():
     C, I = summability.cesaro(9), summability.identity_matrix(9)
     profile = moduli.modulus_profile(HAT, 0.3, 4, "w", GRID)

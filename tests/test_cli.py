@@ -507,7 +507,7 @@ class TestStrictJson:
 
 def test_import_loads_neither_fft_nor_ma():
     # numpy.fft is imported on the first coefficient build, numpy.ma by np.unique's first call;
-    # numpy.polynomial not at all, as the Gauss-Legendre rule is written out
+    # numpy.polynomial not at all, as the Gauss-Kronrod constants are written out
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     # conjsum.cli loads no quadrature module at import, and conjsum.verify loads them all
     code = ("import sys, conjsum.cli, conjsum.verify; print(sorted(m for m in sys.modules if m.split('.')[:2] in "

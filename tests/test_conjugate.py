@@ -27,7 +27,6 @@ from conjsum.functions import (
     by_name,
     corpus,
     eval_psi,
-    kronrod_panels,
     psi_breakpoints,
 )
 from conjsum.kernels import conj_kernel_mean, fourier_coeffs, partial_sum_table
@@ -328,7 +327,7 @@ def kernel_form_reference(f, A, B, n, x, grid, parts=1):
         inner = np.where(t < bounds[below], psi * kernel, 0.0)
         return np.stack((inner, psi * (0.5 / np.tan(0.5 * t) - kernel)))[:, None]  # a unit axis for the rule's
 
-    (inner, _), (outer, _) = PanelSums(integrands, bounds, kronrod_panels, from_top=True).cum  # the Kronrod rows
+    (inner, _), (outer, _) = PanelSums(integrands, bounds, from_top=True).cum  # the Kronrod rows
     dev_truncated = (-inner[0] + outer[below]) / PI
     dev_full = outer[0] / PI
     if not (np.isfinite(dev_truncated) and np.isfinite(dev_full)):

@@ -177,7 +177,7 @@ class TestPanelMeshes:
     @pytest.mark.parametrize("grid", GRIDS, ids=["default", "m64"])
     def test_node_table_is_the_master_set(self, grid):
         uniform, points = self.master(min(grid.m // 2, moduli._TABLE_MAX_PANELS), grid)
-        got = moduli._node_table(by_name("hat"), "psi", grid).bounds
+        got, _ = moduli._node_table(by_name("hat"), "psi", grid)
         assert np.array_equal(got, _insert_points(uniform, points))
 
 
@@ -318,15 +318,15 @@ class TestEq81:
 
     @pytest.mark.parametrize("kind", ["w_tilde", "w"])
     def test_node_table_matches_kink_refined(self, kind, grid):
-        # measured worst case 1.64e-7 (sin3, delta = pi, where |psi| has unrefined
-        # kinks at its roots); every other case is within 5e-15
+        # measured worst case 4.9e-8 (w_tilde, sin3, delta = pi, where |psi| has
+        # unrefined kinks at its roots); every other case, w at k = 0 included, is within 5e-15
         idx = list(range(0, grid.m, 37)) + [255, 256, 511, 512, 513, 767, 768, grid.m - 1]
         for f in corpus():
             for k in (0, 3, 11, 32, 300):
                 delta = PI / (k + 1)
                 xs, vals = pointwise_modulus_on_nodes(f, delta, kind, grid)
                 err = max(abs(vals[i] - modulus(f, float(xs[i]), delta, kind, grid)) for i in idx)
-                assert err <= (2e-7 if k == 0 else 1e-14), (f.name, k, err)
+                assert err <= (1e-7 if (kind, k) == ("w_tilde", 0) else 1e-14), (f.name, k, err)
 
     def test_one_delta_per_call(self, funcs):
         with pytest.raises(DomainError, match=r"^delta must be a single value, got an array of shape \(2,\)$"):

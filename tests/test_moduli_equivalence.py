@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conjsum import moduli
-from conjsum.functions import by_name, corpus, gl_rule
+from conjsum.functions import PanelSums, by_name, corpus, kronrod_panels
 from conjsum.moduli import modulus, modulus_profile, pointwise_modulus_on_nodes
 
 PI = math.pi
@@ -23,13 +23,14 @@ KINK_X = [0.0, 1e-9, -1e-7, PI / 2 + 1e-9, -PI / 2 - 3e-8]
 def reference_integral_to(cum, t: float) -> float:
     if t <= 0.0:
         return 0.0
+    kronrod = cum.cum[0]
     if t >= cum.bounds[-1]:
-        return float(cum.cum[-1])
+        return float(kronrod[-1])
     i = int(np.searchsorted(cum.bounds, t))
     if cum.bounds[i] == t:
-        return float(cum.cum[i])
-    nodes, weights = gl_rule(np.array([cum.bounds[i - 1], t]))
-    return float(cum.cum[i - 1] + np.dot(weights, cum.g(nodes)))
+        return float(kronrod[i])
+    nodes, weights = kronrod_panels(cum.bounds[i - 1 : i], np.array([t]))
+    return float(kronrod[i - 1] + np.dot(weights[0, 0], cum.g(nodes)[0]))
 
 
 def reference_average(cum, delta: float) -> float:
@@ -40,7 +41,7 @@ def reference_bar(cum, delta: float) -> float:
     i = int(np.searchsorted(cum.bounds, delta, side="right"))
     best = reference_average(cum, delta)
     if i > 1:
-        best = max(best, float(np.max(cum.cum[1:i] / cum.bounds[1:i])))
+        best = max(best, float(np.max(cum.cum[0, 1:i] / cum.bounds[1:i])))
     return best
 
 
@@ -63,7 +64,7 @@ def test_profiles_on_the_master_set(kind, grid):
 
 @pytest.mark.parametrize("kind", moduli.MODULUS_KINDS)
 def test_profiles_off_the_master_set(kind, grid):
-    """n > 256 adds one batched Gauss-Legendre panel per delta below pi/257."""
+    """n > 256 adds one batched Kronrod panel per delta below pi/257."""
     for f in corpus():
         for x in DEFAULT_X[2::15] + KINK_X[2:]:
             want = reference_profile(f, x, 1000, kind, grid)
@@ -81,6 +82,21 @@ def test_single_delta_ops(kind, grid):
             query = reference_bar if kind.endswith("bar") else reference_average
             for d in deltas:
                 assert modulus(f, x, d, kind, grid) == query(cum, d), (f.name, x, d)
+
+
+@pytest.mark.parametrize("kind", ["psi", "phi"])
+def test_node_values_are_the_one_x_kronrod_row(kind, grid):
+    """Each x node reads what a one-x PanelSums on the node table's boundaries gives, on the master set and off it."""
+    deltas = [PI, PI / 7, PI / 257, 1.0, 0.123456789, PI / 300]
+    xs = moduli._x_nodes(grid)
+    for f in (by_name("hat"), by_name("sin3")):
+        bounds, _ = moduli._node_table(f, kind, grid)
+        assert np.isin(deltas, bounds).tolist() == [True] * 3 + [False] * 3
+        for delta in deltas:
+            got = moduli._node_values(f, delta, kind, grid)
+            for i in (0, 17, 511, 512, grid.m - 1):
+                table = PanelSums(moduli._abs_increment(f, float(xs[i]), kind), bounds)
+                assert got[i] == table.at(np.array([delta]))[0, 0] / delta, (f.name, delta, i)
 
 
 def clear_node_caches():
