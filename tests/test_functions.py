@@ -195,20 +195,23 @@ class TestPanelSums:
     """The one running-sum table behind the conjugate, the moduli and condition 2.511."""
 
     BOUNDS = graded_boundaries(0.0, PI, GridSpec(m=64))
+    # a uniform mesh with points inserted: a kink of |psi| at x = 0.3, and a panel 2e-15 wide
+    INSERTED = _insert_points(np.linspace(0.0, PI, 17), [0.3, PI / 2 - 0.3, 1.0, 1.0 + 2e-15])
     X_AXIS = np.array([-2.0, 0.3, 1.5])[:, None, None]
 
-    def table(self, x, from_top):
+    def table(self, x, from_top, bounds=BOUNDS):
         f = by_name("hat")
         if np.ndim(x):
             x = x[..., None]  # a unit axis for the rule axis of 2
-        return PanelSums(lambda t: np.abs(eval_psi(f, x, t)), self.BOUNDS, from_top)
+        return PanelSums(lambda t: np.abs(eval_psi(f, x, t)), bounds, from_top)
 
     @pytest.mark.parametrize("from_top", [False, True])
+    @pytest.mark.parametrize("bounds", [BOUNDS, INSERTED], ids=["graded", "inserted"])
     @pytest.mark.parametrize("x", [0.3, X_AXIS], ids=["one-x", "x-axis"])
-    def test_a_t_alone_and_in_any_batch_gives_the_same_bits(self, x, from_top):
-        table = self.table(x, from_top)
+    def test_a_t_alone_and_in_any_batch_gives_the_same_bits(self, x, bounds, from_top):
+        table = self.table(x, from_top, bounds)
         rng = np.random.default_rng(3)
-        t = np.concatenate((rng.uniform(0.0, PI, 40), self.BOUNDS[::5], [1e-300, PI]))
+        t = np.concatenate((rng.uniform(0.0, PI, 40), bounds[::5], [1e-300, 1.0 + 1e-15, PI]))
         batch = table.at(t)
         assert batch.shape == np.shape(x)[:1] + (2,) + t.shape
         for k in range(len(t)):
