@@ -157,8 +157,9 @@ def deviation_kernel_form(
     integrals of psi_x against the matrix mean K of D~_k and its complement
     (1/2) cot(t/2) - K, never as the operator value minus a conjugate value:
     the first is (-int_0^h psi K + int_h^pi psi (cot/2 - K)) / pi with
-    h = pi/(n+1), the second int_0^pi psi (cot/2 - K) / pi.  At a known
-    singular point of f the full conjugate diverges, so it raises there.
+    h = pi/(n+1), the second int_0^pi psi (cot/2 - K) / pi.  It raises at a
+    known singular point of f, and wherever conjugate_at refuses (next to
+    sawtooth's jump, say), with that error.
     Each panel of the mesh cut at h that is a panel of the uncut mesh reads
     its rows from _kernel_nodes; only the others are evaluated here.
 
@@ -190,4 +191,5 @@ def deviation_kernel_form(
     dev_full = outer[0] / PI
     if not (np.isfinite(dev_truncated) and np.isfinite(dev_full)):
         raise SingularIntegrandError("kernel-form deviation integral is not finite")
+    conjugate_at(f, x, grid)  # refuse where the conjugate does: the integrands share its singularity at t -> 0
     return float(dev_truncated), float(dev_full)

@@ -3,11 +3,10 @@
 One evaluator gives every conjugate kernel: ``conj_kernel_mean_z`` sums
 sum_k c_k D~_k(t) = sum_{nu<=n} C_nu sin(nu t), C_nu = sum_{k>=nu} c_k, by n
 Horner steps in z = e^{it} on O(len(t)) memory, within n eps sum |C_nu|
-(tested, n <= 1024).  ``conj_kernel_mean`` forms z from t first; the
-kernel-form deviations pass the z of their cached node table per (f, x),
-about 120 kB at the default grid.  D~_k itself is the mean of the unit
-weights e_k.  The partial sums k = 0..n (``partial_sum_table``) come from one
-pass; order k is row k.
+(tested, n <= 1024).  The kernel-form deviations pass the z of their cached
+node table per (f, x), about 120 kB at the default grid;
+``conj_partial_sum_integral`` passes e^{it}.  D~_k is the mean of e_k.  The
+partial sums k = 0..n (``partial_sum_table``) come from one pass; order k is row k.
 ``fourier_coeffs`` sums its Kronrod quadrature with one inverse FFT per node offset.
 numpy.fft is reached on the first build, so importing the package does not load it.
 """
@@ -63,11 +62,6 @@ def conj_dirichlet_complement(k: int, t):
         raise DomainError("complementary conjugate Dirichlet kernel is singular at multiples of 2*pi")
     out = np.cos((2 * k + 1) * 0.5 * t_arr) / (2.0 * s)
     return float(out) if out.ndim == 0 else out
-
-
-def conj_kernel_mean(weights: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k c_k D~_k(t), from conj_kernel_mean_z at z = e^{it}."""
-    return conj_kernel_mean_z(weights, np.exp(1j * t))
 
 
 def conj_kernel_mean_z(weights: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -160,6 +154,6 @@ def conj_partial_sum_integral(
     bounds = _insert_points(base, shifted + [t - TWO_PI for t in shifted])
     nodes, weights = kronrod_panels(bounds[:-1], bounds[1:])
     nodes, weights = nodes.ravel(), weights[0].ravel()  # the Kronrod row
-    kernel = conj_kernel_mean(np.eye(1, k + 1, k)[0], nodes)  # D~_k as the mean of e_k
+    kernel = conj_kernel_mean_z(np.eye(1, k + 1, k)[0], np.exp(1j * nodes))  # D~_k as the mean of e_k
     values = np.asarray(f(x + nodes), dtype=float)
     return float(-np.dot(weights, values * kernel) / PI)

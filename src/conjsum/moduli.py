@@ -19,8 +19,9 @@ to k = 256.  Two tables hold them:
 
 ``modulus(f, x, delta, kind)`` is the one pointwise entry point, for a float
 delta or an array of them (each with the float's bits).  A delta on the
-boundary set reads cum[i] / delta; any other delta adds one Kronrod panel
-from the boundary below it.
+boundary set reads cum[i] / delta; any other delta adds one partial panel from
+the boundary below it, a one-panel ``PanelSums`` in the node table.
+``classical_modulus`` is the L^p modulus of psi_x alone, the paper's norm one.
 
 The sup over 0 < t <= delta in the bar and classical moduli is one helper,
 ``_sup_up_to``: the running maximum over a fixed t-set (the master boundaries,
@@ -53,9 +54,7 @@ from .functions import (
     eval_phi,
     eval_psi,
     graded_boundaries,
-    kronrod_panels,
     lp_norms,
-    panel_integrals,
     psi_breakpoints,
     sorted_unique,
 )
@@ -161,10 +160,9 @@ def _node_values(f: PeriodicFunction, delta: float, kind: str, grid: GridSpec) -
     bounds, cum = _node_table(f, kind, grid)
     i = int(np.searchsorted(bounds, delta, side="right")) - 1
     values = cum[:, i]
-    if bounds[i] != delta:
-        nodes, weights = kronrod_panels(bounds[i : i + 1], np.array([delta]))
-        g = _abs_increment(f, _x_nodes(grid)[:, None, None], kind)
-        values = values + panel_integrals(weights[0], g(nodes))[:, 0]
+    if bounds[i] != delta:  # add the partial panel [bounds[i], delta]: a one-panel table's Kronrod total
+        g = _abs_increment(f, _x_nodes(grid)[:, None, None, None], kind)
+        values = values + PanelSums(g, np.array([bounds[i], delta])).cum[:, 0, 1]
     values = values / delta
     values.flags.writeable = False
     return values
@@ -231,33 +229,32 @@ def _classical_t_set() -> np.ndarray:
     return sorted_unique(np.concatenate(pieces))
 
 
-def _increment_norms(f: PeriodicFunction, t: np.ndarray, p: float, kind: str, grid: GridSpec) -> np.ndarray:
-    """L^p norm in x of the increment at each t; each t's norm is its own row, so the chunks change no bits."""
+def _increment_norms(f: PeriodicFunction, t: np.ndarray, p: float, grid: GridSpec) -> np.ndarray:
+    """L^p norm in x of psi_x(t) at each t; each t's norm is its own row, so the chunks change no bits."""
     x, h, rows = _x_nodes(grid)[None, :], TWO_PI / grid.m, _INCREMENT_ROWS
-    norms = [lp_norms(np.abs(_INCREMENTS[kind](f, x, t[s : s + rows, None])), p, h) for s in range(0, len(t), rows)]
+    norms = [lp_norms(np.abs(eval_psi(f, x, t[s : s + rows, None])), p, h) for s in range(0, len(t), rows)]
     return np.concatenate(norms)
 
 
 @lru_cache(maxsize=256)
-def _classical_table(f: PeriodicFunction, p: float, kind: str, grid: GridSpec):
+def _classical_table(f: PeriodicFunction, p: float, grid: GridSpec):
     """The t-set and the running max of the norms at its t, read-only."""
     t = _classical_t_set()
-    table = t, _running_max(_increment_norms(f, t, p, kind, grid))
+    table = t, _running_max(_increment_norms(f, t, p, grid))
     for array in table:
         array.flags.writeable = False
     return table
 
 
-def classical_modulus(f: PeriodicFunction, delta, p: float, grid: GridSpec = DEFAULT_GRID, conjugate: bool = True):
-    """sup over 0 < t <= delta of the L^p norm in x of psi (phi if conjugate=False), shaped like delta.
+def classical_modulus(f: PeriodicFunction, delta, p: float, grid: GridSpec = DEFAULT_GRID):
+    """sup over 0 < t <= delta of the L^p norm in x of psi_x(t), shaped like delta.
 
     A delta on the t-set reads the table; all others share one _increment_norms call.
     """
     delta = check_half_period("delta", delta)
     check_exponent("p", p)
-    kind = "psi" if conjugate else "phi"
-    t, running = _classical_table(f, float(p), kind, grid)
-    values = _sup_up_to(t, running, np.atleast_1d(delta), lambda d: _increment_norms(f, d, p, kind, grid))
+    t, running = _classical_table(f, float(p), grid)
+    values = _sup_up_to(t, running, np.atleast_1d(delta), lambda d: _increment_norms(f, d, p, grid))
     return float(values[0]) if isinstance(delta, float) else values
 
 

@@ -159,9 +159,6 @@ class TriangularMatrix:
                 sums.flags.writeable = False
         return self._prefix_sums[n]
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "rows": [self.row(n).tolist() for n in range(len(self.dense))]}
-
     def __repr__(self):
         return f"TriangularMatrix({self.name!r}, n_max={self.n_max})"
 
@@ -365,30 +362,23 @@ def check_condition_3_2(B: TriangularMatrix) -> ConditionReport:
     return ConditionReport("3.2", float(best), witness)
 
 
-def _check_scan_order(M: TriangularMatrix, n: int, scan: str) -> None:
-    """A remark checker's order n must name a row of M."""
-    if n < 0:
-        raise MatrixValidationError(f"{scan} needs n >= 0, got {n}; have rows up to {M.n_max}")
-    if n > M.n_max:
-        raise MatrixValidationError(f"{scan} needs rows up to {n}, have {M.n_max}")
-
-
 def check_remark1_condition(A: TriangularMatrix, n: int) -> float:
     """sum_{r=0}^{n} sum_{k=0}^{r} a_{n,k}/(r+1); bounded in n for the weak estimate."""
-    _check_scan_order(A, n, "remark1")
+    if n < 0:
+        raise MatrixValidationError(f"remark1 needs n >= 0, got {n}; have rows up to {A.n_max}")
+    if n > A.n_max:
+        raise MatrixValidationError(f"remark1 needs rows up to {n}, have {A.n_max}")
     return math.fsum((A.prefix_sums(n) / np.arange(1.0, n + 2.0)).tolist())
 
 
-def check_remark2_condition(B: TriangularMatrix, n_max: int | None = None) -> float:
-    """max over 0 < s <= n-1 of sum_{r=s}^{n-1} sum_{k=s}^{r} |b_{r,r-k} - b_{r+1,r+1-k}|.
+def check_remark2_condition(B: TriangularMatrix) -> float:
+    """max over 0 < s <= n-1 of sum_{r=s}^{n-1} sum_{k=s}^{r} |b_{r,r-k} - b_{r+1,r+1-k}|, n = B.n_max.
 
     Walking s down the subdiagonals of B adds the k = s term to every inner sum.
     Each step only adds nonnegative terms to inner[s:], and float addition and a
     correctly rounded sum are both monotone, so the maximum is the s = 1 sum.
     """
-    n = B.n_max if n_max is None else n_max
-    _check_scan_order(B, n, "remark2 scan")
-    inner = np.zeros(n)
-    for s in range(n - 1, 0, -1):
-        inner[s:] += np.abs(np.diff(B.dense[: n + 1, : n + 1].diagonal(-s)))
+    inner = np.zeros(B.n_max)
+    for s in range(B.n_max - 1, 0, -1):
+        inner[s:] += np.abs(np.diff(B.dense.diagonal(-s)))
     return math.fsum(inner[1:].tolist())

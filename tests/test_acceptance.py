@@ -16,7 +16,7 @@ from conjsum.conjugate import (
     deviation_kernel_form,
 )
 from conjsum.functions import DEFAULT_GRID, by_name, corpus
-from conjsum.kernels import conj_kernel_mean
+from conjsum.kernels import conj_kernel_mean_z
 from conjsum.moduli import (
     classical_modulus,
     modulus_profile,
@@ -66,7 +66,7 @@ def direct_kernel_table(k_max: int, t: np.ndarray) -> np.ndarray:
 
 def library_kernel_table(k_max: int, t: np.ndarray) -> np.ndarray:
     """Rows D~_0..D~_{k_max}, each the library's kernel mean of the unit weights e_k."""
-    return np.stack([conj_kernel_mean(np.eye(1, k + 1, k)[0], t) for k in range(k_max + 1)])
+    return np.stack([conj_kernel_mean_z(np.eye(1, k + 1, k)[0], np.exp(1j * t)) for k in range(k_max + 1)])
 
 
 def test_criterion_1_kernel_identities():

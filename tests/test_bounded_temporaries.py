@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conjsum import moduli, summability
-from conjsum.functions import DEFAULT_GRID, PI, TWO_PI, by_name, lp_norms
+from conjsum.functions import DEFAULT_GRID, PI, TWO_PI, by_name, eval_psi, lp_norms
 
 ORDERS = [0, 1, 63, 64, 65, 700, 4096]
 MATRICES = {
@@ -52,10 +52,10 @@ def test_ab_weights_match_the_full_product_for_a_norlund_pair(n):
 def test_chunked_increment_norms_match_one_shot():
     f, t = by_name("hat"), PI / (np.arange(4097) + 1.0)
     x = moduli._x_nodes(DEFAULT_GRID)[None, :]
-    increments = np.abs(moduli._INCREMENTS["psi"](f, x, t[:, None]))
+    increments = np.abs(eval_psi(f, x, t[:, None]))
     for p in (1.0, 2.0, 3.5, np.inf):
         one_shot = lp_norms(increments, p, TWO_PI / DEFAULT_GRID.m)
-        assert moduli._increment_norms(f, t, p, "psi", DEFAULT_GRID).tobytes() == one_shot.tobytes(), p
+        assert moduli._increment_norms(f, t, p, DEFAULT_GRID).tobytes() == one_shot.tobytes(), p
 
 
 def peak_mb(call) -> float:

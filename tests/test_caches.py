@@ -28,7 +28,7 @@ CALLS = {
     "moduli._cumulative": lambda: moduli._cumulative(HAT, 0.3, "psi", GRID),
     "moduli._node_table": lambda: moduli._node_table(HAT, "psi", GRID),
     "moduli._node_values": lambda: moduli._node_values(HAT, 0.5, "psi", GRID),
-    "moduli._classical_table": lambda: moduli._classical_table(HAT, 2.0, "psi", GRID),
+    "moduli._classical_table": lambda: moduli._classical_table(HAT, 2.0, GRID),
     "moduli._profile": lambda: moduli._profile(HAT, 0.3, "w_tilde_bar", GRID, 16),
     "conjugate._table": lambda: conjugate._table(HAT, 0.3, GRID),
     "conjugate._truncated_cached": lambda: conjugate._truncated_cached(HAT, 0.3, 0.1, GRID),

@@ -385,7 +385,7 @@ class TestOutputs:
     def test_custom_matrix_json(self, tmp_path):
         m = nordlund([1.0, 2.0, 3.0, 4.0, 5.0], 4)
         path = tmp_path / "nord.json"
-        path.write_text(json.dumps(m.to_dict()))
+        path.write_text(json.dumps({"name": m.name, "rows": [m.row(n).tolist() for n in range(5)]}))
         out = tmp_path / "t.csv"
         assert run_cli(
             ["transform", "--function", "cos", "--matrix-a", str(path), "--matrix-b", "identity",
@@ -394,7 +394,8 @@ class TestOutputs:
         assert read_csv(out)[0]["matrix_a"] == "nordlund"
 
     def test_check_matrix_scans_rows_up_to_n(self, tmp_path, capsys):
-        rows = nordlund((np.arange(11.0) + 1.0) ** 0.5, 10).to_dict()["rows"]
+        m = nordlund((np.arange(11.0) + 1.0) ** 0.5, 10)
+        rows = [m.row(n).tolist() for n in range(11)]
         full, cut = tmp_path / "full.json", tmp_path / "cut.json"
         full.write_text(json.dumps({"name": "nord", "rows": rows}))
         cut.write_text(json.dumps({"name": "nord", "rows": rows[:4]}))
@@ -407,7 +408,8 @@ class TestOutputs:
 
     def test_check_matrix_reads_a_shared_file_once(self, tmp_path, monkeypatch, capsys):
         path, copy = tmp_path / "a.json", tmp_path / "b.json"
-        path.write_text(json.dumps(nordlund((np.arange(9.0) + 1.0) ** -0.5, 8).to_dict()))
+        m = nordlund((np.arange(9.0) + 1.0) ** -0.5, 8)
+        path.write_text(json.dumps({"name": m.name, "rows": [m.row(n).tolist() for n in range(9)]}))
         copy.write_text(path.read_text())
         loads = []
 

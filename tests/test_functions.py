@@ -22,6 +22,7 @@ from conjsum.functions import (
     eval_psi,
     graded_boundaries,
     kronrod_panels,
+    lp_norms,
 )
 
 from conftest import graded_integral
@@ -243,6 +244,41 @@ class TestPanelSums:
     def test_nonfinite_value_raises(self):
         with np.errstate(divide="ignore"), pytest.raises(SingularIntegrandError, match="not finite"):
             PanelSums(lambda t: 1.0 / (t - t), self.BOUNDS)
+
+
+def unscaled_lp_norms(values, p, h):
+    """lp_norms without the power-of-two row scaling."""
+    return (h * np.sum(values**p, axis=-1)) ** (1.0 / p)
+
+
+ENTRIES = st.one_of(st.just(0.0), st.floats(1e-100, 1e100))
+
+
+class TestLpNorms:
+    def test_large_p_does_not_underflow(self):
+        # 0.05^400 is 0 in a double: unscaled, the norm read 0
+        values, h = np.full(30, 0.05), PI / 16
+        assert unscaled_lp_norms(values, 400.0, h) == 0.0
+        assert lp_norms(values, 400.0, h) == pytest.approx(0.05 * (30 * h) ** (1 / 400), rel=1e-15)
+
+    def test_p_up_to_1000_stays_finite_on_the_largest_grid(self):
+        m = 2**14
+        for p in (500.0, 1000.0):
+            assert math.isfinite(lp_norms(np.full(m, 1.99), p, 2 * PI / m))
+
+    @settings(max_examples=300)
+    @given(rows=st.lists(st.lists(ENTRIES, min_size=20, max_size=20), min_size=1, max_size=8),
+           h=st.floats(1e-3, 10.0))
+    def test_p_1_and_2_keep_the_unscaled_bits(self, rows, h):
+        # the scaling is by powers of two, exact on these entries; a lone row's root at p = 2 is numpy's scalar
+        # pow(s, 0.5), which is not exactly scale-invariant (89 of 200,000 random sums moved by one ulp), while
+        # rows in a batch take the correctly rounded sqrt
+        batch = np.array(rows)
+        for p in (1.0, 2.0):
+            assert lp_norms(batch, p, h).tobytes() == unscaled_lp_norms(batch, p, h).tobytes(), p
+        for row in batch:
+            assert lp_norms(row, 1.0, h) == unscaled_lp_norms(row, 1.0, h)
+            assert lp_norms(row, 2.0, h) == pytest.approx(unscaled_lp_norms(row, 2.0, h), rel=2.0**-52, abs=0.0)
 
 
 class TestInsertPoints:

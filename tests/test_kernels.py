@@ -11,7 +11,7 @@ import pytest
 from conjsum.functions import DomainError, PeriodicFunction, _insert_points, by_name, corpus, kronrod_panels
 from conjsum.kernels import (
     conj_dirichlet_complement,
-    conj_kernel_mean,
+    conj_kernel_mean_z,
     conj_partial_sum_integral,
     fourier_coeffs,
     partial_sum_table,
@@ -70,7 +70,7 @@ def direct_kernel(k: int, t: float) -> float:
 
 def kernel_row(k: int, t) -> np.ndarray:
     """D~_k at the points t: the kernel mean of the unit weights e_k."""
-    return conj_kernel_mean(np.eye(1, k + 1, k)[0], np.atleast_1d(np.asarray(t, dtype=float)))
+    return conj_kernel_mean_z(np.eye(1, k + 1, k)[0], np.exp(1j * np.atleast_1d(np.asarray(t, dtype=float))))
 
 
 def kernel_grid():

@@ -223,12 +223,6 @@ class TestClassicalModulus:
         got = classical_modulus(by_name("sin"), PI / 2, math.inf, grid)
         assert got == pytest.approx(2.0, abs=1e-12)
 
-    def test_phi_variant_differs(self, grid):
-        f = by_name("cos")
-        tilde = classical_modulus(f, PI / 2, 2, grid, conjugate=True)
-        plain = classical_modulus(f, PI / 2, 2, grid, conjugate=False)
-        assert tilde != plain
-
     def test_p_below_one_rejected(self, grid):
         with pytest.raises(DomainError):
             classical_modulus(by_name("sin"), 1.0, 0.9, grid)
@@ -241,21 +235,20 @@ class TestClassicalModulus:
         # the endpoint norm of a node delta is the table's norm there, bit for bit
         t = moduli._classical_t_set()
         deltas = np.concatenate([t[::9], PI / np.arange(1.0, 130.0, 16.0)])
-        cases = [(f, p, c) for f in corpus() for p in (1.0, 2.0, 3.0, math.inf) for c in (True, False)]
+        cases = [(f, p) for f in corpus() for p in (1.0, 2.0, 3.0, math.inf)]
         want = {}
-        for f, p, conjugate in cases:
-            kind = "psi" if conjugate else "phi"
-            norms = moduli._increment_norms(f, t, p, kind, grid)
-            moduli._classical_table(f, p, kind, grid)  # filled here, so the reads below evaluate nothing
+        for f, p in cases:
+            norms = moduli._increment_norms(f, t, p, grid)
+            moduli._classical_table(f, p, grid)  # filled here, so the reads below evaluate nothing
             for d in deltas:
-                endpoint = moduli._increment_norms(f, np.array([d]), p, kind, grid)[0]
-                want[f.name, p, conjugate, d] = max(float(norms[t <= d].max()), float(endpoint))
+                endpoint = moduli._increment_norms(f, np.array([d]), p, grid)[0]
+                want[f.name, p, d] = max(float(norms[t <= d].max()), float(endpoint))
         calls = []
         original = moduli._increment_norms
         monkeypatch.setattr(moduli, "_increment_norms", lambda *a: calls.append(a) or original(*a))
-        for f, p, conjugate in cases:
+        for f, p in cases:
             for d in deltas:
-                assert classical_modulus(f, float(d), p, grid, conjugate) == want[f.name, p, conjugate, d]
+                assert classical_modulus(f, float(d), p, grid) == want[f.name, p, d]
         assert calls == []
         classical_modulus(by_name("sin"), 0.3, 2.0, grid)
         assert len(calls) == 1
@@ -271,15 +264,14 @@ class TestClassicalModulus:
         monkeypatch.setattr(moduli, "_increment_norms", lambda *a: calls.append(a[1]) or original(*a))
         for f in corpus():
             for p in (1.0, 2.0, 3.0, math.inf):
-                for conjugate in (True, False):
-                    want = [classical_modulus(f, float(d), p, grid, conjugate) for d in deltas]
-                    calls.clear()
-                    got = classical_modulus(f, deltas, p, grid, conjugate)
-                    assert np.array_equal(got, want), (f.name, p, conjugate)
-                    assert len(calls) == 1 and np.array_equal(calls[0], deltas[np.isin(deltas, off)])
-                    calls.clear()
-                    classical_modulus(f, on, p, grid, conjugate)
-                    assert calls == []
+                want = [classical_modulus(f, float(d), p, grid) for d in deltas]
+                calls.clear()
+                got = classical_modulus(f, deltas, p, grid)
+                assert np.array_equal(got, want), (f.name, p)
+                assert len(calls) == 1 and np.array_equal(calls[0], deltas[np.isin(deltas, off)])
+                calls.clear()
+                classical_modulus(f, on, p, grid)
+                assert calls == []
 
     def test_array_rejects_a_bad_delta(self, grid):
         with pytest.raises(DomainError, match="got nan"):
