@@ -18,13 +18,20 @@ Kronrod row on the same kind of mesh, cut at h = pi/(n+1), and sums them from
 pi as a ``PanelSums`` would.  One cached table per (f, x, grid),
 _kernel_nodes, holds the uncut mesh and, at its 15 nodes a panel, the
 weights, psi_x, e^{it} and (1/2) cot(t/2): 48 bytes a node, about 120 kB at
-the default grid.  A call gathers the rows of every panel the cut leaves
-whole and evaluates only the two panels into which h splits one (none when h
-is already a boundary, as at n = 2^j - 1).  Every value is elementwise per
-node and every panel sum a vecdot of its own row, so the bits are those of
-evaluating every node afresh.  The kernel mean sum_k c_k D~_k(t) comes from
-the one kernel evaluator, kernels.conj_kernel_mean_z at the cached e^{it},
-within n eps sum |C_nu| of the exact series.
+the default grid, at most 16 tables.  One cached cut record per
+(f, x, n, grid), _kernel_cut, shared by every matrix pair, holds what the cut
+changes: the uncut panel each cut panel starts in, and the rows of the panels
+that are not uncut ones (the two into which h splits one; none when h is
+already a boundary, as at n = 2^j - 1): about 4 kB an entry at the default
+grid, at most 256 entries.  A warm call joins the table's columns and the
+fresh rows, makes one Horner pass over those nodes, evaluates both integrands
+into one array, takes one panel sum per panel and gathers the sums to the cut
+panels.  Every value is elementwise per node and every panel sum a vecdot of
+its own row, so the bits are those of evaluating every node of the cut mesh
+afresh.  The kernel mean sum_k c_k D~_k(t) comes from
+the one kernel evaluator, kernels.conj_kernel_mean_z, with the tails kept on
+A beside the AB weights (summability.ab_tails), within n eps sum |C_nu| of
+the exact series.
 
 Every x passes functions.check_x first, which reduces an x outside [-pi, pi] by
 the period and refuses one beyond 2^20.
@@ -52,7 +59,7 @@ from .functions import (
     running_sums,
 )
 from .kernels import conj_kernel_mean_z
-from .summability import TriangularMatrix, ab_weights
+from .summability import TriangularMatrix, ab_tails
 
 CONJUGATE_TOL = 1e-8  # largest error estimate conjugate_at accepts
 X_GRID_WEIGHT = PI / 16.0  # spacing of default_x_grid, the weight of each point in its L^p norms
@@ -143,6 +150,32 @@ def _kernel_nodes(f: PeriodicFunction, x: float, grid: GridSpec) -> tuple[np.nda
     return table
 
 
+@lru_cache(maxsize=256)
+def _kernel_cut(f: PeriodicFunction, x: float, n: int, grid: GridSpec) -> tuple:
+    """The mesh for (f, x, grid) cut at h = pi/(n+1), read from the uncut one of _kernel_nodes; arrays read-only.
+
+    (below, edge, row, unread, fresh_rows): the cut mesh's index of h, or of the boundary that stood in for it,
+    and that boundary; each cut panel's row among the uncut panels followed by the fresh ones (the cut panels
+    that are not uncut ones); the uncut panels that no cut panel is; and the fresh panels' _kernel_rows.  8 bytes
+    a cut panel and 720 a fresh one: about 4 kB an entry at the default grid, 20 kB at the largest.
+    """
+    h = PI / (n + 1)
+    bounds = _mesh(f, x, grid, cuts=[h])
+    below = int(np.argmin(np.abs(bounds - h)))  # h itself, or the boundary that stood in for it
+    base = _kernel_nodes(f, x, grid)[0]
+    lo, hi = bounds[:-1], bounds[1:]
+    row = np.minimum(np.searchsorted(base, lo), len(base) - 2)
+    fresh = (base[row] != lo) | (base[row + 1] != hi)
+    read = np.zeros(len(base) - 1, dtype=bool)
+    read[row[~fresh]] = True
+    unread = np.flatnonzero(~read)  # np.setdiff1d would import numpy.ma, about 1.5 MB
+    row[fresh] = len(base) - 1 + np.arange(np.count_nonzero(fresh))
+    fresh_rows = _kernel_rows(f, x, lo[fresh], hi[fresh])
+    for array in (row, unread, *fresh_rows):
+        array.flags.writeable = False
+    return below, float(bounds[below]), row, unread, fresh_rows
+
+
 def deviation_kernel_form(
     f: PeriodicFunction,
     A: TriangularMatrix,
@@ -160,8 +193,9 @@ def deviation_kernel_form(
     h = pi/(n+1), the second int_0^pi psi (cot/2 - K) / pi.  It raises at a
     known singular point of f, and wherever conjugate_at refuses (next to
     sawtooth's jump, say), with that error.
-    Each panel of the mesh cut at h that is a panel of the uncut mesh reads
-    its rows from _kernel_nodes; only the others are evaluated here.
+    Each panel of the mesh cut at h that is a panel of the uncut mesh takes
+    its sum from the rows of _kernel_nodes; the others, from the rows that
+    _kernel_cut keeps.
 
     Tested orders: up to n = 16 within 1e-13 of value minus conjugate, and at
     n = 1024 against the same integral on a mesh eight times finer, within
@@ -170,23 +204,18 @@ def deviation_kernel_form(
     6.8e-7 (Cesaro) and 0.35 (identity), and no estimate reports them.
     """
     x = _check_regular(f, x)
-    weights = ab_weights(A, B, n)
-    h = PI / (n + 1)
-    bounds = _mesh(f, x, grid, cuts=[h])
-    below = int(np.argmin(np.abs(bounds - h)))  # h itself, or the boundary that stood in for it
-    base, *table = _kernel_nodes(f, x, grid)
-    lo, hi = bounds[:-1], bounds[1:]
-    row = np.minimum(np.searchsorted(base, lo), len(base) - 2)
-    fresh = np.flatnonzero((base[row] != lo) | (base[row + 1] != hi))
-    nodes, rule_weights, psi, z, half_cot = rows = [column[row] for column in table]
-    if len(fresh):
-        for column, values in zip(rows, _kernel_rows(f, x, lo[fresh], hi[fresh])):
-            column[fresh] = values
-    kernel = conj_kernel_mean_z(weights, z)
+    tails = ab_tails(A, B, n)  # an order outside A or B fails here, before any cache keyed by x fills
+    below, edge, row, unread, fresh_rows = _kernel_cut(f, x, n, grid)
+    # the uncut panels, then the fresh ones
+    nodes, rule_weights, psi, z, half_cot = map(np.concatenate, zip(_kernel_nodes(f, x, grid)[1:], fresh_rows))
+    kernel = conj_kernel_mean_z(tails, z)
+    values = np.zeros((2,) + z.shape)
     # psi K is kept below h only, so its total is its integral over (0, h]
-    inner = np.where(nodes < bounds[below], psi * kernel, 0.0)
-    values = np.stack((inner, psi * (half_cot - kernel)))
-    inner, outer = running_sums(panel_integrals(rule_weights, values), from_top=True)
+    np.multiply(psi, kernel, out=values[0], where=nodes < edge)
+    np.subtract(half_cot, kernel, out=values[1])
+    values[1] *= psi
+    values[:, unread] = 0.0  # not nodes of the cut mesh: a value there that is not finite must refuse nothing
+    inner, outer = running_sums(panel_integrals(rule_weights, values)[:, row], from_top=True)
     dev_truncated = (-inner[0] + outer[below]) / PI
     dev_full = outer[0] / PI
     if not (np.isfinite(dev_truncated) and np.isfinite(dev_full)):

@@ -3,10 +3,13 @@
 One evaluator gives every conjugate kernel: ``conj_kernel_mean_z`` sums
 sum_k c_k D~_k(t) = sum_{nu<=n} C_nu sin(nu t), C_nu = sum_{k>=nu} c_k, by n
 Horner steps in z = e^{it} on O(len(t)) memory, within n eps sum |C_nu|
-(tested, n <= 1024).  The kernel-form deviations pass the z of their cached
-node table per (f, x), about 120 kB at the default grid;
-``conj_partial_sum_integral`` passes e^{it}.  D~_k is the mean of e_k.  The
-partial sums k = 0..n (``partial_sum_table``) come from one pass; order k is row k.
+(tested, n <= 1024).  It takes the tails C_nu, not the weights.  The
+kernel-form deviations pass those that summability.ab_tails keeps on A beside
+the AB weights, summed once per (A, B, n) and dropped with B, and the z of
+their cached node table per (f, x), about 120 kB at the default grid.
+``conj_partial_sum_integral`` passes C_nu = 1, the tails of D~_k (the mean of
+e_k), and e^{it}.  The partial sums k = 0..n (``partial_sum_table``) come from
+one pass; order k is row k.
 ``fourier_coeffs`` sums its Kronrod quadrature with one inverse FFT per node offset.
 numpy.fft is reached on the first build, so importing the package does not load it.
 """
@@ -29,7 +32,6 @@ from .functions import (
     check_x,
     kronrod_panels,
 )
-from .summability import exact_cumsum
 
 SINGULAR_CUTOFF = 1e-12
 
@@ -64,13 +66,16 @@ def conj_dirichlet_complement(k: int, t):
     return float(out) if out.ndim == 0 else out
 
 
-def conj_kernel_mean_z(weights: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k c_k D~_k(t) = Im(z P(z)), P(z) = sum_{nu=1}^{n} C_nu z^(nu-1) by Horner's rule, given z = e^{it}."""
-    acc = np.zeros_like(z)
-    for tail in exact_cumsum(weights[:0:-1]).tolist():  # C_n, ..., C_1
+def conj_kernel_mean_z(tails: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k c_k D~_k(t) = Im(z P(z)), P(z) = sum_{nu=1}^{n} C_nu z^(nu-1) by Horner's rule, given z = e^{it}.
+
+    tails holds C_1, ..., C_n, the tails C_nu = sum_{k>=nu} c_k of the weights.
+    """
+    acc = np.full_like(z, tails[-1]) if len(tails) else np.zeros_like(z)  # the bits of C_n + 0 z
+    for tail in tails[-2::-1].tolist():
         acc *= z
         acc += tail
-    return (z * acc).imag
+    return np.multiply(z, acc, out=acc).imag  # z times acc: acc * z may round the imaginary part differently
 
 
 def fourier_coeffs(
@@ -154,6 +159,6 @@ def conj_partial_sum_integral(
     bounds = _insert_points(base, shifted + [t - TWO_PI for t in shifted])
     nodes, weights = kronrod_panels(bounds[:-1], bounds[1:])
     nodes, weights = nodes.ravel(), weights[0].ravel()  # the Kronrod row
-    kernel = conj_kernel_mean_z(np.eye(1, k + 1, k)[0], np.exp(1j * nodes))  # D~_k as the mean of e_k
+    kernel = conj_kernel_mean_z(np.ones(k), np.exp(1j * nodes))  # D~_k: C_1 = ... = C_k = 1
     values = np.asarray(f(x + nodes), dtype=float)
     return float(-np.dot(weights, values * kernel) / PI)

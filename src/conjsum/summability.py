@@ -138,6 +138,7 @@ class TriangularMatrix:
         self.name, self.dense = name, dense
         self._prefix_sums: dict[int, np.ndarray] = {}
         self._ab_weights = weakref.WeakKeyDictionary()  # partner B -> {n: weights}, dropped with B
+        self._ab_tails = weakref.WeakKeyDictionary()  # partner B -> {n: kernel tails}, likewise
 
     @property
     def n_max(self) -> int:
@@ -228,16 +229,28 @@ def ab_weights(A: TriangularMatrix, B: TriangularMatrix, n: int) -> np.ndarray:
     """Collapsed weights c_k = sum_{r=k}^{n} a_{n,r} b_{r,k}, added in increasing r; kept read-only on A.
 
     Columns k..k+63 start at row k, above which B is zero, so no temporary exceeds (n+1) x 64.
+    Only a checked order is ever kept, so a kept one is returned unchecked.
     """
-    _check_transform_order(A, B, n)
-    kept = A._ab_weights.setdefault(B, {})
-    weights = kept.get(n)
+    weights = A._ab_weights.get(B, {}).get(n)
     if weights is None:
+        _check_transform_order(A, B, n)
         row, cols = A.row(n), range(0, n + 1, _BLOCK_ROWS)
         blocks = [(row[k:, None] * B.dense[k : n + 1, k : min(k + _BLOCK_ROWS, n + 1)]).sum(axis=0) for k in cols]
-        weights = kept[n] = np.concatenate(blocks)
+        weights = A._ab_weights.setdefault(B, {})[n] = np.concatenate(blocks)
         weights.flags.writeable = False
     return weights
+
+
+def ab_tails(A: TriangularMatrix, B: TriangularMatrix, n: int) -> np.ndarray:
+    """The kernel tails C_nu = sum_{k>=nu} c_k of ab_weights(A, B, n), nu = 1..n, each correctly rounded.
+
+    Kept read-only on A beside the weights, and dropped with B as they are.
+    """
+    tails = A._ab_tails.get(B, {}).get(n)
+    if tails is None:
+        tails = A._ab_tails.setdefault(B, {})[n] = exact_cumsum(ab_weights(A, B, n)[:0:-1])[::-1].copy()
+        tails.flags.writeable = False
+    return tails
 
 
 # ---------------------------------------------------------------------------

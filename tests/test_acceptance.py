@@ -65,8 +65,8 @@ def direct_kernel_table(k_max: int, t: np.ndarray) -> np.ndarray:
 
 
 def library_kernel_table(k_max: int, t: np.ndarray) -> np.ndarray:
-    """Rows D~_0..D~_{k_max}, each the library's kernel mean of the unit weights e_k."""
-    return np.stack([conj_kernel_mean_z(np.eye(1, k + 1, k)[0], np.exp(1j * t)) for k in range(k_max + 1)])
+    """Rows D~_0..D~_{k_max}, each the library's kernel mean of the unit weights e_k (tails C_1..C_k all 1)."""
+    return np.stack([conj_kernel_mean_z(np.ones(k), np.exp(1j * t)) for k in range(k_max + 1)])
 
 
 def test_criterion_1_kernel_identities():

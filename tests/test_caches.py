@@ -3,8 +3,9 @@
 A cached value is shared by every later caller, so an array a caller could
 write into would corrupt each result read from that cache afterwards.  A new
 cache fails ``test_every_cache_has_a_call`` until it gets an entry in CALLS.
-The arrays a TriangularMatrix keeps (its prefix sums and AB weights) and the
-profile prefixes modulus_profile hands out are shared the same way.
+The arrays a TriangularMatrix keeps (its prefix sums, AB weights and kernel
+tails) and the profile prefixes modulus_profile hands out are shared the same
+way.
 """
 
 import dataclasses
@@ -33,6 +34,7 @@ CALLS = {
     "conjugate._table": lambda: conjugate._table(HAT, 0.3, GRID),
     "conjugate._truncated_cached": lambda: conjugate._truncated_cached(HAT, 0.3, 0.1, GRID),
     "conjugate._kernel_nodes": lambda: conjugate._kernel_nodes(HAT, 0.3, GRID),
+    "conjugate._kernel_cut": lambda: conjugate._kernel_cut(HAT, 0.3, 5, GRID),
     "verify.coefficients": lambda: verify.coefficients(HAT, GRID, 16),
     "verify._partial_sums": lambda: verify._partial_sums(HAT, 0.3, GRID, True, 16),
 }
@@ -88,8 +90,9 @@ def test_node_table_is_a_read_only_pair_of_kronrod_sums():
 def test_shared_arrays_outside_the_caches_are_read_only():
     C, I = summability.cesaro(9), summability.identity_matrix(9)
     profile = moduli.modulus_profile(HAT, 0.3, 4, "w", GRID)
-    arrays = [C.prefix_sums(4), summability.ab_weights(C, I, 4), profile.values, profile.averaged]
-    assert [array.flags.writeable for array in arrays] == [False] * 4
+    arrays = [C.prefix_sums(4), summability.ab_weights(C, I, 4), summability.ab_tails(C, I, 4), profile.values,
+              profile.averaged]
+    assert [array.flags.writeable for array in arrays] == [False] * 5
     with pytest.raises(ValueError):
         arrays[1][0] = 1.0
 
@@ -103,3 +106,28 @@ def test_ab_weights_kept_per_partner_and_order():
     assert summability.ab_weights(C, C, 5) is not first
     del I, other
     assert list(C._ab_weights) == [C]  # a partner's weights go with the partner
+
+
+def test_ab_tails_kept_per_partner_and_order():
+    C, I = summability.cesaro(9), summability.identity_matrix(9)
+    first = summability.ab_tails(C, C, 6)
+    assert summability.ab_tails(C, C, 6) is first and not first.flags.writeable
+    other = summability.ab_tails(C, I, 6)
+    assert other is not first and not np.array_equal(other, first)
+    assert summability.ab_tails(C, C, 5) is not first
+    del I, other
+    assert list(C._ab_tails) == [C]  # a partner's tails go with the partner
+
+
+def test_kernel_cut_reads_the_uncut_mesh():
+    # each cut panel is the uncut panel its row names, or the fresh one after them that it names
+    base = conjugate._kernel_nodes(HAT, 0.3, GRID)[0]
+    for n in (0, 1, 2, 5, 31, 200):
+        below, edge, row, unread, (nodes, *_) = conjugate._kernel_cut(HAT, 0.3, n, GRID)
+        bounds = conjugate._mesh(HAT, 0.3, GRID, cuts=[math.pi / (n + 1)])
+        assert edge == bounds[below] and len(row) == len(bounds) - 1
+        kept, fresh = row < len(base) - 1, row >= len(base) - 1
+        assert np.array_equal(row[fresh], len(base) - 1 + np.arange(len(nodes))), n
+        assert np.array_equal(base[row[kept]], bounds[:-1][kept])
+        assert np.array_equal(base[row[kept] + 1], bounds[1:][kept])
+        assert np.array_equal(unread, np.setdiff1d(np.arange(len(base) - 1), row[kept])), n

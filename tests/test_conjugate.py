@@ -26,13 +26,14 @@ from conjsum.functions import (
     PeriodicFunction,
     SingularIntegrandError,
     by_name,
+    check_x,
     corpus,
     eval_psi,
     psi_breakpoints,
 )
 from conjsum.kernels import conj_kernel_mean_z, fourier_coeffs, partial_sum_table
 from conjsum.moduli import modulus_profile
-from conjsum.summability import ab_weights, cesaro, delta_at_zero, identity_matrix, nordlund
+from conjsum.summability import ab_tails, ab_weights, cesaro, delta_at_zero, exact_cumsum, identity_matrix, nordlund
 from conjsum.verify import transform_value
 
 from conftest import graded_integral
@@ -277,11 +278,13 @@ class TestDeviationKernelForm:
         top = max(orders)
         p = (np.arange(top + 1.0) + 1.0) ** -0.75
         pairs = ((cesaro(top),) * 2, (identity_matrix(top),) * 2, (nordlund(p, top), nordlund(np.sqrt(p), top)))
-        weights = [ab_weights(A, B, n) for A, B in pairs for n in orders]
-        for w, (ref, tails) in zip(weights, sine_series_reference(weights, t)):
-            n = len(w) - 1
+        cases = [(A, B, n) for A, B in pairs for n in orders]
+        weights = [ab_weights(*case) for case in cases]
+        for case, (ref, tails) in zip(cases, sine_series_reference(weights, t)):
+            n = case[2]
+            assert ab_tails(*case).tolist() == [float(c) for c in tails]  # each tail correctly rounded
             bound = n * np.finfo(float).eps * float(sum(abs(c) for c in tails))
-            err = float(np.max(np.abs(conj_kernel_mean_z(w, np.exp(1j * t)) - ref)))
+            err = float(np.max(np.abs(conj_kernel_mean_z(ab_tails(*case), np.exp(1j * t)) - ref)))
             assert err <= bound, (n, err, bound)
 
     def test_high_order_holds_no_kernel_matrix(self, grid):
@@ -314,7 +317,7 @@ def kernel_form_reference(f, A, B, n, x, grid, parts=1):
 
     With parts > 1 each panel of that mesh is split into parts equal ones.
     """
-    weights = ab_weights(A, B, n)
+    tails = exact_cumsum(ab_weights(A, B, n)[:0:-1])[::-1]
     h = PI / (n + 1)
     bounds = conjugate._mesh(f, x, grid, cuts=[h])
     below = int(np.argmin(np.abs(bounds - h)))
@@ -324,7 +327,7 @@ def kernel_form_reference(f, A, B, n, x, grid, parts=1):
 
     def integrands(t):
         psi = eval_psi(f, x, t)
-        kernel = conj_kernel_mean_z(weights, np.exp(1j * t))
+        kernel = conj_kernel_mean_z(tails, np.exp(1j * t))
         inner = np.where(t < bounds[below], psi * kernel, 0.0)
         return np.stack((inner, psi * (0.5 / np.tan(0.5 * t) - kernel)))[:, None]  # a unit axis for the rule's
 
@@ -391,13 +394,16 @@ class TestKernelFormBitIdentity:
     def test_h_is_pi_and_the_top_order(self, f, pairs):
         self.check(f, pairs, (0, 2, 5, 100, self.TOP), -2.2)
 
-    @pytest.mark.parametrize("shift", [0.0, 4e-16, 1e-15, 2e-15, -4e-16, -1e-15, 1e-12])
+    @pytest.mark.parametrize("shift", [0.0, 4e-16, 1e-15, 2e-15, -4e-16, -1e-15, -2e-15, 1e-12])
     def test_h_next_to_a_psi_breakpoint(self, shift, pairs):
-        # hat breaks at 0, so t = -x is a breakpoint of psi_x: put it at h + shift
-        f, n = by_name("hat"), 5
-        x = -(PI / (n + 1) + shift)
-        assert -x in psi_breakpoints(f, x)
-        self.check(f, pairs, (n, n - 1, 31), x)
+        # x = b +- h + shift for a breakpoint b of f puts one of psi_x at t = |x - b|, next to h: there the
+        # merge may keep both boundaries, drop the mesh's one or drop the cut
+        for name, n in itertools.product(("hat", "sawtooth"), (1, 3, 8, 31, 200)):
+            f, h = by_name(name), PI / (n + 1)
+            for b, sign in itertools.product(f.breakpoints, (1, -1)):
+                x = check_x("x", b + sign * h + shift)
+                assert min(abs(t - h) for t in psi_breakpoints(f, x)) < abs(shift) + 3e-15, (name, n, b, sign)
+                self.check(f, pairs, (n,), x)
 
     @pytest.mark.parametrize("x", [1e-9, -1e-9, PI - 1e-9, 1e-9 - PI, PI])
     @pytest.mark.parametrize("name", ["sawtooth", "hat", "sin3"])
@@ -425,6 +431,28 @@ class TestKernelFormBitIdentity:
                     with pytest.raises(ConvergenceError) as info:
                         deviation_kernel_form(f, A, B, n, x)
                     assert str(info.value) == refusal, (f.name, x, n)
+
+    def test_a_node_only_the_uncut_mesh_has_adds_nothing(self):
+        # psi ((1/2) cot - K) overflows at one node of the uncut panel that h splits and nowhere else; the cut mesh
+        # has no such node, so the call refuses only where conjugate_at, whose table holds that node, does
+        x, n, I = 0.3, 5, identity_matrix(5)
+        zero = PeriodicFunction(name="zero", eval=np.zeros_like)
+        nodes = conjugate._kernel_nodes(zero, x, DEFAULT_GRID)[1]
+        unread = conjugate._kernel_cut(zero, x, n, DEFAULT_GRID)[3]
+        assert len(unread) == 1
+        t = nodes[unread[0]]
+        half_cot = 0.5 / np.tan(0.5 * t)
+        gap = np.abs(half_cot - conj_kernel_mean_z(ab_tails(I, I, n), np.exp(1j * t)))
+        i = int(np.argmax(gap / half_cot))
+        assert gap[i] / half_cot[i] > 1.01  # so psi (1/2) cot(t/2) stays finite there
+        size = np.finfo(float).max / gap[i] * 1.001
+        spike = PeriodicFunction(name="spike", eval=lambda u: np.where(u == x + t[i], size, 0.0))
+        errors = []
+        for run in (lambda: conjugate_at(spike, x), lambda: deviation_kernel_form(spike, I, I, n, x)):
+            with pytest.raises(ConvergenceError) as info, np.errstate(over="ignore"):
+                run()
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
     def test_coarse_grid(self, pairs):
         self.check(by_name("hat"), pairs, (0, 1, 6, 64), 0.3, GridSpec(m=64, refinement=8))

@@ -69,8 +69,8 @@ def direct_kernel(k: int, t: float) -> float:
 
 
 def kernel_row(k: int, t) -> np.ndarray:
-    """D~_k at the points t: the kernel mean of the unit weights e_k."""
-    return conj_kernel_mean_z(np.eye(1, k + 1, k)[0], np.exp(1j * np.atleast_1d(np.asarray(t, dtype=float))))
+    """D~_k at the points t: the kernel mean of the unit weights e_k, whose tails C_1..C_k are all 1."""
+    return conj_kernel_mean_z(np.ones(k), np.exp(1j * np.atleast_1d(np.asarray(t, dtype=float))))
 
 
 def kernel_grid():

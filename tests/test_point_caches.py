@@ -21,7 +21,7 @@ from conjsum.conjugate import conjugate_at, conjugate_truncated, deviation_kerne
 from conjsum.functions import DEFAULT_GRID, PI, DomainError, by_name, check_x, corpus
 from conjsum.kernels import DEFAULT_COEFF_CUTOFF, fourier_coeffs, partial_sum_table
 from conjsum.moduli import MODULUS_KINDS, lemma2_check, modulus, modulus_profile
-from conjsum.summability import MatrixValidationError, ab_weights, cesaro, identity_matrix, nordlund
+from conjsum.summability import MatrixValidationError, ab_tails, ab_weights, cesaro, identity_matrix, nordlund
 from conjsum.verify import lhs_theorem1, rhs_theorem1, rhs_theorem2, transform_value
 
 NS = [0, 1, 8, 128, 512]
@@ -63,7 +63,7 @@ def matrix_pairs():
 
 def new_cache_sizes(*matrices):
     return (verify._partial_sums.cache_info().currsize, moduli._profile.cache_info().currsize,
-            *(sum(map(len, M._ab_weights.values())) for M in matrices))
+            *(sum(map(len, kept.values())) for M in matrices for kept in (M._ab_weights, M._ab_tails)))
 
 
 @pytest.mark.parametrize("f", corpus(), ids=lambda f: f.name)
@@ -146,7 +146,7 @@ def test_failing_profiles_cache_nothing():
 
 
 X_KEYED = (moduli._cumulative, moduli._profile, conjugate._table, conjugate._truncated_cached,
-           conjugate._kernel_nodes, verify._partial_sums)
+           conjugate._kernel_nodes, conjugate._kernel_cut, verify._partial_sums)
 
 NON_FINITE_CALLS = {
     "transform_value": lambda f, C, x: transform_value(f, C, C, 4, x),
@@ -188,7 +188,7 @@ def test_x_beyond_the_bound_is_refused_before_any_cache(name, x):
     with pytest.raises(DomainError, match=rf"^x must lie in \[-2\^20, 2\^20\], got {re.escape(str(x))}$"):
         NON_FINITE_CALLS[name](f, C, x)
     assert [cache.cache_info() for cache in X_KEYED] == before
-    assert len(C._ab_weights) == 0
+    assert len(C._ab_weights) == len(C._ab_tails) == 0
 
 
 def test_out_of_range_order_fills_no_x_keyed_cache():
@@ -202,6 +202,20 @@ def test_out_of_range_order_fills_no_x_keyed_cache():
     assert [cache.cache_info() for cache in X_KEYED] == before
 
 
+def test_kept_orders_do_not_widen_the_range():
+    # with every order of the pair kept, the hit path still refuses the others with the miss path's message
+    f, C, I = by_name("hat"), cesaro(8), identity_matrix(8)
+    for n in range(9):
+        deviation_kernel_form(f, C, I, n, 0.77)
+    before = (new_cache_sizes(C, I), [cache.cache_info() for cache in X_KEYED])
+    for n in (-1, -9, 9, 600):
+        message = re.escape(f"transform order n={n} is outside the matrix size (A: 8, B: 8)")
+        for call in (ab_weights, ab_tails, lambda A, B, n: deviation_kernel_form(f, A, B, n, 0.77)):
+            with pytest.raises(MatrixValidationError, match=f"^{message}$"):
+                call(C, I, n)
+    assert (new_cache_sizes(C, I), [cache.cache_info() for cache in X_KEYED]) == before
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
 def test_non_finite_x_is_refused_before_any_cache(name, x):
@@ -210,4 +224,4 @@ def test_non_finite_x_is_refused_before_any_cache(name, x):
     with pytest.raises(DomainError, match=f"^x must be finite, got {x}$"):
         NON_FINITE_CALLS[name](f, C, x)
     assert [cache.cache_info() for cache in X_KEYED] == before
-    assert len(C._ab_weights) == 0
+    assert len(C._ab_weights) == len(C._ab_tails) == 0

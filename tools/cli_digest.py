@@ -28,10 +28,14 @@ checkout's src/, and the line is
     <sha256 of its first-pass outputs and same_every_pass, or -> - - <exit code> library-sweep first pass, seed 1
 
 The sweep makes only 144 deviation_kernel_form calls, so a fresh interpreter
-on the given checkout's src/ makes 13,320 more: the corpus, cesaro/cesaro,
+on the given checkout's src/ makes 14,160 more: the corpus, cesaro/cesaro,
 identity/identity and cesaro/identity built to 32 and to 1024, 37 x and 20
-orders from 0 to 1024.  The repr of each result, or the exception's type and
-message, is one line of one sha256:
+orders from 0 to 1024; then hat and sawtooth at n in {1, 3, 8, 31, 200} and
+the three pairs built to 1024, at each x = b +- h + delta with b a breakpoint
+of f, h = pi/(n+1) and delta in {0, +-4e-16, +-1e-15, +-2e-15}, where a
+breakpoint of psi_x lies next to h and the mesh cut at h is degenerate.  The
+repr of each result, or the exception's type and message, is one line of one
+sha256:
 
     <sha256 of those lines, or -> - - <exit code> kernel-form grid
 
@@ -137,21 +141,32 @@ def run_sweep(root: Path, work: Path) -> Outputs:
 
 
 KERNEL_FORM = """
+import itertools
 from conjsum import conjugate, functions, summability
 PI = functions.PI
+
+def line(f, A, B, n, x):
+    try:
+        return repr(conjugate.deviation_kernel_form(f, A, B, n, x))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
 xs = conjugate.default_x_grid() + [0.0, 1e-9, -1e-9, 1.0, PI, PI - 1e-9, 1e-9 - PI]
 orders = {32: (0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32), 1024: (0, 63, 64, 127, 255, 511, 1023, 1024)}
 for size, ns in orders.items():
     C, I = summability.cesaro(size), summability.identity_matrix(size)
+    pairs = ((C, C), (I, I), (C, I))
     for f in functions.corpus():
-        for A, B in ((C, C), (I, I), (C, I)):
+        for A, B in pairs:
             for x in xs:
                 for n in ns:
-                    try:
-                        line = repr(conjugate.deviation_kernel_form(f, A, B, n, x))
-                    except Exception as exc:
-                        line = f"{type(exc).__name__}: {exc}"
-                    print(line)
+                    print(line(f, A, B, n, x))
+# x = b +- h + delta for each breakpoint b of f puts a breakpoint of psi_x within 2e-15 of h = pi/(n+1)
+for name, n in itertools.product(("hat", "sawtooth"), (1, 3, 8, 31, 200)):
+    f, h = functions.by_name(name), PI / (n + 1)
+    for b, sign, delta in itertools.product(f.breakpoints, (1, -1), (0.0, 4e-16, -4e-16, 1e-15, -1e-15, 2e-15, -2e-15)):
+        for A, B in pairs:
+            print(line(f, A, B, n, b + sign * h + delta))
 """
 
 
