@@ -270,18 +270,33 @@ def graded_boundaries(a: float, b: float, grid: GridSpec) -> np.ndarray:
 # corpus
 
 
+def _mod_two_pi(v: np.ndarray) -> np.ndarray:
+    """np.mod(v, TWO_PI), bit for bit, by one compare-and-add when every entry lies in [-TWO_PI, 2 TWO_PI).
+
+    There np.mod's fmod is exact and leaves at most one rounded add, the one made here.  Below -TWO_PI np.mod
+    rounds twice and above 2 TWO_PI the subtraction is no longer exact, so such an array, or one holding NaN or
+    an infinity, goes to np.mod itself.
+    """
+    if not (v.size and -TWO_PI <= v.min() and v.max() < 2.0 * TWO_PI):
+        return np.mod(v, TWO_PI)
+    out = (v < 0.0) * TWO_PI  # in place from here: one float temporary besides the result
+    out += v
+    out -= (v >= TWO_PI) * TWO_PI
+    return out
+
+
 def _wrap_symmetric(x: np.ndarray) -> np.ndarray:
     """Reduce to (-pi, pi]."""
-    return PI - np.mod(PI - x, TWO_PI)
+    return PI - _mod_two_pi(PI - x)
 
 
 def _sawtooth(x: np.ndarray) -> np.ndarray:
-    y = np.mod(x, TWO_PI)
+    y = _mod_two_pi(x)
     return np.where(y == 0.0, 0.0, 0.5 * (PI - y))
 
 
 def _sawtooth_conjugate(x: np.ndarray) -> np.ndarray:
-    y = np.mod(x, TWO_PI)
+    y = _mod_two_pi(x)
     return np.log(2.0 * np.sin(0.5 * y))
 
 

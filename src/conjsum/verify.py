@@ -8,12 +8,16 @@ Both sides below RATIO_ZERO_TOL count as a vacuous 0/0 and report ratio 0.
 The report grids are loops over the one-point functions transform_value,
 lhs_theorem1, rhs_theorem1 and rhs_theorem2 (R1.6 builds its weights once per
 n).  transform_value weights a prefix of one cached partial-sum table per
-(f, x) that runs to max(n, 512), and the right-hand sides read prefixes of
-the running averages that modulus_profile caches beside its profile per
-(f, x, kind), sized the same way: every n <= 512 shares one coefficient set
-and table, and an order above 512 gets its own.  np.cumsum adds in index
-order and each modulus value depends on its own delta alone, so a prefix has
-the bits of an array built for that n alone.  Every left side is
+(f, x) that runs to max(n, 512), and keeps each value it sums beside that
+table, under weak keys A -> B -> {n: value}: a value lives while its table
+stays in the lru and both matrices live, and a later call with the same
+(A, B, n) returns the float the first call summed, so the truncated and the
+full left side, and Theorems 1 and 2, share one sum.  The right-hand sides
+read prefixes of the running averages that modulus_profile caches beside its
+profile per (f, x, kind), sized the same way: every n <= 512 shares one
+coefficient set and table, and an order above 512 gets its own.  np.cumsum
+adds in index order and each modulus value depends on its own delta alone, so
+a prefix has the bits of an array built for that n alone.  Every left side is
 lhs_theorem1 at its (n, x): a truncated conjugate is one cached lookup in the
 conjugate table of x, so the first failing (n, x) is that of the loop order.
 """
@@ -21,6 +25,7 @@ conjugate table of x, so the first failing (n, x) is that of the loop order.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -65,12 +70,23 @@ def coefficients(f: PeriodicFunction, grid: GridSpec, top: int) -> FourierCoeffi
     return coeffs
 
 
+@dataclass(frozen=True, eq=False)
+class _SumTable:
+    """S~_k f(x) (or S_k f(x)) for k = 0..top, read-only, and the transform values summed from it.
+
+    values maps A -> B -> {n: T~_{n,A,B} f(x)} under weak keys, so neither matrix is pinned by the table.
+    """
+
+    sums: np.ndarray
+    values: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary)
+
+
 @lru_cache(maxsize=1024)
-def _partial_sums(f: PeriodicFunction, x: float, grid: GridSpec, conjugate: bool, top: int) -> np.ndarray:
-    """S~_k f(x) (or S_k f(x)) for k = 0..top, read-only: 8*(top+1) bytes."""
+def _partial_sums(f: PeriodicFunction, x: float, grid: GridSpec, conjugate: bool, top: int) -> _SumTable:
+    """The _SumTable of (f, x) up to top, with no values yet: 8*(top+1) bytes of sums."""
     sums = kernels.partial_sum_table(coefficients(f, grid, top), top, x, conjugate)
     sums.flags.writeable = False
-    return sums
+    return _SumTable(sums)
 
 
 def _row_mean(A: TriangularMatrix, n: int, inner: np.ndarray) -> float:
@@ -91,11 +107,23 @@ def _remark1_sum(weights: np.ndarray, n: int, inner: np.ndarray) -> float:
 
 def transform_value(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, n: int, x: float,
                     grid: GridSpec = DEFAULT_GRID, conjugate: bool = True) -> float:
-    """T~_{n,A,B} f(x), or the plain transform; an order outside A or B fails in ab_weights before any cache fills."""
+    """T~_{n,A,B} f(x), or the plain transform, summed once and kept in the partial-sum record of x.
+
+    An order outside A or B fails in ab_weights before any cache fills.  A kept value is the float its first
+    call summed, so a later call returns the same bits; it lives while the record stays in the lru and A and B
+    both live.
+    """
     x = check_x("x", x)
     weights = summability.ab_weights(A, B, n)
-    sums = _partial_sums(f, x, grid, conjugate, max(n, DEFAULT_COEFF_CUTOFF))[: n + 1]
-    return math.fsum((weights * sums).tolist())
+    table = _partial_sums(f, x, grid, conjugate, max(n, DEFAULT_COEFF_CUTOFF))
+    by_partner = table.values.get(A)
+    if by_partner is None:
+        by_partner = table.values[A] = weakref.WeakKeyDictionary()
+    kept = by_partner.setdefault(B, {})
+    value = kept.get(n)
+    if value is None:
+        value = kept[n] = math.fsum((weights * table.sums[: n + 1]).tolist())
+    return value
 
 
 def rhs_theorem1(

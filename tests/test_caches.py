@@ -5,7 +5,8 @@ write into would corrupt each result read from that cache afterwards.  A new
 cache fails ``test_every_cache_has_a_call`` until it gets an entry in CALLS.
 The arrays a TriangularMatrix keeps (its prefix sums, AB weights and kernel
 tails) and the profile prefixes modulus_profile hands out are shared the same
-way.
+way.  An entry of verify._partial_sums is a record: its read-only sums and the
+transform values summed from them, kept under weak keys A -> B -> {n: value}.
 """
 
 import dataclasses
@@ -95,6 +96,16 @@ def test_shared_arrays_outside_the_caches_are_read_only():
     assert [array.flags.writeable for array in arrays] == [False] * 5
     with pytest.raises(ValueError):
         arrays[1][0] = 1.0
+
+
+def test_partial_sum_record_shows_its_read_only_sums():
+    C = summability.cesaro(16)
+    for n in (16, 8):
+        verify.transform_value(HAT, C, C, n, 0.3, GRID)
+    table = verify._partial_sums(HAT, 0.3, GRID, True, 512)  # every n <= 512 reads the top-512 entry
+    assert list(table.values) == [C] and list(table.values[C][C]) == [16, 8]
+    assert [array is table.sums for array in arrays_in(table)] == [True]
+    assert table.sums.shape == (513,) and not table.sums.flags.writeable
 
 
 def test_ab_weights_kept_per_partner_and_order():

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conjsum import functions
 from conjsum.conjugate import _mesh
 from conjsum.functions import (
     DEFAULT_GRID,
@@ -369,3 +371,47 @@ class TestCorpus:
                 a_nu, b_nu = known.pair(nu)
                 assert c.a[nu - 1] == pytest.approx(a_nu, abs=1e-13)
                 assert c.b[nu - 1] == pytest.approx(b_nu, abs=1e-13)
+
+
+class TestPeriodReduction:
+    """The compare-and-add reduction of the corpus keeps np.mod's bits on every input, fast path or not."""
+
+    NAMES = ["_mod_two_pi", "_sawtooth", "_sawtooth_conjugate", "_hat", "_clausen2"]
+    SPECIALS = [v for base in (0.0, PI, 2 * PI, 3 * PI, 4 * PI) for s in (1.0, -1.0)
+                for v in (s * base, math.nextafter(s * base, math.inf), math.nextafter(s * base, -math.inf))]
+    SPECIALS += [math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324, -5e-324]
+
+    @staticmethod
+    def assert_same_bits(name, x):
+        # the reference is the same function with np.mod as its reduction
+        with np.errstate(all="ignore"):
+            got = getattr(functions, name)(x)
+            with mock.patch.object(functions, "_mod_two_pi", lambda v: np.mod(v, functions.TWO_PI)):
+                want = getattr(functions, name)(x)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, x)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_specials_alone_and_together(self, name):
+        for v in self.SPECIALS:
+            self.assert_same_bits(name, np.array(v))
+            self.assert_same_bits(name, np.array([v]))
+        finite = np.array([v for v in self.SPECIALS if abs(v) < 1e300])
+        self.assert_same_bits(name, finite)  # 4 pi lies outside the compare-and-add range
+        self.assert_same_bits(name, finite[np.abs(finite) <= 3 * PI])
+        self.assert_same_bits(name, np.array([]))
+
+    @pytest.mark.parametrize("name", NAMES)
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(), st.floats(-5 * PI, 5 * PI), st.sampled_from(SPECIALS)),
+                           min_size=1, max_size=12),
+           near=st.lists(st.floats(-3 * PI, 3 * PI), min_size=1, max_size=12))
+    def test_random_arrays(self, name, values, near):
+        self.assert_same_bits(name, np.array(values))
+        self.assert_same_bits(name, np.array(near))
+
+    def test_the_range_check_takes_the_compare_and_add(self):
+        # sawtooth's and hat's arguments on x, t in [-pi, pi] all lie in [-2 pi, 4 pi)
+        x = np.array([-2 * PI, -PI, -0.0, 0.0, PI, 2 * PI, math.nextafter(4 * PI, 0.0)])
+        with mock.patch.object(np, "mod", side_effect=AssertionError("np.mod called")):
+            assert functions._mod_two_pi(x).tobytes() == np.array([0.0, PI, 0.0, 0.0, PI, 0.0, x[-1] - 2 * PI]).tobytes()

@@ -2,14 +2,17 @@
 
 transform_value, lhs_theorem1, rhs_theorem1, rhs_theorem2 and lemma2_check
 read the AB weights kept on A, one partial-sum table per (f, x) and one
-modulus profile per (f, x, kind), each built once up to max(n, 512).  The references here add the weights in a loop over r, take the
-partial sums from fresh coefficients and the profiles straight from modulus,
-and every value must agree exactly (==).  The order checks run before any of
-those caches is read, so a failing call adds nothing to them, and a
-non-finite x is refused before any cache keyed by x is consulted.
+modulus profile per (f, x, kind), each built once up to max(n, 512), and
+transform_value keeps each value it sums beside its table, per (A, B, n).
+The references here add the weights in a loop over r, take the partial sums
+from fresh coefficients and the profiles straight from modulus, and every
+value, first call or kept, must agree exactly (==).  The order checks run
+before any of those caches is read, so a failing call adds nothing to them,
+and a non-finite x is refused before any cache keyed by x is consulted.
 """
 
 import dataclasses
+import gc
 import math
 import re
 
@@ -18,7 +21,7 @@ import pytest
 
 from conjsum import conjugate, moduli, verify
 from conjsum.conjugate import conjugate_at, conjugate_truncated, deviation_kernel_form
-from conjsum.functions import DEFAULT_GRID, PI, DomainError, by_name, check_x, corpus
+from conjsum.functions import DEFAULT_GRID, PI, DomainError, GridSpec, PeriodicFunction, by_name, check_x, corpus
 from conjsum.kernels import DEFAULT_COEFF_CUTOFF, fourier_coeffs, partial_sum_table
 from conjsum.moduli import MODULUS_KINDS, lemma2_check, modulus, modulus_profile
 from conjsum.summability import MatrixValidationError, ab_tails, ab_weights, cesaro, identity_matrix, nordlund
@@ -61,8 +64,14 @@ def matrix_pairs():
             "nordlund/nordlund": (nordlund(p, TOP), nordlund(np.sqrt(p), TOP))}
 
 
+def kept_values(*matrices):
+    """How many transform values the live partial-sum tables keep with A among matrices."""
+    tables = [obj for obj in gc.get_objects() if isinstance(obj, verify._SumTable)]
+    return sum(len(kept) for table in tables for A in matrices for kept in table.values.get(A, {}).values())
+
+
 def new_cache_sizes(*matrices):
-    return (verify._partial_sums.cache_info().currsize, moduli._profile.cache_info().currsize,
+    return (verify._partial_sums.cache_info().currsize, moduli._profile.cache_info().currsize, kept_values(*matrices),
             *(sum(map(len, kept.values())) for M in matrices for kept in (M._ab_weights, M._ab_tails)))
 
 
@@ -80,6 +89,7 @@ def test_one_point_functions_match_cache_free_references(f):
                 for conj in (True, False):
                     want = math.fsum((weights * sums[conj][: n + 1]).tolist())
                     assert transform_value(f, A, B, n, x, DEFAULT_GRID, conj) == want, (label, n, conj)
+                    assert transform_value(f, A, B, n, x, DEFAULT_GRID, conj) == want, (label, n, conj)  # kept
                 want = math.fsum((weights * sums[True][: n + 1]).tolist())
                 truncated = conjugate_truncated(f, x, PI / (n + 1))
                 assert lhs_theorem1(f, A, B, x, n, True) == abs(want - truncated)
@@ -117,6 +127,52 @@ def test_transform_above_512_reads_its_own_coefficients():
     for n in (1000, 8, DEFAULT_COEFF_CUTOFF, 513):
         sums = partial_sum_table(fourier_coeffs(f, max(n, DEFAULT_COEFF_CUTOFF), DEFAULT_GRID), n, x, True)
         assert transform_value(f, A, A, n, x) == math.fsum((ref_weights(A, A, n) * sums).tolist()), n
+
+
+def test_kept_values_stay_with_their_partner_flag_and_grid():
+    # every (grid, conjugate, B, n) gets its own reference, first call and kept, and the references all differ:
+    # m = 8192 puts 1024 panels under the coefficients where the default grid puts 666, and the cusps of
+    # sqrt|sin|, unlisted as breakpoints, make the two coefficient sets differ well above rounding
+    f, x, top = PeriodicFunction("root-sine", lambda t: np.sqrt(np.abs(np.sin(t)))), 0.3, 64
+    C, I = cesaro(top), identity_matrix(top)
+    N = nordlund((np.arange(top + 1.0) + 1.0) ** -0.75, top)
+    wants = {}
+    for grid in (DEFAULT_GRID, GridSpec(m=8192)):
+        coeffs = fourier_coeffs(f, DEFAULT_COEFF_CUTOFF, grid)
+        for conj in (True, False):
+            sums = partial_sum_table(coeffs, top, x, conj)
+            for B in (C, I, N):
+                for n in (5, top):
+                    want = wants[grid, conj, B.name, n] = math.fsum((ref_weights(C, B, n) * sums[: n + 1]).tolist())
+                    key = (grid.m, conj, B.name, n)
+                    assert transform_value(f, C, B, n, x, grid, conj) == want, key
+                    assert transform_value(f, C, B, n, x, grid, conj) == want, key
+                    assert verify._partial_sums(f, x, grid, conj, DEFAULT_COEFF_CUTOFF).values[C][B][n] == want
+    assert len(set(wants.values())) == len(wants)
+
+
+def test_a_kept_value_is_returned_without_a_second_sum():
+    f, x, C = by_name("hat"), 0.3, cesaro(8)
+    kept = verify._partial_sums(f, x, DEFAULT_GRID, False, DEFAULT_COEFF_CUTOFF).values
+    first = transform_value(f, C, C, 8, x, DEFAULT_GRID, False)
+    kept[C][C][8] = marker = first + 1.0  # C is local, so the marker goes with it
+    assert transform_value(f, C, C, 8, x, DEFAULT_GRID, False) is marker
+    assert transform_value(f, C, C, 8, x) != marker  # the conjugate table keeps its own
+
+
+def test_kept_values_go_with_either_matrix():
+    f, x = by_name("hat"), 0.3
+    C, I = cesaro(16), identity_matrix(16)
+    table = verify._partial_sums(f, x, DEFAULT_GRID, True, DEFAULT_COEFF_CUTOFF)
+    for A, B in ((C, C), (C, I), (I, C)):
+        transform_value(f, A, B, 8, x)
+    assert (len(table.values[C]), len(table.values[I]), kept_values(C, I)) == (2, 1, 3)
+    del A, B, I
+    gc.collect()
+    assert list(table.values) == [C] and list(table.values[C]) == [C]
+    del C
+    gc.collect()
+    assert len(table.values) == 0
 
 
 def test_transform_errors_keep_their_order_and_cache_nothing():
@@ -188,7 +244,7 @@ def test_x_beyond_the_bound_is_refused_before_any_cache(name, x):
     with pytest.raises(DomainError, match=rf"^x must lie in \[-2\^20, 2\^20\], got {re.escape(str(x))}$"):
         NON_FINITE_CALLS[name](f, C, x)
     assert [cache.cache_info() for cache in X_KEYED] == before
-    assert len(C._ab_weights) == len(C._ab_tails) == 0
+    assert len(C._ab_weights) == len(C._ab_tails) == kept_values(C) == 0
 
 
 def test_out_of_range_order_fills_no_x_keyed_cache():
@@ -200,6 +256,7 @@ def test_out_of_range_order_fills_no_x_keyed_cache():
         with pytest.raises(MatrixValidationError):
             call()
     assert [cache.cache_info() for cache in X_KEYED] == before
+    assert kept_values(C) == 0
 
 
 def test_kept_orders_do_not_widen_the_range():
@@ -224,4 +281,4 @@ def test_non_finite_x_is_refused_before_any_cache(name, x):
     with pytest.raises(DomainError, match=f"^x must be finite, got {x}$"):
         NON_FINITE_CALLS[name](f, C, x)
     assert [cache.cache_info() for cache in X_KEYED] == before
-    assert len(C._ab_weights) == len(C._ab_tails) == 0
+    assert len(C._ab_weights) == len(C._ab_tails) == kept_values(C) == 0

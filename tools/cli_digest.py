@@ -8,7 +8,9 @@ Usage, from the repository root:
     python3 tools/cli_digest.py --numeric OTHER      # this checkout against OTHER, field by field
 
 Runs every command of the cli-verify and check-matrix workloads of
-bench/run.py (full sizes, check-matrix on the seed-1 Norlund matrix), then
+bench/run.py (full sizes, check-matrix on the seed-1 Norlund matrix), the
+cli-verify transform command again with --plain (plain and conjugate partial
+sums keep their transform values in the same kind of record), then
 the T3/T4 grid: {T3, T4} x {hat, sawtooth, sin3, cos} x p in {1, 2, 3.5, inf},
 full and truncated, against B = cesaro and B = identity, at the orders 0, 1,
 2, 4, ..., 512, then the error paths, ``list`` and ``--help``: a command for
@@ -90,6 +92,12 @@ def norm_grid_ops() -> list[bench.Op]:
                         name = f"verify {theorem} {fn} cesaro/{b} p={p}{' truncated' if truncated else ''}"
                         ops.append(bench.Op(name, args + (["--truncated"] if truncated else []), "norm"))
     return ops
+
+
+def plain_transform_op(ops: list[bench.Op]) -> bench.Op:
+    """The transform op among ops, on plain partial sums."""
+    op = next(op for op in ops if op.kind == "transform")
+    return bench.Op(f"{op.name} --plain", op.args + ["--plain"], op.kind)
 
 
 def error_path_ops(work: Path) -> list[bench.Op]:
@@ -180,6 +188,7 @@ def run_kernel_form(root: Path, work: Path) -> Outputs:
 def jobs(work: Path) -> list:
     """(name, run) for every line: run(root, work) gives that checkout's Outputs."""
     ops = bench.cli_verify_ops(False, work)
+    ops.append(plain_transform_op(ops))
     ops += bench.check_matrix_ops(work, bench.nordlund_rows(1, 384)) + norm_grid_ops() + error_path_ops(work)
     # an --out file is read after its command; each op writes a distinct path or none
     out = [(op.name, lambda root, work, op=op: run_op(op, root, work)) for op in ops]
