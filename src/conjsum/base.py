@@ -5,7 +5,7 @@ Each name is also importable from the module that uses it (functions, summabilit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 THEOREM_IDS = ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc", "T3", "T4", "COR")
 MODULUS_KINDS = ("w", "w_bar", "w_tilde", "w_tilde_bar")
@@ -44,14 +44,21 @@ class MatrixValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Quadrature resolution: m nodes per period (16 <= m <= 2**14), dyadic grading depth (1 to 64)."""
-
+class _GridFields(NamedTuple):
     m: int = 1024
     refinement: int = 24
 
-    def __post_init__(self):
+
+class GridSpec(_GridFields):
+    """Quadrature resolution: m nodes per period (16 <= m <= 2**14), dyadic grading depth (1 to 64).
+
+    A validated named pair: it hashes and compares as a tuple, in C, since nearly every lru cache keys on it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.m < 16:
             raise DomainError(f"grid m must be >= 16, got {self.m}")
         if self.m > MAX_GRID_M:
@@ -62,6 +69,11 @@ class GridSpec:
             raise DomainError(f"refinement must be positive, got {self.refinement}")
         if self.refinement > MAX_GRID_REFINEMENT:
             raise DomainError(f"refinement must be <= {MAX_GRID_REFINEMENT}, got {self.refinement}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so it validates too
+        return cls(*iterable)
 
 
 DEFAULT_GRID = GridSpec()

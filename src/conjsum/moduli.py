@@ -35,7 +35,8 @@ from under-reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -72,10 +73,45 @@ _INCREMENTS = {"psi": eval_psi, "phi": eval_phi}
 
 
 class ModulusProfile(NamedTuple):
-    """The record _profile caches: modulus values at delta = pi/(k+1), k = 0..n, and their running averages."""
+    """Modulus values at delta = pi/(k+1), k = 0..n, and their running averages."""
 
     values: np.ndarray
     averaged: np.ndarray
+
+
+class _Kept:
+    """Floats summed from one cached record: {n: value} in by_n, and the same again under weak keys.
+
+    under() is the dict of the values that read the record alone, under(A) that of the values summed with A, and
+    under(A, B) with A and B.  Each key is held weakly, so a value goes with any matrix it read.
+    """
+
+    __slots__ = ("by_n", "below")
+
+    def __init__(self):
+        self.by_n = {}
+        self.below = None  # key -> _Kept, a WeakKeyDictionary made at the first key
+
+    def under(self, *keys) -> dict:
+        node = self
+        for key in keys:
+            if node.below is None:
+                node.below = weakref.WeakKeyDictionary()
+            child = node.below.get(key)
+            if child is None:
+                child = node.below[key] = _Kept()
+            node = child
+        return node.by_n
+
+
+@dataclass(frozen=True, eq=False)
+class _ProfileRecord:
+    """What _profile caches: the modulus values and running averages to k = top, read-only, and the right-hand
+    sides summed from them (verify.rhs_theorem1 under A, verify.rhs_theorem2 by n alone)."""
+
+    values: np.ndarray
+    averaged: np.ndarray
+    kept: _Kept = field(default_factory=_Kept)
 
 
 def _abs_increment(f: PeriodicFunction, x, kind: str):
@@ -187,12 +223,12 @@ def _averaged_modulus(values: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _profile(f: PeriodicFunction, x: float, kind: str, grid: GridSpec, top: int) -> ModulusProfile:
+def _profile(f: PeriodicFunction, x: float, kind: str, grid: GridSpec, top: int) -> _ProfileRecord:
     """modulus at delta = pi/(k+1) for k = 0..top and its running averages, read-only: 16*(top+1) bytes."""
     values = modulus(f, x, PI / (np.arange(top + 1) + 1.0), kind, grid)
     averaged = _averaged_modulus(values)
     values.flags.writeable = averaged.flags.writeable = False
-    return ModulusProfile(values, averaged)
+    return _ProfileRecord(values, averaged)
 
 
 def modulus_profile(f: PeriodicFunction, x: float, n: int, kind: str, grid: GridSpec = DEFAULT_GRID) -> ModulusProfile:
@@ -202,8 +238,8 @@ def modulus_profile(f: PeriodicFunction, x: float, n: int, kind: str, grid: Grid
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    values, averaged = _profile(f, check_x("x", x), kind, grid, max(n, DEFAULT_COEFF_CUTOFF))
-    return ModulusProfile(values[: n + 1], averaged[: n + 1])
+    record = _profile(f, check_x("x", x), kind, grid, max(n, DEFAULT_COEFF_CUTOFF))
+    return ModulusProfile(record.values[: n + 1], record.averaged[: n + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -220,9 +220,15 @@ def load_matrix_json(path: str) -> TriangularMatrix:
 # AB-transform
 
 
+def _order_error(n: int, *matrices: TriangularMatrix) -> MatrixValidationError:
+    """The refusal of an order outside A (and B), naming each size."""
+    sizes = ", ".join(f"{name}: {M.n_max}" for name, M in zip("AB", matrices))
+    return MatrixValidationError(f"transform order n={n} is outside the matrix size ({sizes})")
+
+
 def _check_transform_order(A: TriangularMatrix, B: TriangularMatrix, n: int) -> None:
     if not 0 <= n <= min(A.n_max, B.n_max):
-        raise MatrixValidationError(f"transform order n={n} is outside the matrix size (A: {A.n_max}, B: {B.n_max})")
+        raise _order_error(n, A, B)
 
 
 def ab_weights(A: TriangularMatrix, B: TriangularMatrix, n: int) -> np.ndarray:

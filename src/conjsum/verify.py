@@ -13,19 +13,23 @@ table, under weak keys A -> B -> {n: value}: a value lives while its table
 stays in the lru and both matrices live, and a later call with the same
 (A, B, n) returns the float the first call summed, so the truncated and the
 full left side, and Theorems 1 and 2, share one sum.  The right-hand sides
-read prefixes of the running averages that modulus_profile caches beside its
-profile per (f, x, kind), sized the same way: every n <= 512 shares one
-coefficient set and table, and an order above 512 gets its own.  np.cumsum
-adds in index order and each modulus value depends on its own delta alone, so
-a prefix has the bits of an array built for that n alone.  Every left side is
-lhs_theorem1 at its (n, x): a truncated conjugate is one cached lookup in the
-conjugate table of x, so the first failing (n, x) is that of the loop order.
+read the running averages of the modulus profile record of (f, x, kind),
+sized the same way: every n <= 512 shares one coefficient set and table, and
+an order above 512 gets its own.  Each right-hand side is summed once and kept
+on that record: rhs_theorem2 by n, rhs_theorem1 under a weak key A and then by
+n, so its values go with A.  A kept value takes about 80 bytes and the
+dictionaries of a record's first A about 1 KB; a value lives while its record
+stays in the lru (and A lives), and a later call returns the float the first
+call summed.  np.cumsum adds in index order and each modulus value depends on
+its own delta alone, so a prefix has the bits of an array built for that n
+alone.  Every left side is lhs_theorem1 at its (n, x): a truncated conjugate
+is one cached lookup in the conjugate table of x, so the first failing (n, x)
+is that of the loop order.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -37,7 +41,7 @@ from .base import DEFAULT_GRID, THEOREM_IDS, GridSpec
 from .conjugate import X_GRID_WEIGHT, conjugate_at, conjugate_truncated, default_x_grid
 from .functions import PI, PeriodicFunction, check_exponent, check_x, lp_norms
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, fourier_coeffs
-from .moduli import _averaged_modulus, classical_modulus, modulus_profile
+from .moduli import _averaged_modulus, _Kept, _profile, classical_modulus, modulus_profile
 from .summability import TriangularMatrix, exact_cumsum
 
 RATIO_ZERO_TOL = 1e-11
@@ -74,11 +78,11 @@ def coefficients(f: PeriodicFunction, grid: GridSpec, top: int) -> FourierCoeffi
 class _SumTable:
     """S~_k f(x) (or S_k f(x)) for k = 0..top, read-only, and the transform values summed from it.
 
-    values maps A -> B -> {n: T~_{n,A,B} f(x)} under weak keys, so neither matrix is pinned by the table.
+    kept.under(A, B) is {n: T~_{n,A,B} f(x)}, under weak keys, so neither matrix is pinned by the table.
     """
 
     sums: np.ndarray
-    values: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary)
+    kept: _Kept = field(default_factory=_Kept)
 
 
 @lru_cache(maxsize=1024)
@@ -116,10 +120,7 @@ def transform_value(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatri
     x = check_x("x", x)
     weights = summability.ab_weights(A, B, n)
     table = _partial_sums(f, x, grid, conjugate, max(n, DEFAULT_COEFF_CUTOFF))
-    by_partner = table.values.get(A)
-    if by_partner is None:
-        by_partner = table.values[A] = weakref.WeakKeyDictionary()
-    kept = by_partner.setdefault(B, {})
+    kept = table.kept.under(A, B)
     value = kept.get(n)
     if value is None:
         value = kept[n] = math.fsum((weights * table.sums[: n + 1]).tolist())
@@ -129,16 +130,35 @@ def transform_value(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatri
 def rhs_theorem1(
     f: PeriodicFunction, A: TriangularMatrix, x: float, n: int, grid: GridSpec = DEFAULT_GRID
 ) -> float:
-    """sum_r a_{n,r} [ (1/(r+1)) sum_{k<=r} bar-w~_x(pi/(k+1)) ]."""
-    return _row_mean(A, n, modulus_profile(f, x, n, "w_tilde_bar", grid).averaged)
+    """sum_r a_{n,r} [ (1/(r+1)) sum_{k<=r} bar-w~_x(pi/(k+1)) ], summed once and kept on the profile record under A.
+
+    A negative n fails as modulus_profile's does and an order past A as ab_weights' does, before any cache fills.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > A.n_max:
+        raise summability._order_error(n, A)
+    record = _profile(f, check_x("x", x), "w_tilde_bar", grid, max(n, DEFAULT_COEFF_CUTOFF))
+    kept = record.kept.under(A)
+    value = kept.get(n)
+    if value is None:
+        value = kept[n] = _row_mean(A, n, record.averaged)
+    return value
 
 
 def rhs_theorem2(
     f: PeriodicFunction, x: float, n: int, grid: GridSpec = DEFAULT_GRID
 ) -> float:
-    """(1/(n+1)) sum_r [ (1/(r+1)) sum_{k<=r} w~_x(pi/(k+1)) ], plain modulus."""
-    avg = modulus_profile(f, x, n, "w_tilde", grid).averaged
-    return float(avg.sum() / len(avg))
+    """(1/(n+1)) sum_r [ (1/(r+1)) sum_{k<=r} w~_x(pi/(k+1)) ], plain modulus, summed once and kept on the record."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    record = _profile(f, check_x("x", x), "w_tilde", grid, max(n, DEFAULT_COEFF_CUTOFF))
+    kept = record.kept.by_n
+    value = kept.get(n)
+    if value is None:
+        avg = record.averaged[: n + 1]
+        value = kept[n] = float(avg.sum() / len(avg))
+    return value
 
 
 def lhs_theorem1(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, x: float, n: int, truncated: bool,

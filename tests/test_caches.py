@@ -7,6 +7,8 @@ The arrays a TriangularMatrix keeps (its prefix sums, AB weights and kernel
 tails) and the profile prefixes modulus_profile hands out are shared the same
 way.  An entry of verify._partial_sums is a record: its read-only sums and the
 transform values summed from them, kept under weak keys A -> B -> {n: value}.
+An entry of moduli._profile is one too: its read-only values and averages and
+the right-hand sides summed from them.
 """
 
 import dataclasses
@@ -75,6 +77,17 @@ def test_cache_is_bounded(name):
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
+def test_an_equal_grid_built_apart_hits_the_same_entry(name, monkeypatch):
+    cache, original = package_caches()[name], GRID
+    first = CALLS[name]()
+    before = cache.cache_info()
+    monkeypatch.setitem(globals(), "GRID", GridSpec(64, 8))  # the calls read GRID when they run
+    assert GRID is not original and CALLS[name]() is first
+    after = cache.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, before.currsize)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
 def test_cached_arrays_are_read_only(name):
     writeable = [array.shape for array in arrays_in(CALLS[name]()) if array.flags.writeable]
     assert writeable == []
@@ -103,9 +116,24 @@ def test_partial_sum_record_shows_its_read_only_sums():
     for n in (16, 8):
         verify.transform_value(HAT, C, C, n, 0.3, GRID)
     table = verify._partial_sums(HAT, 0.3, GRID, True, 512)  # every n <= 512 reads the top-512 entry
-    assert list(table.values) == [C] and list(table.values[C][C]) == [16, 8]
+    assert list(table.kept.below) == [C] and list(table.kept.below[C].below) == [C]
+    assert list(table.kept.under(C, C)) == [16, 8] and table.kept.by_n == {}
     assert [array is table.sums for array in arrays_in(table)] == [True]
     assert table.sums.shape == (513,) and not table.sums.flags.writeable
+
+
+def test_profile_record_shows_its_read_only_arrays():
+    C = summability.cesaro(16)
+    for n in (16, 8):
+        verify.rhs_theorem1(HAT, C, 0.3, n, GRID)
+        verify.rhs_theorem2(HAT, 0.3, n, GRID)
+    bar, plain = (moduli._profile(HAT, 0.3, kind, GRID, 512) for kind in ("w_tilde_bar", "w_tilde"))
+    assert list(bar.kept.below) == [C] and list(bar.kept.under(C)) == [16, 8] and bar.kept.by_n == {}
+    assert list(plain.kept.by_n) == [16, 8] and plain.kept.below is None
+    for record in (bar, plain):
+        assert [array.shape for array in arrays_in(record)] == [(513,), (513,)]
+        assert [array is a for array, a in zip(arrays_in(record), (record.values, record.averaged))] == [True] * 2
+        assert not record.values.flags.writeable and not record.averaged.flags.writeable
 
 
 def test_ab_weights_kept_per_partner_and_order():

@@ -114,6 +114,43 @@ class TestGridSpec:
         with pytest.raises(DomainError, match="refinement must be <= 64, got 65"):
             GridSpec(refinement=65)
 
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((8,), {}, "grid m must be >= 16, got 8"),
+        ((), {"m": 2**14 + 2}, "grid m must be <= 16384, got 16386"),
+        ((17, 24), {}, "grid m must be even, got 17"),
+        ((), {"refinement": 0}, "refinement must be positive, got 0"),
+        ((64,), {"refinement": 65}, "refinement must be <= 64, got 65"),
+    ])
+    def test_every_validation_message(self, args, kwargs, message):
+        with pytest.raises(DomainError) as info:
+            GridSpec(*args, **kwargs)
+        assert str(info.value) == message
+        with pytest.raises(DomainError) as info:  # _replace validates too
+            DEFAULT_GRID._replace(**dict(zip(("m", "refinement"), args)), **kwargs)
+        assert str(info.value) == message
+
+    def test_an_immutable_value_hashed_and_compared_in_c(self):
+        grid = GridSpec(1024, 24)
+        assert grid is not DEFAULT_GRID and grid == DEFAULT_GRID == GridSpec() == GridSpec(refinement=24, m=1024)
+        assert hash(grid) == hash(DEFAULT_GRID) and grid != GridSpec(1024, 23) and grid != GridSpec(1026)
+        assert type(grid).__hash__ is tuple.__hash__ and type(grid).__eq__ is tuple.__eq__
+        assert (grid.m, grid.refinement) == (1024, 24)
+        assert repr(grid) == "GridSpec(m=1024, refinement=24)"
+        assert repr(GridSpec(64, 8)) == "GridSpec(m=64, refinement=8)"
+        for name in ("m", "refinement", "other"):
+            with pytest.raises(AttributeError):
+                setattr(grid, name, 64)
+        assert grid == DEFAULT_GRID and not hasattr(grid, "other")
+
+    def test_an_equal_grid_built_apart_hits_the_default_entries(self):
+        functions.graded_boundaries(0.0, PI, DEFAULT_GRID)
+        before = functions.graded_boundaries.cache_info()
+        grid = GridSpec(1024, 24)
+        for _ in range(2):
+            assert functions.graded_boundaries(0.0, PI, grid) is functions.graded_boundaries(0.0, PI, DEFAULT_GRID)
+        after = functions.graded_boundaries.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits + 4, before.misses, before.currsize)
+
 
 class TestIntegratePeriodic:
     """Periodic integrands over half a period, on the graded mesh."""

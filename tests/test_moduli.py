@@ -130,7 +130,7 @@ class TestProfiles:
         for kind in ("w_tilde", "w_tilde_bar"):
             for n in (0, 7, 512, 700):
                 cached = moduli._profile(f, x, kind, grid, max(n, 512))
-                assert isinstance(cached, moduli.ModulusProfile)
+                assert isinstance(cached, moduli._ProfileRecord)
                 prof = modulus_profile(f, x, n, kind, grid)
                 assert prof.values.tobytes() == cached.values[: n + 1].tobytes(), (kind, n)
                 assert prof.averaged.tobytes() == cached.averaged[: n + 1].tobytes(), (kind, n)

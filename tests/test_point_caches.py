@@ -3,7 +3,9 @@
 transform_value, lhs_theorem1, rhs_theorem1, rhs_theorem2 and lemma2_check
 read the AB weights kept on A, one partial-sum table per (f, x) and one
 modulus profile per (f, x, kind), each built once up to max(n, 512), and
-transform_value keeps each value it sums beside its table, per (A, B, n).
+transform_value keeps each value it sums beside its table, per (A, B, n), as
+rhs_theorem1 keeps its values on the profile record per (A, n) and
+rhs_theorem2 per n.
 The references here add the weights in a loop over r, take the partial sums
 from fresh coefficients and the profiles straight from modulus, and every
 value, first call or kept, must agree exactly (==).  The order checks run
@@ -39,8 +41,8 @@ def ref_weights(A, B, n):
     return weights
 
 
-def ref_profile(f, x, n, kind):
-    return modulus(f, x, PI / (np.arange(n + 1) + 1.0), kind, DEFAULT_GRID)
+def ref_profile(f, x, n, kind, grid=DEFAULT_GRID):
+    return modulus(f, x, PI / (np.arange(n + 1) + 1.0), kind, grid)
 
 
 def ref_averaged(values):
@@ -64,15 +66,34 @@ def matrix_pairs():
             "nordlund/nordlund": (nordlund(p, TOP), nordlund(np.sqrt(p), TOP))}
 
 
+def live_records():
+    return [obj for obj in gc.get_objects() if isinstance(obj, (verify._SumTable, moduli._ProfileRecord))]
+
+
+def count_kept(node):
+    """Every value in a _Kept tree."""
+    return len(node.by_n) + sum(map(count_kept, (node.below or {}).values()))
+
+
+def kept_in(node, *matrices):
+    """The values a record's _Kept tree keeps under a first key A among matrices."""
+    below = node.below or {}
+    return sum(count_kept(below[A]) for A in matrices if A in below)
+
+
 def kept_values(*matrices):
-    """How many transform values the live partial-sum tables keep with A among matrices."""
-    tables = [obj for obj in gc.get_objects() if isinstance(obj, verify._SumTable)]
-    return sum(len(kept) for table in tables for A in matrices for kept in table.values.get(A, {}).values())
+    """How many values the live records keep with A among matrices: transform values and Theorem 1 right sides."""
+    return sum(kept_in(record.kept, *matrices) for record in live_records())
+
+
+def kept_by_n():
+    """How many values the live records keep by n alone: the Theorem 2 right sides."""
+    return sum(len(record.kept.by_n) for record in live_records())
 
 
 def new_cache_sizes(*matrices):
     return (verify._partial_sums.cache_info().currsize, moduli._profile.cache_info().currsize, kept_values(*matrices),
-            *(sum(map(len, kept.values())) for M in matrices for kept in (M._ab_weights, M._ab_tails)))
+            kept_by_n(), *(sum(map(len, kept.values())) for M in matrices for kept in (M._ab_weights, M._ab_tails)))
 
 
 @pytest.mark.parametrize("f", corpus(), ids=lambda f: f.name)
@@ -147,15 +168,15 @@ def test_kept_values_stay_with_their_partner_flag_and_grid():
                     key = (grid.m, conj, B.name, n)
                     assert transform_value(f, C, B, n, x, grid, conj) == want, key
                     assert transform_value(f, C, B, n, x, grid, conj) == want, key
-                    assert verify._partial_sums(f, x, grid, conj, DEFAULT_COEFF_CUTOFF).values[C][B][n] == want
+                    assert verify._partial_sums(f, x, grid, conj, DEFAULT_COEFF_CUTOFF).kept.under(C, B)[n] == want
     assert len(set(wants.values())) == len(wants)
 
 
 def test_a_kept_value_is_returned_without_a_second_sum():
     f, x, C = by_name("hat"), 0.3, cesaro(8)
-    kept = verify._partial_sums(f, x, DEFAULT_GRID, False, DEFAULT_COEFF_CUTOFF).values
+    kept = verify._partial_sums(f, x, DEFAULT_GRID, False, DEFAULT_COEFF_CUTOFF).kept
     first = transform_value(f, C, C, 8, x, DEFAULT_GRID, False)
-    kept[C][C][8] = marker = first + 1.0  # C is local, so the marker goes with it
+    kept.under(C, C)[8] = marker = first + 1.0  # C is local, so the marker goes with it
     assert transform_value(f, C, C, 8, x, DEFAULT_GRID, False) is marker
     assert transform_value(f, C, C, 8, x) != marker  # the conjugate table keeps its own
 
@@ -166,13 +187,101 @@ def test_kept_values_go_with_either_matrix():
     table = verify._partial_sums(f, x, DEFAULT_GRID, True, DEFAULT_COEFF_CUTOFF)
     for A, B in ((C, C), (C, I), (I, C)):
         transform_value(f, A, B, 8, x)
-    assert (len(table.values[C]), len(table.values[I]), kept_values(C, I)) == (2, 1, 3)
+    below = table.kept.below
+    assert (len(below[C].below), len(below[I].below), kept_in(table.kept, C, I)) == (2, 1, 3)
     del A, B, I
     gc.collect()
-    assert list(table.values) == [C] and list(table.values[C]) == [C]
+    assert list(below) == [C] and list(below[C].below) == [C]
     del C
     gc.collect()
-    assert len(table.values) == 0
+    assert len(below) == 0
+
+
+def fresh_hat():
+    """hat under a new identity, so its cache records are this test's alone."""
+    hat = by_name("hat")
+    return PeriodicFunction("hat", hat.eval, breakpoints=hat.breakpoints)
+
+
+def test_a_kept_right_side_is_returned_without_a_second_sum():
+    f, x, C = fresh_hat(), 0.3, cesaro(8)
+    first1, first2 = rhs_theorem1(f, C, x, 8), rhs_theorem2(f, x, 8)
+    assert rhs_theorem1(f, C, x, 8) is first1 and rhs_theorem2(f, x, 8) is first2  # the cold floats themselves
+    bar, plain = (moduli._profile(f, x, kind, DEFAULT_GRID, DEFAULT_COEFF_CUTOFF)
+                  for kind in ("w_tilde_bar", "w_tilde"))
+    bar.kept.under(C)[8] = marker1 = first1 + 1.0
+    plain.kept.by_n[8] = marker2 = first2 + 1.0
+    assert rhs_theorem1(f, C, x, 8) is marker1 and rhs_theorem2(f, x, 8) is marker2
+    assert rhs_theorem1(f, cesaro(8), x, 8) == first1  # an equal A sums its own
+
+
+def test_kept_right_sides_stay_with_their_matrix_kind_grid_and_order():
+    # every (grid, A, n) of Theorem 1 and (grid, n) of Theorem 2 gets its own reference, first call and kept, and
+    # the references all differ (the unlisted cusps of sqrt|sin| make the two grids' moduli differ)
+    f, x, top = PeriodicFunction("root-sine", lambda t: np.sqrt(np.abs(np.sin(t)))), 0.3, 600
+    C, I = cesaro(top), identity_matrix(top)
+    N = nordlund((np.arange(top + 1.0) + 1.0) ** -0.75, top)
+    ns = (5, 64, DEFAULT_COEFF_CUTOFF, 513, top)
+    wants = {}
+    for grid in (DEFAULT_GRID, GridSpec(m=8192)):
+        for n in ns:
+            plain, bar = (ref_averaged(ref_profile(f, x, n, kind, grid)) for kind in ("w_tilde", "w_tilde_bar"))
+            want = wants[grid.m, "T2", n] = float(np.mean(plain))
+            assert rhs_theorem2(f, x, n, grid) == want and rhs_theorem2(f, x, n, grid) == want, (grid.m, n)
+            for A in (C, I, N):
+                want = wants[grid.m, A.name, n] = float(np.dot(A.row(n), bar))
+                assert rhs_theorem1(f, A, x, n, grid) == want and rhs_theorem1(f, A, x, n, grid) == want, (A, n)
+        # each value sits in the record of its kind and of its top, max(n, 512)
+        for record_top, kept_ns in ((DEFAULT_COEFF_CUTOFF, [5, 64, DEFAULT_COEFF_CUTOFF]), (513, [513]), (top, [top])):
+            bar, plain = (moduli._profile(f, x, kind, grid, record_top) for kind in ("w_tilde_bar", "w_tilde"))
+            assert list(bar.kept.below) == [C, I, N] and bar.kept.by_n == {}
+            assert [list(bar.kept.below[A].by_n) for A in (C, I, N)] == [kept_ns] * 3
+            assert list(plain.kept.by_n) == kept_ns and plain.kept.below is None
+    assert len(set(wants.values())) == len(wants)
+
+
+def test_kept_right_sides_go_with_their_matrix():
+    f, x, C, I = fresh_hat(), 0.3, cesaro(16), identity_matrix(16)
+    for A in (C, I):
+        for n in (8, 16):
+            rhs_theorem1(f, A, x, n)
+    rhs_theorem2(f, x, 8)
+    below = moduli._profile(f, x, "w_tilde_bar", DEFAULT_GRID, DEFAULT_COEFF_CUTOFF).kept.below
+    assert list(below) == [C, I] and kept_values(C, I) == 4
+    del A, I
+    gc.collect()
+    assert list(below) == [C] and kept_values(C) == 2
+    del C
+    gc.collect()
+    assert len(below) == 0
+    assert list(moduli._profile(f, x, "w_tilde", DEFAULT_GRID, DEFAULT_COEFF_CUTOFF).kept.by_n) == [8]
+
+
+def test_refused_right_sides_keep_nothing():
+    # an order past A fails as ab_weights' does, before any cache lookup, where it used to fill a profile to
+    # k = n and then fail in A.row(n); a negative n and a refused x fail as before
+    f, C = by_name("hat"), cesaro(8)
+    rhs_theorem1(f, C, 0.77, 8)
+    rhs_theorem2(f, 0.77, 8)
+    cases = [
+        (lambda: rhs_theorem1(f, C, 0.3, 600), MatrixValidationError,
+         "transform order n=600 is outside the matrix size (A: 8)"),
+        (lambda: rhs_theorem1(f, C, 0.77, 9), MatrixValidationError,
+         "transform order n=9 is outside the matrix size (A: 8)"),
+        (lambda: rhs_theorem1(f, C, math.nan, 9), MatrixValidationError,
+         "transform order n=9 is outside the matrix size (A: 8)"),
+        (lambda: rhs_theorem1(f, C, 0.77, -1), ValueError, "n must be nonnegative"),
+        (lambda: rhs_theorem2(f, 0.77, -1), ValueError, "n must be nonnegative"),
+        (lambda: rhs_theorem1(f, C, math.nan, 4), DomainError, "x must be finite, got nan"),
+        (lambda: rhs_theorem2(f, math.inf, 4), DomainError, "x must be finite, got inf"),
+        (lambda: rhs_theorem2(f, 1e17, 4), DomainError, "x must lie in [-2^20, 2^20], got 1e+17"),
+    ]
+    before = (new_cache_sizes(C), [cache.cache_info() for cache in X_KEYED])
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (error, message)
+    assert (new_cache_sizes(C), [cache.cache_info() for cache in X_KEYED]) == before
 
 
 def test_transform_errors_keep_their_order_and_cache_nothing():

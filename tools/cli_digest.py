@@ -41,6 +41,14 @@ sha256:
 
     <sha256 of those lines, or -> - - <exit code> kernel-form grid
 
+The right-hand sides of Theorems 1 and 2 keep each value they sum, so one more
+fresh interpreter calls rhs_theorem1 (A in {cesaro, identity, delta0} built to
+1024) and rhs_theorem2 over the corpus, the same 37 x and n in {0, 1, 7, 128,
+512, 513, 1024}, each call cold and then again, so the kept values show their
+bits at orders the sweep never reaches:
+
+    <sha256 of those lines, or -> - - <exit code> right-hand sides grid
+
 The work directory holding the input and output files is replaced by <work>
 in stdout and stderr, so two runs, or two checkouts, print identical lines
 exactly when their outputs are byte-identical.  Compare them with diff.
@@ -68,6 +76,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -178,10 +187,33 @@ for name, n in itertools.product(("hat", "sawtooth"), (1, 3, 8, 31, 200)):
 """
 
 
-def run_kernel_form(root: Path, work: Path) -> Outputs:
+RIGHT_SIDES = """
+from conjsum import conjugate, functions, summability, verify
+PI = functions.PI
+
+def line(call, *args):
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+xs = conjugate.default_x_grid() + [0.0, 1e-9, -1e-9, 1.0, PI, PI - 1e-9, 1e-9 - PI]
+matrices = (summability.cesaro(1024), summability.identity_matrix(1024), summability.delta_at_zero(1024))
+for f in functions.corpus():
+    for x in xs:
+        for n in (0, 1, 7, 128, 512, 513, 1024):
+            for _ in range(2):  # cold, then kept
+                for A in matrices:
+                    print(line(verify.rhs_theorem1, f, A, x, n))
+                print(line(verify.rhs_theorem2, f, x, n))
+"""
+
+
+def run_library(script: str, root: Path, work: Path) -> Outputs:
+    """script's stdout in a fresh interpreter on the given checkout's src/."""
     env = bench.child_env()
     env.update(PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-c", KERNEL_FORM], cwd=work, env=env, capture_output=True)
+    done = subprocess.run([sys.executable, "-c", script], cwd=work, env=env, capture_output=True)
     return done.returncode, [done.stdout if done.returncode == 0 else None, None, None]
 
 
@@ -192,7 +224,9 @@ def jobs(work: Path) -> list:
     ops += bench.check_matrix_ops(work, bench.nordlund_rows(1, 384)) + norm_grid_ops() + error_path_ops(work)
     # an --out file is read after its command; each op writes a distinct path or none
     out = [(op.name, lambda root, work, op=op: run_op(op, root, work)) for op in ops]
-    return out + [("library-sweep first pass, seed 1", run_sweep), ("kernel-form grid", run_kernel_form)]
+    return out + [("library-sweep first pass, seed 1", run_sweep),
+                  ("kernel-form grid", partial(run_library, KERNEL_FORM)),
+                  ("right-hand sides grid", partial(run_library, RIGHT_SIDES))]
 
 
 def digest_line(name: str, outputs: Outputs, work: Path) -> str:
