@@ -211,13 +211,15 @@ def lp_norms(values: np.ndarray, p: float, h: float) -> np.ndarray:
     """Discrete L^p norms over the last axis of values >= 0 at nodes of weight h; p = inf is the maximum.
 
     Each row is scaled by the power of two that puts its largest entry in [1, 2), so no row underflows to 0.  That
-    keeps the unscaled bits at p = 1, and at p = 2 in a batch (a lone row's scalar pow may move one ulp).  Every
-    p <= 1000 stays finite on conjsum's rows (N <= 2^14 entries, N h <= 2 pi); a larger p may overflow to inf, not 0.
+    keeps the unscaled bits at p = 1 and p = 2, where the root is the correctly rounded sqrt, so a row has the same
+    bits alone and in a batch (numpy's scalar pow(s, 0.5) would not).  Every p <= 1000 stays finite on conjsum's rows
+    (N <= 2^14 entries, N h <= 2 pi); a larger p may overflow to inf, not 0.
     """
     if math.isinf(p):
         return values.max(axis=-1)
     e = np.frexp(values.max(axis=-1))[1] - 1  # the row maximum is 2^e times a number in [1, 2)
-    return np.ldexp((h * np.sum(np.ldexp(values, -e[..., None]) ** p, axis=-1)) ** (1.0 / p), e)
+    s = h * np.sum(np.ldexp(values, -e[..., None]) ** p, axis=-1)
+    return np.ldexp(np.sqrt(s) if p == 2.0 else s ** (1.0 / p), e)
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:

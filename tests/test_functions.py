@@ -309,15 +309,22 @@ class TestLpNorms:
     @given(rows=st.lists(st.lists(ENTRIES, min_size=20, max_size=20), min_size=1, max_size=8),
            h=st.floats(1e-3, 10.0))
     def test_p_1_and_2_keep_the_unscaled_bits(self, rows, h):
-        # the scaling is by powers of two, exact on these entries; a lone row's root at p = 2 is numpy's scalar
-        # pow(s, 0.5), which is not exactly scale-invariant (89 of 200,000 random sums moved by one ulp), while
-        # rows in a batch take the correctly rounded sqrt
+        # the scaling is by powers of two, exact on these entries, and the root at p = 2 is the correctly rounded
+        # sqrt alone and in a batch (numpy's scalar pow(s, 0.5), which a lone row used to take, moved 189 of
+        # 200,000 random sums by one ulp); the unscaled batch takes sqrt, so it is the reference for each row
         batch = np.array(rows)
         for p in (1.0, 2.0):
-            assert lp_norms(batch, p, h).tobytes() == unscaled_lp_norms(batch, p, h).tobytes(), p
-        for row in batch:
-            assert lp_norms(row, 1.0, h) == unscaled_lp_norms(row, 1.0, h)
-            assert lp_norms(row, 2.0, h) == pytest.approx(unscaled_lp_norms(row, 2.0, h), rel=2.0**-52, abs=0.0)
+            want = unscaled_lp_norms(batch, p, h)
+            assert lp_norms(batch, p, h).tobytes() == want.tobytes(), p
+            for row, row_want in zip(batch, want):
+                assert lp_norms(row, p, h) == row_want, p
+
+    def test_a_lone_row_has_its_batch_bits_at_p_2(self):
+        # every row maximum lies in [1, 2), so no row is scaled; scalar pow(s, 0.5) misses sqrt(s) on some of them
+        rows, h = np.random.default_rng(7).uniform(0.0, 2.0, (5000, 30)), PI / 16
+        assert (rows.max(axis=1) >= 1.0).all()
+        assert sum(s**0.5 != np.sqrt(s) for s in h * np.sum(rows**2, axis=1)) > 0
+        assert [lp_norms(row, 2.0, h) for row in rows] == lp_norms(rows, 2.0, h).tolist()
 
 
 class TestInsertPoints:
