@@ -106,8 +106,10 @@ class _Kept:
 
 @dataclass(frozen=True, eq=False)
 class _ProfileRecord:
-    """What _profile caches: the modulus values and running averages to k = top, read-only, and the right-hand
-    sides summed from them (verify.rhs_theorem1 under A, verify.rhs_theorem2 by n alone)."""
+    """What _profile caches: modulus values and running averages to k = top, read-only, and what is summed from them.
+
+    kept holds verify.rhs_theorem2's values by n and verify.rhs_theorem1's under A.
+    """
 
     values: np.ndarray
     averaged: np.ndarray
