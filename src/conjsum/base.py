@@ -1,10 +1,15 @@
-"""The exit-code exceptions, GridSpec and the theorem and modulus names: what the CLI needs at load, without numpy.
+"""Exit-code exceptions, GridSpec, the theorem and modulus names and _Kept: what the CLI needs at load, without numpy.
 
-Each name is also importable from the module that uses it (functions, summability, conjugate, moduli, verify).
+Each public name is also importable from the module that uses it (functions, summability, conjugate, moduli,
+verify).  _Kept is the one record of a value computed once and the values summed from it: the conjugate's
+panel sums and the (value, estimate) pairs read from them by eps, the partial sums of x and the transform values
+by (A, B, n), the modulus profiles and the right-hand sides by n (and A), and the AB weights and kernel tails
+that a matrix keeps by (B, n).
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import NamedTuple
 
 THEOREM_IDS = ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc", "T3", "T4", "COR")
@@ -42,6 +47,27 @@ class ConvergenceError(RuntimeError):
 
 class MatrixValidationError(ValueError):
     pass
+
+
+class _Kept:
+    """A cached value, data, and the values summed from it once: summed maps an order n (or an eps) to its value.
+
+    under(A) is the _Kept of the values summed with A as well, and under(A).under(B) with A and B.  below holds
+    each such key weakly, so those values go with any matrix they read; it is made at the first key.
+    """
+
+    __slots__ = ("data", "summed", "below")
+
+    def __init__(self, data=None):
+        self.data = data
+        self.summed = {}
+        self.below = None  # key -> _Kept, a WeakKeyDictionary
+
+    def under(self, key) -> _Kept:
+        below = self.below
+        if below is None:
+            below = self.below = weakref.WeakKeyDictionary()
+        return below.get(key) or below.setdefault(key, _Kept())
 
 
 class _GridFields(NamedTuple):

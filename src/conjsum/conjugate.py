@@ -11,7 +11,11 @@ panel [eps, b], so every eps of an x shares one mesh, and conjugate_truncated
 reads an array of eps in one pass.  |Kronrod - Gauss| is each value's error
 estimate, which bounds the Gauss sum's error and overstates the Kronrod sum's;
 for the full conjugate it is the divergence signal, and above CONJUGATE_TOL
-conjugate_at raises.
+conjugate_at raises.  The table is the data of a base._Kept record, _table,
+an lru of up to 4096 per (f, x, grid).  The record keeps the (value,
+estimate) pair of each float eps read from it, by eps, with eps = 0 the full
+conjugate: a pair is computed once and lives as long as its table, and an
+array of eps is read afresh, with the bits of the float calls.
 
 deviation_kernel_form integrates both of its kernel integrands with the
 Kronrod row on the same kind of mesh, cut at h = pi/(n+1), and sums them from
@@ -43,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base import DEFAULT_GRID, ConvergenceError, DomainError, GridSpec, SingularIntegrandError
+from .base import DEFAULT_GRID, ConvergenceError, DomainError, GridSpec, SingularIntegrandError, _Kept
 from .functions import (
     PI,
     PanelSums,
@@ -77,26 +81,29 @@ def _mesh(f: PeriodicFunction, x: float, grid: GridSpec, cuts=()) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _table(f: PeriodicFunction, x: float, grid: GridSpec) -> PanelSums:
-    """Kronrod and Gauss sums from pi of psi_x(t) (1/2) cot(t/2) on the mesh for (f, x, grid)."""
+def _table(f: PeriodicFunction, x: float, grid: GridSpec) -> _Kept:
+    """Kronrod and Gauss sums from pi of psi_x(t) (1/2) cot(t/2) on the mesh for (f, x, grid), in data.
+
+    summed keeps (f~(x, eps), its error estimate) by float eps, as _kept_pair reads it; eps = 0 is the full conjugate.
+    """
 
     def integrand(t):
         return eval_psi(f, x, t) * 0.5 / np.tan(0.5 * t)
 
-    return PanelSums(integrand, _mesh(f, x, grid), from_top=True)
+    return _Kept(PanelSums(integrand, _mesh(f, x, grid), from_top=True))
 
 
 def _truncated(f: PeriodicFunction, x: float, eps: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """(-(1/pi) int_eps^pi psi_x(t) (1/2) cot(t/2) dt, its error estimate) at each eps; 0 at eps = pi."""
-    kronrod, gauss = _table(f, x, grid).at(eps)
+    kronrod, gauss = _table(f, x, grid).data.at(eps)
     return np.where(eps == PI, 0.0, -kronrod / PI), np.abs(kronrod - gauss) / PI
 
 
-@lru_cache(maxsize=100000)
-def _truncated_cached(f: PeriodicFunction, x: float, eps: float, grid: GridSpec) -> tuple[float, float]:
-    """(f~(x, eps), its error estimate) for one eps; eps = 0 gives the full conjugate."""
+def _kept_pair(f: PeriodicFunction, x: float, eps: float, grid: GridSpec) -> tuple[float, float]:
+    """(f~(x, eps), its error estimate) for one float eps, as floats, kept on the table of x by eps."""
     values, est_errors = _truncated(f, x, np.array([eps]), grid)
-    return float(values[0]), float(est_errors[0])
+    pair = _table(f, x, grid).summed[eps] = float(values[0]), float(est_errors[0])
+    return pair
 
 
 def conjugate_truncated(f: PeriodicFunction, x: float, eps, grid: GridSpec = DEFAULT_GRID):
@@ -107,7 +114,7 @@ def conjugate_truncated(f: PeriodicFunction, x: float, eps, grid: GridSpec = DEF
     eps = check_half_period("eps", eps)
     x = check_x("x", x)
     if isinstance(eps, float):
-        return _truncated_cached(f, x, eps, grid)[0]
+        return (_table(f, x, grid).summed.get(eps) or _kept_pair(f, x, eps, grid))[0]
     return _truncated(f, x, eps, grid)[0]
 
 
@@ -122,7 +129,7 @@ def _check_regular(f: PeriodicFunction, x: float) -> float:
 def conjugate_at(f: PeriodicFunction, x: float, grid: GridSpec = DEFAULT_GRID) -> float:
     """The conjugate function at x: the principal-value integral from eps = 0."""
     x = _check_regular(f, x)
-    value, est_error = _truncated_cached(f, x, 0.0, grid)
+    value, est_error = _table(f, x, grid).summed.get(0.0) or _kept_pair(f, x, 0.0, grid)
     if not est_error <= CONJUGATE_TOL:
         raise ConvergenceError(
             f"conjugate at x={x}: error estimate {est_error:.3g} exceeds {CONJUGATE_TOL}",

@@ -21,6 +21,9 @@ to k = 256.  Two tables hold them:
 delta or an array of them (each with the float's bits).  A delta on the
 boundary set reads cum[i] / delta; any other delta adds one partial panel from
 the boundary below it, a one-panel ``PanelSums`` in the node table.
+``modulus_profile`` reads prefixes of one cached ``ModulusProfile`` per
+(f, x, kind, grid, max(n, 512)), the data of a base._Kept record (``_profile``)
+that also keeps the right-hand sides verify sums from it.
 ``classical_modulus`` is the L^p modulus of psi_x alone, the paper's norm one.
 
 The sup over 0 < t <= delta in the bar and classical moduli is one helper,
@@ -35,14 +38,13 @@ from under-reporting.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .base import DEFAULT_GRID, MODULUS_KINDS, DomainError, GridSpec
+from .base import DEFAULT_GRID, MODULUS_KINDS, DomainError, GridSpec, _Kept
 from .functions import (
     PI,
     TWO_PI,
@@ -77,43 +79,6 @@ class ModulusProfile(NamedTuple):
 
     values: np.ndarray
     averaged: np.ndarray
-
-
-class _Kept:
-    """Floats summed from one cached record: {n: value} in by_n, and the same again under weak keys.
-
-    under() is the dict of the values that read the record alone, under(A) that of the values summed with A, and
-    under(A, B) with A and B.  Each key is held weakly, so a value goes with any matrix it read.
-    """
-
-    __slots__ = ("by_n", "below")
-
-    def __init__(self):
-        self.by_n = {}
-        self.below = None  # key -> _Kept, a WeakKeyDictionary made at the first key
-
-    def under(self, *keys) -> dict:
-        node = self
-        for key in keys:
-            if node.below is None:
-                node.below = weakref.WeakKeyDictionary()
-            child = node.below.get(key)
-            if child is None:
-                child = node.below[key] = _Kept()
-            node = child
-        return node.by_n
-
-
-@dataclass(frozen=True, eq=False)
-class _ProfileRecord:
-    """What _profile caches: modulus values and running averages to k = top, read-only, and what is summed from them.
-
-    kept holds verify.rhs_theorem2's values by n and verify.rhs_theorem1's under A.
-    """
-
-    values: np.ndarray
-    averaged: np.ndarray
-    kept: _Kept = field(default_factory=_Kept)
 
 
 def _abs_increment(f: PeriodicFunction, x, kind: str):
@@ -225,12 +190,15 @@ def _averaged_modulus(values: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _profile(f: PeriodicFunction, x: float, kind: str, grid: GridSpec, top: int) -> _ProfileRecord:
-    """modulus at delta = pi/(k+1) for k = 0..top and its running averages, read-only: 16*(top+1) bytes."""
+def _profile(f: PeriodicFunction, x: float, kind: str, grid: GridSpec, top: int) -> _Kept:
+    """The ModulusProfile to k = top, read-only (16*(top+1) bytes), kept with what is summed from it.
+
+    summed holds verify.rhs_theorem2's values by n, and under(A).summed verify.rhs_theorem1's.
+    """
     values = modulus(f, x, PI / (np.arange(top + 1) + 1.0), kind, grid)
     averaged = _averaged_modulus(values)
     values.flags.writeable = averaged.flags.writeable = False
-    return _ProfileRecord(values, averaged)
+    return _Kept(ModulusProfile(values, averaged))
 
 
 def modulus_profile(f: PeriodicFunction, x: float, n: int, kind: str, grid: GridSpec = DEFAULT_GRID) -> ModulusProfile:
@@ -240,8 +208,8 @@ def modulus_profile(f: PeriodicFunction, x: float, n: int, kind: str, grid: Grid
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    record = _profile(f, check_x("x", x), kind, grid, max(n, DEFAULT_COEFF_CUTOFF))
-    return ModulusProfile(record.values[: n + 1], record.averaged[: n + 1])
+    profile = _profile(f, check_x("x", x), kind, grid, max(n, DEFAULT_COEFF_CUTOFF)).data
+    return ModulusProfile(profile.values[: n + 1], profile.averaged[: n + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .base import MatrixValidationError
+from .base import MatrixValidationError, _Kept
 
 ROW_SUM_TOL = 1e-9
 _FSUM_MARGIN = 1e-12  # row sums this close to ROW_SUM_TOL are decided by math.fsum
@@ -137,8 +136,7 @@ class TriangularMatrix:
         dense.flags.writeable = False
         self.name, self.dense = name, dense
         self._prefix_sums: dict[int, np.ndarray] = {}
-        self._ab_weights = weakref.WeakKeyDictionary()  # partner B -> {n: weights}, dropped with B
-        self._ab_tails = weakref.WeakKeyDictionary()  # partner B -> {n: kernel tails}, likewise
+        self._ab_weights, self._ab_tails = _Kept(), _Kept()  # under(B).summed: {n: weights (tails)}, dropped with B
 
     @property
     def n_max(self) -> int:
@@ -237,14 +235,14 @@ def ab_weights(A: TriangularMatrix, B: TriangularMatrix, n: int) -> np.ndarray:
     Columns k..k+63 start at row k, above which B is zero, so no temporary exceeds (n+1) x 64.
     Only a checked order is ever kept, so a kept one is returned unchecked.
     """
-    weights = A._ab_weights.get(B, {}).get(n)
-    if weights is None:
+    kept = A._ab_weights.under(B).summed
+    if n not in kept:
         _check_transform_order(A, B, n)
         row, cols = A.row(n), range(0, n + 1, _BLOCK_ROWS)
         blocks = [(row[k:, None] * B.dense[k : n + 1, k : min(k + _BLOCK_ROWS, n + 1)]).sum(axis=0) for k in cols]
-        weights = A._ab_weights.setdefault(B, {})[n] = np.concatenate(blocks)
+        weights = kept[n] = np.concatenate(blocks)
         weights.flags.writeable = False
-    return weights
+    return kept[n]
 
 
 def ab_tails(A: TriangularMatrix, B: TriangularMatrix, n: int) -> np.ndarray:
@@ -252,11 +250,11 @@ def ab_tails(A: TriangularMatrix, B: TriangularMatrix, n: int) -> np.ndarray:
 
     Kept read-only on A beside the weights, and dropped with B as they are.
     """
-    tails = A._ab_tails.get(B, {}).get(n)
-    if tails is None:
-        tails = A._ab_tails.setdefault(B, {})[n] = exact_cumsum(ab_weights(A, B, n)[:0:-1])[::-1].copy()
+    kept = A._ab_tails.under(B).summed
+    if n not in kept:
+        tails = kept[n] = exact_cumsum(ab_weights(A, B, n)[:0:-1])[::-1].copy()
         tails.flags.writeable = False
-    return tails
+    return kept[n]
 
 
 # ---------------------------------------------------------------------------

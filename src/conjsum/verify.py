@@ -7,24 +7,25 @@ Both sides below RATIO_ZERO_TOL count as a vacuous 0/0 and report ratio 0.
 
 The report grids are loops over the one-point functions transform_value,
 lhs_theorem1, rhs_theorem1 and rhs_theorem2 (R1.6 builds its weights once per
-n).  transform_value weights a prefix of one cached partial-sum table per
-(f, x) that runs to max(n, 512), and keeps each value it sums beside that
-table, under weak keys A -> B -> {n: value}: a value lives while its table
-stays in the lru and both matrices live, and a later call with the same
-(A, B, n) returns the float the first call summed, so the truncated and the
-full left side, and Theorems 1 and 2, share one sum.  The right-hand sides
-read the running averages of the modulus profile record of (f, x, kind),
-sized the same way: every n <= 512 shares one coefficient set and table, and
-an order above 512 gets its own.  Each right-hand side is summed once and kept
-on that record: rhs_theorem2 by n, rhs_theorem1 under a weak key A and then by
-n, so its values go with A.  A kept value takes about 80 bytes and the
-dictionaries of a record's first A about 1 KB; a value lives while its record
-stays in the lru (and A lives), and a later call returns the float the first
-call summed.  np.cumsum adds in index order and each modulus value depends on
-its own delta alone, so a prefix has the bits of an array built for that n
-alone.  Every left side is lhs_theorem1 at its (n, x): a truncated conjugate
-is one cached lookup in the conjugate table of x, so the first failing (n, x)
-is that of the loop order.
+n).  Each of those values is summed once and kept in a base._Kept record
+beside what it was summed from.  transform_value weights a prefix of one
+cached partial-sum table per (f, x) that runs to max(n, 512), the data of its
+record, and keeps each value under weak keys A -> B -> {n: value}: a value
+lives while its record stays in the lru and both matrices live, and a later
+call with the same (A, B, n) returns the float the first call summed, so the
+truncated and the full left side, and Theorems 1 and 2, share one sum.  The
+right-hand sides read the running averages of the modulus profile of
+(f, x, kind), sized the same way: every n <= 512 shares one coefficient set
+and table, and an order above 512 gets its own.  The profile's record keeps
+rhs_theorem2 by n and rhs_theorem1 under a weak key A and then by n, so its
+values go with A.  A kept value takes about 80 bytes and the dictionaries of a
+record's first A about 1 KB; a value lives while its record stays in the lru
+(and A lives), and a later call returns the float the first call summed.
+np.cumsum adds in index order and each modulus value depends on its own delta
+alone, so a prefix has the bits of an array built for that n alone.  Every
+left side is lhs_theorem1 at its (n, x): a truncated conjugate is one lookup
+in the record of the conjugate table of x, so the first failing (n, x) is
+that of the loop order.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels, summability
-from .base import DEFAULT_GRID, THEOREM_IDS, GridSpec
+from .base import DEFAULT_GRID, THEOREM_IDS, GridSpec, _Kept
 from .conjugate import X_GRID_WEIGHT, conjugate_at, conjugate_truncated, default_x_grid
 from .functions import PI, PeriodicFunction, check_exponent, check_x, lp_norms
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, fourier_coeffs
-from .moduli import _averaged_modulus, _Kept, _profile, classical_modulus, modulus_profile
+from .moduli import _averaged_modulus, _profile, classical_modulus, modulus_profile
 from .summability import TriangularMatrix, exact_cumsum
 
 RATIO_ZERO_TOL = 1e-11
@@ -74,23 +75,15 @@ def coefficients(f: PeriodicFunction, grid: GridSpec, top: int) -> FourierCoeffi
     return coeffs
 
 
-@dataclass(frozen=True, eq=False)
-class _SumTable:
-    """S~_k f(x) (or S_k f(x)) for k = 0..top, read-only, and the transform values summed from it.
-
-    kept.under(A, B) is {n: T~_{n,A,B} f(x)}, under weak keys, so neither matrix is pinned by the table.
-    """
-
-    sums: np.ndarray
-    kept: _Kept = field(default_factory=_Kept)
-
-
 @lru_cache(maxsize=1024)
-def _partial_sums(f: PeriodicFunction, x: float, grid: GridSpec, conjugate: bool, top: int) -> _SumTable:
-    """The _SumTable of (f, x) up to top, with no values yet: 8*(top+1) bytes of sums."""
+def _partial_sums(f: PeriodicFunction, x: float, grid: GridSpec, conjugate: bool, top: int) -> _Kept:
+    """S~_k f(x) (or S_k f(x)) for k = 0..top, read-only (8*(top+1) bytes), kept with the transform values.
+
+    under(A).under(B).summed is {n: T~_{n,A,B} f(x)}, under weak keys, so neither matrix is pinned by the table.
+    """
     sums = kernels.partial_sum_table(coefficients(f, grid, top), top, x, conjugate)
     sums.flags.writeable = False
-    return _SumTable(sums)
+    return _Kept(sums)
 
 
 def _row_mean(A: TriangularMatrix, n: int, inner: np.ndarray) -> float:
@@ -120,11 +113,10 @@ def transform_value(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatri
     x = check_x("x", x)
     weights = summability.ab_weights(A, B, n)
     table = _partial_sums(f, x, grid, conjugate, max(n, DEFAULT_COEFF_CUTOFF))
-    kept = table.kept.under(A, B)
-    value = kept.get(n)
-    if value is None:
-        value = kept[n] = math.fsum((weights * table.sums[: n + 1]).tolist())
-    return value
+    kept = table.under(A).under(B).summed
+    if n not in kept:
+        kept[n] = math.fsum((weights * table.data[: n + 1]).tolist())
+    return kept[n]
 
 
 def rhs_theorem1(
@@ -139,11 +131,10 @@ def rhs_theorem1(
     if n > A.n_max:
         raise summability._order_error(n, A)
     record = _profile(f, check_x("x", x), "w_tilde_bar", grid, max(n, DEFAULT_COEFF_CUTOFF))
-    kept = record.kept.under(A)
-    value = kept.get(n)
-    if value is None:
-        value = kept[n] = _row_mean(A, n, record.averaged)
-    return value
+    kept = record.under(A).summed
+    if n not in kept:
+        kept[n] = _row_mean(A, n, record.data.averaged)
+    return kept[n]
 
 
 def rhs_theorem2(
@@ -153,12 +144,11 @@ def rhs_theorem2(
     if n < 0:
         raise ValueError("n must be nonnegative")
     record = _profile(f, check_x("x", x), "w_tilde", grid, max(n, DEFAULT_COEFF_CUTOFF))
-    kept = record.kept.by_n
-    value = kept.get(n)
-    if value is None:
-        avg = record.averaged[: n + 1]
-        value = kept[n] = float(avg.sum() / len(avg))
-    return value
+    kept = record.summed
+    if n not in kept:
+        avg = record.data.averaged[: n + 1]
+        kept[n] = float(avg.sum() / len(avg))
+    return kept[n]
 
 
 def lhs_theorem1(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, x: float, n: int, truncated: bool,

@@ -5,10 +5,10 @@ write into would corrupt each result read from that cache afterwards.  A new
 cache fails ``test_every_cache_has_a_call`` until it gets an entry in CALLS.
 The arrays a TriangularMatrix keeps (its prefix sums, AB weights and kernel
 tails) and the profile prefixes modulus_profile hands out are shared the same
-way.  An entry of verify._partial_sums is a record: its read-only sums and the
-transform values summed from them, kept under weak keys A -> B -> {n: value}.
-An entry of moduli._profile is one too: its read-only values and averages and
-the right-hand sides summed from them.
+way.  An entry of verify._partial_sums, moduli._profile or conjugate._table is
+a record, base._Kept: its read-only data and the values summed from it once,
+by n or eps under zero, one or two weak matrix keys.  The matrix keeps its AB
+weights and tails in two such records, by n under the weak key B.
 """
 
 import dataclasses
@@ -21,6 +21,7 @@ import pytest
 
 import conjsum
 from conjsum import conjugate, functions, moduli, summability, verify
+from conjsum.base import _Kept
 from conjsum.functions import GridSpec, PanelSums, by_name
 
 GRID = GridSpec(m=64, refinement=8)
@@ -35,7 +36,6 @@ CALLS = {
     "moduli._classical_table": lambda: moduli._classical_table(HAT, 2.0, GRID),
     "moduli._profile": lambda: moduli._profile(HAT, 0.3, "w_tilde_bar", GRID, 16),
     "conjugate._table": lambda: conjugate._table(HAT, 0.3, GRID),
-    "conjugate._truncated_cached": lambda: conjugate._truncated_cached(HAT, 0.3, 0.1, GRID),
     "conjugate._kernel_nodes": lambda: conjugate._kernel_nodes(HAT, 0.3, GRID),
     "conjugate._kernel_cut": lambda: conjugate._kernel_cut(HAT, 0.3, 5, GRID),
     "verify.coefficients": lambda: verify.coefficients(HAT, GRID, 16),
@@ -59,6 +59,8 @@ def arrays_in(value):
     elif isinstance(value, tuple):
         for item in value:
             yield from arrays_in(item)
+    elif isinstance(value, _Kept):
+        yield from arrays_in(value.data)
     elif isinstance(value, PanelSums):
         yield value.bounds
         yield value.cum
@@ -116,10 +118,10 @@ def test_partial_sum_record_shows_its_read_only_sums():
     for n in (16, 8):
         verify.transform_value(HAT, C, C, n, 0.3, GRID)
     table = verify._partial_sums(HAT, 0.3, GRID, True, 512)  # every n <= 512 reads the top-512 entry
-    assert list(table.kept.below) == [C] and list(table.kept.below[C].below) == [C]
-    assert list(table.kept.under(C, C)) == [16, 8] and table.kept.by_n == {}
-    assert [array is table.sums for array in arrays_in(table)] == [True]
-    assert table.sums.shape == (513,) and not table.sums.flags.writeable
+    assert list(table.below) == [C] and list(table.below[C].below) == [C]
+    assert list(table.under(C).under(C).summed) == [16, 8] and table.summed == {}
+    assert [array is table.data for array in arrays_in(table)] == [True]
+    assert table.data.shape == (513,) and not table.data.flags.writeable
 
 
 def test_profile_record_shows_its_read_only_arrays():
@@ -128,12 +130,13 @@ def test_profile_record_shows_its_read_only_arrays():
         verify.rhs_theorem1(HAT, C, 0.3, n, GRID)
         verify.rhs_theorem2(HAT, 0.3, n, GRID)
     bar, plain = (moduli._profile(HAT, 0.3, kind, GRID, 512) for kind in ("w_tilde_bar", "w_tilde"))
-    assert list(bar.kept.below) == [C] and list(bar.kept.under(C)) == [16, 8] and bar.kept.by_n == {}
-    assert list(plain.kept.by_n) == [16, 8] and plain.kept.below is None
+    assert list(bar.below) == [C] and list(bar.under(C).summed) == [16, 8] and bar.summed == {}
+    assert list(plain.summed) == [16, 8] and plain.below is None
     for record in (bar, plain):
+        profile = record.data
         assert [array.shape for array in arrays_in(record)] == [(513,), (513,)]
-        assert [array is a for array, a in zip(arrays_in(record), (record.values, record.averaged))] == [True] * 2
-        assert not record.values.flags.writeable and not record.averaged.flags.writeable
+        assert [array is a for array, a in zip(arrays_in(record), (profile.values, profile.averaged))] == [True] * 2
+        assert not profile.values.flags.writeable and not profile.averaged.flags.writeable
 
 
 def test_ab_weights_kept_per_partner_and_order():
@@ -144,7 +147,7 @@ def test_ab_weights_kept_per_partner_and_order():
     assert other is not first and not np.array_equal(other, first)
     assert summability.ab_weights(C, C, 5) is not first
     del I, other
-    assert list(C._ab_weights) == [C]  # a partner's weights go with the partner
+    assert list(C._ab_weights.below) == [C]  # a partner's weights go with the partner
 
 
 def test_ab_tails_kept_per_partner_and_order():
@@ -155,7 +158,7 @@ def test_ab_tails_kept_per_partner_and_order():
     assert other is not first and not np.array_equal(other, first)
     assert summability.ab_tails(C, C, 5) is not first
     del I, other
-    assert list(C._ab_tails) == [C]  # a partner's tails go with the partner
+    assert list(C._ab_tails.below) == [C]  # a partner's tails go with the partner
 
 
 def test_kernel_cut_reads_the_uncut_mesh():

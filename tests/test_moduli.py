@@ -129,8 +129,9 @@ class TestProfiles:
         f, x = by_name("hat"), 3 * PI / 16
         for kind in ("w_tilde", "w_tilde_bar"):
             for n in (0, 7, 512, 700):
-                cached = moduli._profile(f, x, kind, grid, max(n, 512))
-                assert isinstance(cached, moduli._ProfileRecord)
+                record = moduli._profile(f, x, kind, grid, max(n, 512))
+                assert isinstance(record, moduli._Kept) and isinstance(record.data, moduli.ModulusProfile)
+                cached = record.data
                 prof = modulus_profile(f, x, n, kind, grid)
                 assert prof.values.tobytes() == cached.values[: n + 1].tobytes(), (kind, n)
                 assert prof.averaged.tobytes() == cached.averaged[: n + 1].tobytes(), (kind, n)

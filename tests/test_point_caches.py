@@ -4,8 +4,9 @@ transform_value, lhs_theorem1, rhs_theorem1, rhs_theorem2 and lemma2_check
 read the AB weights kept on A, one partial-sum table per (f, x) and one
 modulus profile per (f, x, kind), each built once up to max(n, 512), and
 transform_value keeps each value it sums beside its table, per (A, B, n), as
-rhs_theorem1 keeps its values on the profile record per (A, n) and
-rhs_theorem2 per n.
+rhs_theorem1 keeps its values on the profile record per (A, n),
+rhs_theorem2 per n, and conjugate_truncated and conjugate_at their
+(value, estimate) pairs on the conjugate table of x per eps.
 The references here add the weights in a loop over r, take the partial sums
 from fresh coefficients and the profiles straight from modulus, and every
 value, first call or kept, must agree exactly (==).  The order checks run
@@ -23,7 +24,10 @@ import pytest
 
 from conjsum import conjugate, moduli, verify
 from conjsum.conjugate import conjugate_at, conjugate_truncated, deviation_kernel_form
-from conjsum.functions import DEFAULT_GRID, PI, DomainError, GridSpec, PeriodicFunction, by_name, check_x, corpus
+from conjsum.base import _Kept
+from conjsum.functions import (
+    DEFAULT_GRID, PI, DomainError, GridSpec, PanelSums, PeriodicFunction, by_name, check_x, corpus, eval_psi,
+)
 from conjsum.kernels import DEFAULT_COEFF_CUTOFF, fourier_coeffs, partial_sum_table
 from conjsum.moduli import MODULUS_KINDS, lemma2_check, modulus, modulus_profile
 from conjsum.summability import MatrixValidationError, ab_tails, ab_weights, cesaro, identity_matrix, nordlund
@@ -66,13 +70,17 @@ def matrix_pairs():
             "nordlund/nordlund": (nordlund(p, TOP), nordlund(np.sqrt(p), TOP))}
 
 
-def live_records():
-    return [obj for obj in gc.get_objects() if isinstance(obj, (verify._SumTable, moduli._ProfileRecord))]
+def live_records(data_types=(np.ndarray, moduli.ModulusProfile)):
+    """The live _Kept records whose data is of data_types: by default the partial-sum and the profile records.
+
+    PanelSums picks the conjugate tables; a matrix's records and every record under a key hold None.
+    """
+    return [obj for obj in gc.get_objects() if isinstance(obj, _Kept) and isinstance(obj.data, data_types)]
 
 
 def count_kept(node):
     """Every value in a _Kept tree."""
-    return len(node.by_n) + sum(map(count_kept, (node.below or {}).values()))
+    return len(node.summed) + sum(map(count_kept, (node.below or {}).values()))
 
 
 def kept_in(node, *matrices):
@@ -83,17 +91,22 @@ def kept_in(node, *matrices):
 
 def kept_values(*matrices):
     """How many values the live records keep with A among matrices: transform values and Theorem 1 right sides."""
-    return sum(kept_in(record.kept, *matrices) for record in live_records())
+    return sum(kept_in(record, *matrices) for record in live_records())
 
 
 def kept_by_n():
     """How many values the live records keep by n alone: the Theorem 2 right sides."""
-    return sum(len(record.kept.by_n) for record in live_records())
+    return sum(len(record.summed) for record in live_records())
+
+
+def kept_pairs():
+    """How many (value, estimate) pairs the live conjugate tables keep by eps."""
+    return sum(len(record.summed) for record in live_records(PanelSums))
 
 
 def new_cache_sizes(*matrices):
     return (verify._partial_sums.cache_info().currsize, moduli._profile.cache_info().currsize, kept_values(*matrices),
-            kept_by_n(), *(sum(map(len, kept.values())) for M in matrices for kept in (M._ab_weights, M._ab_tails)))
+            kept_by_n(), kept_pairs(), *(count_kept(kept) for M in matrices for kept in (M._ab_weights, M._ab_tails)))
 
 
 @pytest.mark.parametrize("f", corpus(), ids=lambda f: f.name)
@@ -168,15 +181,16 @@ def test_kept_values_stay_with_their_partner_flag_and_grid():
                     key = (grid.m, conj, B.name, n)
                     assert transform_value(f, C, B, n, x, grid, conj) == want, key
                     assert transform_value(f, C, B, n, x, grid, conj) == want, key
-                    assert verify._partial_sums(f, x, grid, conj, DEFAULT_COEFF_CUTOFF).kept.under(C, B)[n] == want
+                    table = verify._partial_sums(f, x, grid, conj, DEFAULT_COEFF_CUTOFF)
+                    assert table.under(C).under(B).summed[n] == want
     assert len(set(wants.values())) == len(wants)
 
 
 def test_a_kept_value_is_returned_without_a_second_sum():
     f, x, C = by_name("hat"), 0.3, cesaro(8)
-    kept = verify._partial_sums(f, x, DEFAULT_GRID, False, DEFAULT_COEFF_CUTOFF).kept
+    table = verify._partial_sums(f, x, DEFAULT_GRID, False, DEFAULT_COEFF_CUTOFF)
     first = transform_value(f, C, C, 8, x, DEFAULT_GRID, False)
-    kept.under(C, C)[8] = marker = first + 1.0  # C is local, so the marker goes with it
+    table.under(C).under(C).summed[8] = marker = first + 1.0  # C is local, so the marker goes with it
     assert transform_value(f, C, C, 8, x, DEFAULT_GRID, False) is marker
     assert transform_value(f, C, C, 8, x) != marker  # the conjugate table keeps its own
 
@@ -187,8 +201,8 @@ def test_kept_values_go_with_either_matrix():
     table = verify._partial_sums(f, x, DEFAULT_GRID, True, DEFAULT_COEFF_CUTOFF)
     for A, B in ((C, C), (C, I), (I, C)):
         transform_value(f, A, B, 8, x)
-    below = table.kept.below
-    assert (len(below[C].below), len(below[I].below), kept_in(table.kept, C, I)) == (2, 1, 3)
+    below = table.below
+    assert (len(below[C].below), len(below[I].below), kept_in(table, C, I)) == (2, 1, 3)
     del A, B, I
     gc.collect()
     assert list(below) == [C] and list(below[C].below) == [C]
@@ -209,8 +223,8 @@ def test_a_kept_right_side_is_returned_without_a_second_sum():
     assert rhs_theorem1(f, C, x, 8) is first1 and rhs_theorem2(f, x, 8) is first2  # the cold floats themselves
     bar, plain = (moduli._profile(f, x, kind, DEFAULT_GRID, DEFAULT_COEFF_CUTOFF)
                   for kind in ("w_tilde_bar", "w_tilde"))
-    bar.kept.under(C)[8] = marker1 = first1 + 1.0
-    plain.kept.by_n[8] = marker2 = first2 + 1.0
+    bar.under(C).summed[8] = marker1 = first1 + 1.0
+    plain.summed[8] = marker2 = first2 + 1.0
     assert rhs_theorem1(f, C, x, 8) is marker1 and rhs_theorem2(f, x, 8) is marker2
     assert rhs_theorem1(f, cesaro(8), x, 8) == first1  # an equal A sums its own
 
@@ -234,9 +248,9 @@ def test_kept_right_sides_stay_with_their_matrix_kind_grid_and_order():
         # each value sits in the record of its kind and of its top, max(n, 512)
         for record_top, kept_ns in ((DEFAULT_COEFF_CUTOFF, [5, 64, DEFAULT_COEFF_CUTOFF]), (513, [513]), (top, [top])):
             bar, plain = (moduli._profile(f, x, kind, grid, record_top) for kind in ("w_tilde_bar", "w_tilde"))
-            assert list(bar.kept.below) == [C, I, N] and bar.kept.by_n == {}
-            assert [list(bar.kept.below[A].by_n) for A in (C, I, N)] == [kept_ns] * 3
-            assert list(plain.kept.by_n) == kept_ns and plain.kept.below is None
+            assert list(bar.below) == [C, I, N] and bar.summed == {}
+            assert [list(bar.below[A].summed) for A in (C, I, N)] == [kept_ns] * 3
+            assert list(plain.summed) == kept_ns and plain.below is None
     assert len(set(wants.values())) == len(wants)
 
 
@@ -246,7 +260,7 @@ def test_kept_right_sides_go_with_their_matrix():
         for n in (8, 16):
             rhs_theorem1(f, A, x, n)
     rhs_theorem2(f, x, 8)
-    below = moduli._profile(f, x, "w_tilde_bar", DEFAULT_GRID, DEFAULT_COEFF_CUTOFF).kept.below
+    below = moduli._profile(f, x, "w_tilde_bar", DEFAULT_GRID, DEFAULT_COEFF_CUTOFF).below
     assert list(below) == [C, I] and kept_values(C, I) == 4
     del A, I
     gc.collect()
@@ -254,7 +268,72 @@ def test_kept_right_sides_go_with_their_matrix():
     del C
     gc.collect()
     assert len(below) == 0
-    assert list(moduli._profile(f, x, "w_tilde", DEFAULT_GRID, DEFAULT_COEFF_CUTOFF).kept.by_n) == [8]
+    assert list(moduli._profile(f, x, "w_tilde", DEFAULT_GRID, DEFAULT_COEFF_CUTOFF).summed) == [8]
+
+
+def ref_pair(f, x, eps, grid=DEFAULT_GRID):
+    """(f~(x, eps), its error estimate) from a fresh panel-sum table on the mesh of (f, x, grid); eps < pi."""
+
+    def integrand(t):
+        return eval_psi(f, x, t) * 0.5 / np.tan(0.5 * t)
+
+    kronrod, gauss = PanelSums(integrand, conjugate._mesh(f, x, grid), from_top=True).at(np.array([eps]))
+    return float(-kronrod[0] / PI), float(abs(kronrod[0] - gauss[0]) / PI)
+
+
+def test_a_kept_pair_is_returned_without_a_second_table_read(monkeypatch):
+    f, x, eps = fresh_hat(), 0.3, PI / 9
+    first, full = conjugate_truncated(f, x, eps), conjugate_at(f, x)
+    record = conjugate._table(f, x, DEFAULT_GRID)
+    assert list(record.summed) == [eps, 0.0] and [record.summed[e][0] for e in (eps, 0.0)] == [first, full]
+    record.summed[eps] = (marker1 := first + 1.0), 0.0
+    record.summed[0.0] = (marker2 := full + 1.0), 0.0
+
+    def read_again(*args):
+        raise AssertionError("a kept pair was read from the table again")
+
+    monkeypatch.setattr(conjugate, "_truncated", read_again)
+    assert conjugate_truncated(f, x, eps) is marker1 and conjugate_at(f, x) is marker2
+
+
+def test_clearing_the_table_cache_drops_its_pairs():
+    f, x, eps = fresh_hat(), 0.3, 0.5
+    first = conjugate_truncated(f, x, eps)
+    record = conjugate._table(f, x, DEFAULT_GRID)
+    record.summed[eps] = first + 1.0, 0.0
+    conjugate._table.cache_clear()
+    assert conjugate_truncated(f, x, eps) == first
+    assert conjugate._table(f, x, DEFAULT_GRID) is not record
+    assert list(conjugate._table(f, x, DEFAULT_GRID).summed) == [eps]
+
+
+def test_kept_pairs_stay_with_their_function_point_eps_and_grid():
+    # every (grid, f, x, eps) gets its own reference, first call and kept, and the references all differ: the
+    # unlisted kinks of |sin|^3 and |cos|^3 make the two grids' values differ; eps = 0 is conjugate_at's pair
+    wants = {}
+    for grid in (DEFAULT_GRID, GridSpec(m=256, refinement=16)):
+        for f in (PeriodicFunction("cube-sine", lambda t: np.abs(np.sin(t)) ** 3),
+                  PeriodicFunction("cube-cosine", lambda t: np.abs(np.cos(t)) ** 3)):
+            for x in (0.3, -2.2):
+                for eps in (0.0, PI / 9, 0.5):
+                    want = wants[grid.m, f.name, x, eps] = ref_pair(f, x, eps, grid)
+                    for _ in range(2):
+                        got = conjugate_at(f, x, grid) if eps == 0.0 else conjugate_truncated(f, x, eps, grid)
+                        assert got == want[0], (grid.m, f.name, x, eps)
+                    assert conjugate._table(f, x, grid).summed[eps] == want
+    assert len({value for value, _ in wants.values()}) == len(wants)
+
+
+def test_float_and_array_calls_give_the_same_bits():
+    # the float call keeps its pair and the array call sums afresh: in either order they agree, eps = pi included
+    f, eps = fresh_hat(), PI / (np.arange(64.0) + 1.0)
+    calls = {"floats": lambda x: [conjugate_truncated(f, x, e) for e in eps.tolist()],
+             "array": lambda x: conjugate_truncated(f, x, eps).tolist()}
+    for x, order in ((0.3, ("floats", "array")), (-2.2, ("array", "floats"))):
+        got = {name: calls[name](x) for name in order}
+        assert got["array"] == got["floats"] and got["floats"][0] == 0.0, x
+        assert all(type(value) is float for value in got["floats"])
+        assert [conjugate._table(f, x, DEFAULT_GRID).summed[e][0] for e in eps.tolist()] == got["floats"]
 
 
 def test_refused_right_sides_keep_nothing():
@@ -276,12 +355,12 @@ def test_refused_right_sides_keep_nothing():
         (lambda: rhs_theorem2(f, math.inf, 4), DomainError, "x must be finite, got inf"),
         (lambda: rhs_theorem2(f, 1e17, 4), DomainError, "x must lie in [-2^20, 2^20], got 1e+17"),
     ]
-    before = (new_cache_sizes(C), [cache.cache_info() for cache in X_KEYED])
+    before = (new_cache_sizes(C), x_keyed())
     for call, error, message in cases:
         with pytest.raises(error) as info:
             call()
         assert (type(info.value), str(info.value)) == (error, message)
-    assert (new_cache_sizes(C), [cache.cache_info() for cache in X_KEYED]) == before
+    assert (new_cache_sizes(C), x_keyed()) == before
 
 
 def test_transform_errors_keep_their_order_and_cache_nothing():
@@ -310,8 +389,13 @@ def test_failing_profiles_cache_nothing():
     assert new_cache_sizes() == before
 
 
-X_KEYED = (moduli._cumulative, moduli._profile, conjugate._table, conjugate._truncated_cached,
-           conjugate._kernel_nodes, conjugate._kernel_cut, verify._partial_sums)
+X_KEYED = (moduli._cumulative, moduli._profile, conjugate._table, conjugate._kernel_nodes, conjugate._kernel_cut,
+           verify._partial_sums)
+
+
+def x_keyed():
+    """Each x-keyed cache's info, and the conjugate pairs, which the tables of x keep by eps."""
+    return [cache.cache_info() for cache in X_KEYED], kept_pairs()
 
 NON_FINITE_CALLS = {
     "transform_value": lambda f, C, x: transform_value(f, C, C, 4, x),
@@ -349,22 +433,22 @@ def test_far_x_is_reduced_by_the_period(name):
 @pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
 def test_x_beyond_the_bound_is_refused_before_any_cache(name, x):
     f, C = by_name("hat"), cesaro(8)
-    before = [cache.cache_info() for cache in X_KEYED]
+    before = x_keyed()
     with pytest.raises(DomainError, match=rf"^x must lie in \[-2\^20, 2\^20\], got {re.escape(str(x))}$"):
         NON_FINITE_CALLS[name](f, C, x)
-    assert [cache.cache_info() for cache in X_KEYED] == before
-    assert len(C._ab_weights) == len(C._ab_tails) == kept_values(C) == 0
+    assert x_keyed() == before
+    assert C._ab_weights.below is C._ab_tails.below is None and kept_values(C) == 0
 
 
 def test_out_of_range_order_fills_no_x_keyed_cache():
     f, C = by_name("hat"), cesaro(8)
     calls = (lambda: transform_value(f, C, C, 9, 0.77), lambda: lhs_theorem1(f, C, C, 0.77, 9, False),
              lambda: deviation_kernel_form(f, C, C, 9, 0.77))
-    before = [cache.cache_info() for cache in X_KEYED]
+    before = x_keyed()
     for call in calls:
         with pytest.raises(MatrixValidationError):
             call()
-    assert [cache.cache_info() for cache in X_KEYED] == before
+    assert x_keyed() == before
     assert kept_values(C) == 0
 
 
@@ -373,21 +457,21 @@ def test_kept_orders_do_not_widen_the_range():
     f, C, I = by_name("hat"), cesaro(8), identity_matrix(8)
     for n in range(9):
         deviation_kernel_form(f, C, I, n, 0.77)
-    before = (new_cache_sizes(C, I), [cache.cache_info() for cache in X_KEYED])
+    before = (new_cache_sizes(C, I), x_keyed())
     for n in (-1, -9, 9, 600):
         message = re.escape(f"transform order n={n} is outside the matrix size (A: 8, B: 8)")
         for call in (ab_weights, ab_tails, lambda A, B, n: deviation_kernel_form(f, A, B, n, 0.77)):
             with pytest.raises(MatrixValidationError, match=f"^{message}$"):
                 call(C, I, n)
-    assert (new_cache_sizes(C, I), [cache.cache_info() for cache in X_KEYED]) == before
+    assert (new_cache_sizes(C, I), x_keyed()) == before
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
 def test_non_finite_x_is_refused_before_any_cache(name, x):
     f, C = by_name("hat"), cesaro(8)
-    before = [cache.cache_info() for cache in X_KEYED]
+    before = x_keyed()
     with pytest.raises(DomainError, match=f"^x must be finite, got {x}$"):
         NON_FINITE_CALLS[name](f, C, x)
-    assert [cache.cache_info() for cache in X_KEYED] == before
-    assert len(C._ab_weights) == len(C._ab_tails) == kept_values(C) == 0
+    assert x_keyed() == before
+    assert C._ab_weights.below is C._ab_tails.below is None and kept_values(C) == 0
