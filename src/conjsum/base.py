@@ -3,8 +3,8 @@
 Each public name is also importable from the module that uses it (functions, summability, conjugate, moduli,
 verify).  _Kept is the one record of a value computed once and the values summed from it: the conjugate's
 panel sums and the (value, estimate) pairs read from them by eps, the partial sums of x and the transform values
-by (A, B, n), the modulus profiles and the right-hand sides by n (and A), and the AB weights and kernel tails
-that a matrix keeps by (B, n).
+by (A, B, n), the kernel-form cut records and their deviation pairs by (A, B, n), the modulus profiles and the
+right-hand sides by n (and A), and the AB weights and kernel tails that a matrix keeps by (B, n).
 """
 
 from __future__ import annotations

@@ -23,16 +23,21 @@ pi as a ``PanelSums`` would.  One cached table per (f, x, grid),
 _kernel_nodes, holds the uncut mesh and, at its 15 nodes a panel, the
 weights, psi_x, e^{it} and (1/2) cot(t/2): 48 bytes a node, about 120 kB at
 the default grid, at most 16 tables.  One cached cut record per
-(f, x, n, grid), _kernel_cut, shared by every matrix pair, holds what the cut
-changes: the uncut panel each cut panel starts in, and the rows of the panels
-that are not uncut ones (the two into which h splits one; none when h is
-already a boundary, as at n = 2^j - 1): about 4 kB an entry at the default
-grid, at most 256 entries.  A warm call joins the table's columns and the
-fresh rows, makes one Horner pass over those nodes, evaluates both integrands
-into one array, takes one panel sum per panel and gathers the sums to the cut
-panels.  Every value is elementwise per node and every panel sum a vecdot of
-its own row, so the bits are those of evaluating every node of the cut mesh
-afresh.  The kernel mean sum_k c_k D~_k(t) comes from
+(f, x, n, grid), _kernel_cut, a base._Kept shared by every matrix pair, holds
+in its data what the cut changes: the uncut panel each cut panel starts in,
+and the rows of the panels that are not uncut ones (the two into which h
+splits one; none when h is already a boundary, as at n = 2^j - 1): about 4 kB
+an entry at the default grid, at most 256 entries.  The first call for an
+(A, B) joins the table's columns and the fresh rows, makes one Horner pass
+over those nodes, evaluates both integrands into one array, takes one panel
+sum per panel and gathers the sums to the cut panels.  Every value is
+elementwise per node and every panel sum a vecdot of its own row, so the bits
+are those of evaluating every node of the cut mesh afresh.  The record keeps
+the pair that call returns under weak keys A and B, by n, once the call has
+passed every check, so a repeated call returns that tuple and a refused one
+keeps nothing; a pair goes with A, with B or with its record (about 2.9 kB
+for a record's first pair, with its dictionaries, and 0.55 kB for one under
+a new B).  The kernel mean sum_k c_k D~_k(t) comes from
 the one kernel evaluator, kernels.conj_kernel_mean_z, with the tails kept on
 A beside the AB weights (summability.ab_tails), within n eps sum |C_nu| of
 the exact series.
@@ -158,9 +163,10 @@ def _kernel_nodes(f: PeriodicFunction, x: float, grid: GridSpec) -> tuple[np.nda
 
 
 @lru_cache(maxsize=256)
-def _kernel_cut(f: PeriodicFunction, x: float, n: int, grid: GridSpec) -> tuple:
+def _kernel_cut(f: PeriodicFunction, x: float, n: int, grid: GridSpec) -> _Kept:
     """The mesh for (f, x, grid) cut at h = pi/(n+1), read from the uncut one of _kernel_nodes; arrays read-only.
 
+    A record whose under(A).under(B).summed keeps deviation_kernel_form's pairs by n, and whose data is
     (below, edge, row, unread, fresh_rows): the cut mesh's index of h, or of the boundary that stood in for it,
     and that boundary; each cut panel's row among the uncut panels followed by the fresh ones (the cut panels
     that are not uncut ones); the uncut panels that no cut panel is; and the fresh panels' _kernel_rows.  8 bytes
@@ -180,7 +186,7 @@ def _kernel_cut(f: PeriodicFunction, x: float, n: int, grid: GridSpec) -> tuple:
     fresh_rows = _kernel_rows(f, x, lo[fresh], hi[fresh])
     for array in (row, unread, *fresh_rows):
         array.flags.writeable = False
-    return below, float(bounds[below]), row, unread, fresh_rows
+    return _Kept((below, float(bounds[below]), row, unread, fresh_rows))
 
 
 def deviation_kernel_form(
@@ -202,7 +208,9 @@ def deviation_kernel_form(
     sawtooth's jump, say), with that error.
     Each panel of the mesh cut at h that is a panel of the uncut mesh takes
     its sum from the rows of _kernel_nodes; the others, from the rows that
-    _kernel_cut keeps.
+    _kernel_cut keeps.  The cut record keeps the returned tuple by (A, B, n)
+    once both checks have passed: a repeated call returns that same tuple, and
+    a refused call keeps nothing and refuses again.
 
     Tested orders: up to n = 16 within 1e-13 of value minus conjugate, and at
     n = 1024 against the same integral on a mesh eight times finer, within
@@ -212,7 +220,11 @@ def deviation_kernel_form(
     """
     x = _check_regular(f, x)
     tails = ab_tails(A, B, n)  # an order outside A or B fails here, before any cache keyed by x fills
-    below, edge, row, unread, fresh_rows = _kernel_cut(f, x, n, grid)
+    record = _kernel_cut(f, x, n, grid)
+    kept = record.under(A).under(B).summed
+    if n in kept:
+        return kept[n]
+    below, edge, row, unread, fresh_rows = record.data
     # the uncut panels, then the fresh ones
     nodes, rule_weights, psi, z, half_cot = map(np.concatenate, zip(_kernel_nodes(f, x, grid)[1:], fresh_rows))
     kernel = conj_kernel_mean_z(tails, z)
@@ -228,4 +240,5 @@ def deviation_kernel_form(
     if not (np.isfinite(dev_truncated) and np.isfinite(dev_full)):
         raise SingularIntegrandError("kernel-form deviation integral is not finite")
     conjugate_at(f, x, grid)  # refuse where the conjugate does: the integrands share its singularity at t -> 0
-    return float(dev_truncated), float(dev_full)
+    kept[n] = float(dev_truncated), float(dev_full)  # only a pair that passed both checks is kept
+    return kept[n]

@@ -8,19 +8,18 @@ Both sides below RATIO_ZERO_TOL count as a vacuous 0/0 and report ratio 0.
 The report grids are loops over the one-point functions transform_value,
 lhs_theorem1, rhs_theorem1 and rhs_theorem2 (R1.6 builds its weights once per
 n).  Each of those values is summed once and kept in a base._Kept record
-beside what it was summed from.  transform_value weights a prefix of one
-cached partial-sum table per (f, x) that runs to max(n, 512), the data of its
-record, and keeps each value under weak keys A -> B -> {n: value}: a value
-lives while its record stays in the lru and both matrices live, and a later
-call with the same (A, B, n) returns the float the first call summed, so the
-truncated and the full left side, and Theorems 1 and 2, share one sum.  The
+beside what it was summed from: a value lives while its record stays in the
+lru and every matrix it was summed with lives, and a later call returns the
+float the first call summed.  transform_value weights a prefix of one cached
+partial-sum table per (f, x) that runs to max(n, 512), the data of its record,
+and keeps each value under weak keys A -> B -> {n: value}, so the truncated
+and the full left side, and Theorems 1 and 2, share one sum.  The
 right-hand sides read the running averages of the modulus profile of
 (f, x, kind), sized the same way: every n <= 512 shares one coefficient set
 and table, and an order above 512 gets its own.  The profile's record keeps
 rhs_theorem2 by n and rhs_theorem1 under a weak key A and then by n, so its
 values go with A.  A kept value takes about 80 bytes and the dictionaries of a
-record's first A about 1 KB; a value lives while its record stays in the lru
-(and A lives), and a later call returns the float the first call summed.
+record's first A about 1 KB.
 np.cumsum adds in index order and each modulus value depends on its own delta
 alone, so a prefix has the bits of an array built for that n alone.  Every
 left side is lhs_theorem1 at its (n, x): a truncated conjugate is one lookup

@@ -165,7 +165,7 @@ def test_kernel_cut_reads_the_uncut_mesh():
     # each cut panel is the uncut panel its row names, or the fresh one after them that it names
     base = conjugate._kernel_nodes(HAT, 0.3, GRID)[0]
     for n in (0, 1, 2, 5, 31, 200):
-        below, edge, row, unread, (nodes, *_) = conjugate._kernel_cut(HAT, 0.3, n, GRID)
+        below, edge, row, unread, (nodes, *_) = conjugate._kernel_cut(HAT, 0.3, n, GRID).data
         bounds = conjugate._mesh(HAT, 0.3, GRID, cuts=[math.pi / (n + 1)])
         assert edge == bounds[below] and len(row) == len(bounds) - 1
         kept, fresh = row < len(base) - 1, row >= len(base) - 1

@@ -438,7 +438,7 @@ class TestKernelFormBitIdentity:
         x, n, I = 0.3, 5, identity_matrix(5)
         zero = PeriodicFunction(name="zero", eval=np.zeros_like)
         nodes = conjugate._kernel_nodes(zero, x, DEFAULT_GRID)[1]
-        unread = conjugate._kernel_cut(zero, x, n, DEFAULT_GRID)[3]
+        unread = conjugate._kernel_cut(zero, x, n, DEFAULT_GRID).data[3]
         assert len(unread) == 1
         t = nodes[unread[0]]
         half_cot = 0.5 / np.tan(0.5 * t)

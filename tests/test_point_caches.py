@@ -5,8 +5,10 @@ read the AB weights kept on A, one partial-sum table per (f, x) and one
 modulus profile per (f, x, kind), each built once up to max(n, 512), and
 transform_value keeps each value it sums beside its table, per (A, B, n), as
 rhs_theorem1 keeps its values on the profile record per (A, n),
-rhs_theorem2 per n, and conjugate_truncated and conjugate_at their
-(value, estimate) pairs on the conjugate table of x per eps.
+rhs_theorem2 per n, conjugate_truncated and conjugate_at their
+(value, estimate) pairs on the conjugate table of x per eps, and
+deviation_kernel_form its pair of deviations on the cut record of (x, n) per
+(A, B).
 The references here add the weights in a loop over r, take the partial sums
 from fresh coefficients and the profiles straight from modulus, and every
 value, first call or kept, must agree exactly (==).  The order checks run
@@ -24,7 +26,7 @@ import pytest
 
 from conjsum import conjugate, moduli, verify
 from conjsum.conjugate import conjugate_at, conjugate_truncated, deviation_kernel_form
-from conjsum.base import _Kept
+from conjsum.base import ConvergenceError, _Kept
 from conjsum.functions import (
     DEFAULT_GRID, PI, DomainError, GridSpec, PanelSums, PeriodicFunction, by_name, check_x, corpus, eval_psi,
 )
@@ -32,6 +34,7 @@ from conjsum.kernels import DEFAULT_COEFF_CUTOFF, fourier_coeffs, partial_sum_ta
 from conjsum.moduli import MODULUS_KINDS, lemma2_check, modulus, modulus_profile
 from conjsum.summability import MatrixValidationError, ab_tails, ab_weights, cesaro, identity_matrix, nordlund
 from conjsum.verify import lhs_theorem1, rhs_theorem1, rhs_theorem2, transform_value
+from test_conjugate import kernel_form_reference
 
 NS = [0, 1, 8, 128, 512]
 XS = [0.3, -2.2]
@@ -70,8 +73,8 @@ def matrix_pairs():
             "nordlund/nordlund": (nordlund(p, TOP), nordlund(np.sqrt(p), TOP))}
 
 
-def live_records(data_types=(np.ndarray, moduli.ModulusProfile)):
-    """The live _Kept records whose data is of data_types: by default the partial-sum and the profile records.
+def live_records(data_types=(np.ndarray, moduli.ModulusProfile, tuple)):
+    """The live _Kept records whose data is of data_types: by default the partial-sum, profile and cut records.
 
     PanelSums picks the conjugate tables; a matrix's records and every record under a key hold None.
     """
@@ -90,7 +93,10 @@ def kept_in(node, *matrices):
 
 
 def kept_values(*matrices):
-    """How many values the live records keep with A among matrices: transform values and Theorem 1 right sides."""
+    """How many values the live records keep with A among matrices.
+
+    These are the transform values, the Theorem 1 right sides and the kernel-form pairs.
+    """
     return sum(kept_in(record, *matrices) for record in live_records())
 
 
@@ -334,6 +340,82 @@ def test_float_and_array_calls_give_the_same_bits():
         assert got["array"] == got["floats"] and got["floats"][0] == 0.0, x
         assert all(type(value) is float for value in got["floats"])
         assert [conjugate._table(f, x, DEFAULT_GRID).summed[e][0] for e in eps.tolist()] == got["floats"]
+
+
+def test_a_kept_deviation_pair_is_returned_without_a_second_pass(monkeypatch):
+    f, x, C, I = fresh_hat(), 0.3, cesaro(8), identity_matrix(8)
+    first = deviation_kernel_form(f, C, I, 8, x)
+    assert deviation_kernel_form(f, C, I, 8, x) is first  # the cold tuple itself
+    kept = conjugate._kernel_cut(f, x, 8, DEFAULT_GRID).under(C).under(I).summed
+    assert kept == {8: first}
+    kept[8] = marker = (first[0] + 1.0, first[1] + 1.0)
+
+    def pass_again(*args):
+        raise AssertionError("a kept pair was summed again")
+
+    monkeypatch.setattr(conjugate, "conj_kernel_mean_z", pass_again)
+    assert deviation_kernel_form(f, C, I, 8, x) is marker
+    with pytest.raises(AssertionError, match="summed again"):
+        deviation_kernel_form(f, I, C, 8, x)  # the swapped pair has no pair of its own yet
+
+
+def test_kept_deviation_pairs_stay_with_their_matrices_order_function_point_and_grid():
+    # every (grid, f, x, A, B, n) gets the from-scratch reference's bits, first call and kept, and the references
+    # all differ; n runs innermost, so a pair kept by n alone would be read back under the next (A, B)
+    C, I = cesaro(16), identity_matrix(16)
+    wants = {}
+    for grid in (DEFAULT_GRID, GridSpec(m=256, refinement=16)):
+        for f in (PeriodicFunction("cube-sine", lambda t: np.abs(np.sin(t)) ** 3),
+                  PeriodicFunction("cube-cosine", lambda t: np.abs(np.cos(t)) ** 3)):
+            for x in (0.3, -2.2):
+                for A, B in ((C, C), (C, I), (I, I)):  # C I and I C are both C, so the pair (I, C) would equal (C, I)
+                    for n in (3, 8):
+                        key = (grid.m, f.name, x, A.name, B.name, n)
+                        want = wants[key] = kernel_form_reference(f, A, B, n, x, grid)
+                        for _ in range(2):
+                            assert deviation_kernel_form(f, A, B, n, x, grid) == want, key
+                        assert conjugate._kernel_cut(f, x, n, grid).under(A).under(B).summed == {n: want}, key
+    assert len(set(wants.values())) == len(wants)
+
+
+def test_kept_deviation_pairs_go_with_either_matrix():
+    f, x = fresh_hat(), 0.3
+    C, I = cesaro(8), identity_matrix(8)
+    for A, B in ((C, C), (C, I), (I, C)):
+        deviation_kernel_form(f, A, B, 4, x)
+    below = conjugate._kernel_cut(f, x, 4, DEFAULT_GRID).below
+    assert (len(below[C].below), len(below[I].below), kept_values(C, I)) == (2, 1, 3)
+    del A, B, I  # I was A of one pair and B of another
+    gc.collect()
+    assert list(below) == [C] and list(below[C].below) == [C] and kept_values(C) == 1
+    del C
+    gc.collect()
+    assert len(below) == 0
+
+
+def test_refused_deviation_calls_keep_nothing():
+    # each refusal, after the order check or at the conjugate's, keeps no pair and refuses again when repeated
+    f, C, I = by_name("sawtooth"), cesaro(8), identity_matrix(8)
+    cases = [
+        (1e-9, ConvergenceError, "conjugate at x=1e-09: error estimate 0.536 exceeds 1e-08"),
+        (-1e-9, ConvergenceError, "conjugate at x=-1e-09: error estimate 0.536 exceeds 1e-08"),
+        (0.0, DomainError, "x=0.0 is a known singular point of sawtooth"),
+        (math.nan, DomainError, "x must be finite, got nan"),
+        (1e17, DomainError, "x must lie in [-2^20, 2^20], got 1e+17"),
+    ]
+    for x in (1e-9, -1e-9):  # conjugate_at keeps its own pair before it refuses, and A its tails at a valid order
+        with pytest.raises(ConvergenceError):
+            conjugate_at(f, x)
+    for B in (C, I):
+        ab_tails(C, B, 4)
+    before = new_cache_sizes(C, I)
+    for x, error, message in cases:
+        for _ in range(2):
+            for A, B in ((C, C), (C, I)):
+                with pytest.raises(error) as info:
+                    deviation_kernel_form(f, A, B, 4, x)
+                assert (type(info.value), str(info.value)) == (error, message), x
+    assert new_cache_sizes(C, I) == before and kept_values(C, I) == 0
 
 
 def test_refused_right_sides_keep_nothing():

@@ -35,9 +35,10 @@ identity/identity and cesaro/identity built to 32 and to 1024, 37 x and 20
 orders from 0 to 1024; then hat and sawtooth at n in {1, 3, 8, 31, 200} and
 the three pairs built to 1024, at each x = b +- h + delta with b a breakpoint
 of f, h = pi/(n+1) and delta in {0, +-4e-16, +-1e-15, +-2e-15}, where a
-breakpoint of psi_x lies next to h and the mesh cut at h is degenerate.  The
-repr of each result, or the exception's type and message, is one line of one
-sha256:
+breakpoint of psi_x lies next to h and the mesh cut at h is degenerate.  Each
+call is made twice, cold and then kept, and the script exits 1 if the two
+differ.  The repr of each first result, or the exception's type and message,
+is one line of one sha256:
 
     <sha256 of those lines, or -> - - <exit code> kernel-form grid
 
@@ -159,14 +160,21 @@ def run_sweep(root: Path, work: Path) -> Outputs:
 
 KERNEL_FORM = """
 import itertools
+import sys
 from conjsum import conjugate, functions, summability
 PI = functions.PI
 
-def line(f, A, B, n, x):
+def outcome(f, A, B, n, x):
     try:
         return repr(conjugate.deviation_kernel_form(f, A, B, n, x))
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
+
+def line(f, A, B, n, x):
+    first, again = outcome(f, A, B, n, x), outcome(f, A, B, n, x)  # cold, then kept
+    if again != first:
+        sys.exit(f"a repeated call gave {again}, the first {first}")
+    return first
 
 xs = conjugate.default_x_grid() + [0.0, 1e-9, -1e-9, 1.0, PI, PI - 1e-9, 1e-9 - PI]
 orders = {32: (0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32), 1024: (0, 63, 64, 127, 255, 511, 1023, 1024)}
