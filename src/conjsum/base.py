@@ -4,7 +4,8 @@ Each public name is also importable from the module that uses it (functions, sum
 verify).  _Kept is the one record of a value computed once and the values summed from it: the conjugate's
 panel sums and the (value, estimate) pairs read from them by eps, the partial sums of x and the transform values
 by (A, B, n), the kernel-form cut records and their deviation pairs by (A, B, n), the modulus profiles and the
-right-hand sides by n (and A), and the AB weights and kernel tails that a matrix keeps by (B, n).
+right-hand sides by n (and A), the AB weights and kernel tails that a matrix keeps by (B, n), and the one-x modulus
+tables of (f, kind, grid) by x.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class MatrixValidationError(ValueError):
 
 
 class _Kept:
-    """A cached value, data, and the values summed from it once: summed maps an order n (or an eps) to its value.
+    """A cached value, data, and the values summed from it once: summed maps an order n, an eps or an x to its value.
 
     under(A) is the _Kept of the values summed with A as well, and under(A).under(B) with A and B.  below holds
     each such key weakly, so those values go with any matrix they read; it is made at the first key.

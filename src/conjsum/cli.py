@@ -216,8 +216,10 @@ def _cmd_moduli(args) -> int:
         ks, deltas = range(n + 1), [functions.PI / (k + 1.0) for k in range(n + 1)]
     else:
         ks, deltas = [-1], [functions.check_half_period("--delta", args.delta)]
+    xs = _x_values(args)
+    moduli._cumulative(f, xs, "psi" if "tilde" in args.kind else "phi", grid)  # one root bisection for every x
     rows = []
-    for x in _x_values(args):
+    for x in xs:
         values = moduli.modulus(f, x, deltas, args.kind, grid).tolist()
         rows += [(f.name, args.kind, x, k, d, v) for k, d, v in zip(ks, deltas, values)]
     _write_rows(["function", "kind", "x", "k", "delta", "value"], rows, args.out, args.format)

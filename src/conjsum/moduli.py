@@ -5,9 +5,14 @@ Every pointwise modulus is a lookup in the Kronrod sums of |psi_x| (or
 are a uniform grid, a dyadic cascade toward 0 and every delta = pi/(k+1) up
 to k = 256.  Two tables hold them:
 
-- ``_cumulative`` (one x): a ``PanelSums`` on the master set with m/2 uniform
-  panels, plus psi's jump locations and the refined roots of the signed
-  increment, so the integrand is smooth inside every panel.
+- ``_cumulative`` (one table per x): a ``PanelSums`` on the master set with
+  m/2 uniform panels, plus psi's jump locations and the refined roots of the
+  signed increment, so the integrand is smooth inside every panel.  It takes a
+  list of x and builds those not yet kept as one batch, with one
+  ``_bisect_roots`` call over the sign changes of all of them.
+  verify.pointwise_grid and the moduli command ask for their whole x list, so
+  a command bisects once; a single x is a batch of one.  The tables are kept
+  by x in the base._Kept record of (f, kind, grid), ``_tables``.
 - ``_node_table`` (every uniform x node of ``lp_norm``): the master set alone,
   with at most 512 uniform panels, since the kinks move with x.  It is a
   read-only (bounds, cum) pair of the Kronrod sums only, 8*m*P bytes for P
@@ -66,9 +71,10 @@ from .kernels import DEFAULT_COEFF_CUTOFF
 # The node table is built 8 x nodes at a time (8*15*P doubles per sample array,
 # 0.76 MB at P = 792), and its uniform part stops at 512 panels so that its size
 # is linear in m; the classical increments are sampled 256 t at a time (8*256*m
-# bytes per array).
+# bytes per array).  A (f, kind, grid) record keeps its latest 256 one-x tables.
 _TABLE_ROWS = 8
 _TABLE_MAX_PANELS = 512
+_TABLES_KEPT = 256
 _INCREMENT_ROWS = 256
 
 _INCREMENTS = {"psi": eval_psi, "phi": eval_phi}
@@ -88,14 +94,18 @@ def _abs_increment(f: PeriodicFunction, x, kind: str):
 
 
 def _bisect_roots(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    glo = np.asarray(g(lo), dtype=float)
+    """Roots of g in each bracket [lo, hi] of a sign change, 52 halvings each; every step is elementwise.
+
+    The sides are compared by np.sign, since a product of two increments below about 1e-162 underflows to 0.
+    """
+    slo = np.sign(g(lo))
     for _ in range(52):
         mid = 0.5 * (lo + hi)
-        gm = np.asarray(g(mid), dtype=float)
-        left = glo * gm <= 0.0
+        sm = np.sign(g(mid))
+        left = slo * sm <= 0.0
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
-        glo = np.where(left, glo, gm)
+        slo = np.where(left, slo, sm)
     return 0.5 * (lo + hi)
 
 
@@ -133,16 +143,35 @@ def _bar(table: PanelSums, deltas: np.ndarray) -> np.ndarray:
     return _sup_up_to(t, _running_max(table.cum[0, 1:] / t), deltas, partial(_average, table))
 
 
-@lru_cache(maxsize=4096)
-def _cumulative(f: PeriodicFunction, x: float, kind: str, grid: GridSpec) -> PanelSums:
-    """One x: master boundaries plus psi's jumps and the roots of the increment."""
-    signed = partial(_INCREMENTS[kind], f, x)
-    bounds = _master_bounds(grid.m // 2, grid.refinement, psi_breakpoints(f, x))
-    vals = np.asarray(signed(bounds[1:]), dtype=float)
-    flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-    if len(flips):
-        bounds = _insert_points(bounds, _bisect_roots(signed, bounds[1:][flips], bounds[2:][flips]))
-    return PanelSums(_abs_increment(f, x, kind), bounds)
+@lru_cache(maxsize=16)
+def _tables(f: PeriodicFunction, kind: str, grid: GridSpec) -> _Kept:
+    """The one-x tables of (f, kind, grid) that _cumulative built: summed maps x to its PanelSums."""
+    return _Kept()
+
+
+def _cumulative(f: PeriodicFunction, xs, kind: str, grid: GridSpec) -> list[PanelSums]:
+    """The table of each checked x of xs: master boundaries plus psi's jumps and the roots of the increment.
+
+    The x not yet kept are built as one batch: a single _bisect_roots call refines the sign changes of all of them,
+    each at its own x.  Every step is elementwise, so a table has the bits of a batch of one.  A record keeps its
+    latest _TABLES_KEPT x, so the lru of records holds at most 16 * 256 = 4096 tables.
+    """
+    kept = _tables(f, kind, grid).summed
+    cold = [x for x in dict.fromkeys(xs) if x not in kept]
+    if cold:
+        increment = _INCREMENTS[kind]
+        meshes = [_master_bounds(grid.m // 2, grid.refinement, psi_breakpoints(f, x)) for x in cold]
+        signs = [np.sign(increment(f, x, bounds[1:])) for x, bounds in zip(cold, meshes)]  # products may underflow
+        flips = [np.flatnonzero(s[:-1] * s[1:] < 0.0) for s in signs]  # between bounds[i + 1] and bounds[i + 2]
+        lo, hi = (np.concatenate([bounds[i + j] for bounds, i in zip(meshes, flips)]) for j in (1, 2))
+        at = np.repeat(cold, [len(i) for i in flips])  # the x of each sign change
+        roots = _bisect_roots(partial(increment, f, at), lo, hi) if len(at) else at
+        for x, bounds, r in zip(cold, meshes, np.split(roots, np.cumsum([len(i) for i in flips])[:-1])):
+            kept[x] = PanelSums(_abs_increment(f, x, kind), _insert_points(bounds, r))
+    tables = [kept[x] for x in xs]
+    while len(kept) > _TABLES_KEPT:  # the oldest first
+        del kept[next(iter(kept))]
+    return tables
 
 
 @lru_cache(maxsize=1)
@@ -179,7 +208,7 @@ def modulus(f: PeriodicFunction, x: float, delta, kind: str, grid: GridSpec = DE
     if kind not in MODULUS_KINDS:
         raise ValueError(f"kind must be one of {MODULUS_KINDS}, got {kind!r}")
     delta = check_half_period("delta", delta)
-    table = _cumulative(f, check_x("x", x), "psi" if "tilde" in kind else "phi", grid)
+    table = _cumulative(f, [check_x("x", x)], "psi" if "tilde" in kind else "phi", grid)[0]
     values = (_bar if kind.endswith("bar") else _average)(table, np.atleast_1d(delta))
     return float(values[0]) if isinstance(delta, float) else values
 

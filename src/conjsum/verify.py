@@ -41,7 +41,7 @@ from .base import DEFAULT_GRID, THEOREM_IDS, GridSpec, _Kept
 from .conjugate import X_GRID_WEIGHT, conjugate_at, conjugate_truncated, default_x_grid
 from .functions import PI, PeriodicFunction, check_exponent, check_x, lp_norms
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, fourier_coeffs
-from .moduli import _averaged_modulus, _profile, classical_modulus, modulus_profile
+from .moduli import _averaged_modulus, _cumulative, _profile, classical_modulus, modulus_profile
 from .summability import TriangularMatrix, exact_cumsum
 
 RATIO_ZERO_TOL = 1e-11
@@ -176,13 +176,15 @@ def pointwise_grid(
     truncated = theorem_id in ("T1.51", "T2.trunc")
     reports = []
     for n in ns:
-        weights = None  # R1.6's, built at the first x of n, after its transform
-        for x in xs:
-            lhs = lhs_theorem1(f, A, B, x, n, truncated, grid)
+        lhs_row = [lhs_theorem1(f, A, B, x, n, truncated, grid) for x in xs]
+        # the transforms have checked every x, so check_x only reduces it; the row's modulus tables cost one root
+        # bisection, at the first n only
+        _cumulative(f, [check_x("x", x) for x in xs], "psi", grid)
+        weights = _remark1_weights(A, n) if theorem_id == "R1.6" else None  # after the transforms of n
+        for x, lhs in zip(xs, lhs_row):
             if theorem_id in ("T1.51", "T1.5"):
                 rhs = rhs_theorem1(f, A, x, n, grid)
             elif theorem_id == "R1.6":
-                weights = _remark1_weights(A, n) if weights is None else weights
                 rhs = _remark1_sum(weights, n, modulus_profile(f, x, n, "w_tilde", grid).averaged)
             else:
                 rhs = rhs_theorem2(f, x, n, grid)

@@ -7,7 +7,8 @@ The arrays a TriangularMatrix keeps (its prefix sums, AB weights and kernel
 tails) and the profile prefixes modulus_profile hands out are shared the same
 way.  An entry of verify._partial_sums, moduli._profile or conjugate._table is
 a record, base._Kept: its read-only data and the values summed from it once,
-by n or eps under zero, one or two weak matrix keys.  The matrix keeps its AB
+by n or eps under zero, one or two weak matrix keys.  An entry of moduli._tables
+is a record too, of the one-x modulus tables by x.  The matrix keeps its AB
 weights and tails in two such records, by n under the weak key B.
 """
 
@@ -30,7 +31,7 @@ HAT = by_name("hat")
 CALLS = {
     "functions.graded_boundaries": lambda: functions.graded_boundaries(0.0, math.pi, GRID),
     "functions._clausen_coeffs": lambda: functions._clausen_coeffs(),
-    "moduli._cumulative": lambda: moduli._cumulative(HAT, 0.3, "psi", GRID),
+    "moduli._tables": lambda: moduli._tables(HAT, "psi", GRID),
     "moduli._node_table": lambda: moduli._node_table(HAT, "psi", GRID),
     "moduli._node_values": lambda: moduli._node_values(HAT, 0.5, "psi", GRID),
     "moduli._classical_table": lambda: moduli._classical_table(HAT, 2.0, GRID),
@@ -61,6 +62,7 @@ def arrays_in(value):
             yield from arrays_in(item)
     elif isinstance(value, _Kept):
         yield from arrays_in(value.data)
+        yield from arrays_in(tuple(value.summed.values()))
     elif isinstance(value, PanelSums):
         yield value.bounds
         yield value.cum
@@ -93,6 +95,13 @@ def test_an_equal_grid_built_apart_hits_the_same_entry(name, monkeypatch):
 def test_cached_arrays_are_read_only(name):
     writeable = [array.shape for array in arrays_in(CALLS[name]()) if array.flags.writeable]
     assert writeable == []
+
+
+def test_kept_modulus_tables_are_read_only():
+    tables = moduli._cumulative(HAT, [0.3, -1.0], "psi", GRID)
+    arrays = list(arrays_in(moduli._tables(HAT, "psi", GRID)))
+    assert all(any(array is table.cum for array in arrays) for table in tables)
+    assert [array.shape for array in arrays if array.flags.writeable] == []
 
 
 def test_node_table_is_a_read_only_pair_of_kronrod_sums():

@@ -88,3 +88,19 @@ def test_singular_integrand_exits_1():
     done = python("-c", code)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == "numerical failure: integrand is not finite at a quadrature node\n"
+
+
+def test_moduli_over_the_grid_prints_the_rows_of_each_x_alone():
+    # the grid command builds every x's table in one batch, each --x command a batch of one
+    args = ["-m", "conjsum.cli", "moduli", "--function", "sawtooth", "--kind", "w"]
+    done = python(*args)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    by_x = {}
+    for row in rows:
+        by_x.setdefault(row.split(",")[2], []).append(row)
+    assert len(by_x) == 30
+    for x, want in by_x.items():
+        alone = python(*args, "--x", x)
+        assert alone.returncode == 0, alone.stderr
+        assert alone.stdout.splitlines() == [header, *want], x

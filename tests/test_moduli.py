@@ -1,11 +1,15 @@
+import io
 import math
+from contextlib import redirect_stdout
 from functools import partial
 
 import numpy as np
 import pytest
 
-from conjsum import moduli
-from conjsum.functions import DomainError, GridSpec, _insert_points, by_name, corpus, lp_norms, psi_breakpoints
+from conjsum import cli, moduli, verify
+from conjsum.conjugate import default_x_grid
+from conjsum.functions import (DomainError, GridSpec, PanelSums, PeriodicFunction, _insert_points, by_name, corpus,
+                               lp_norms, psi_breakpoints)
 from conjsum.moduli import (
     classical_modulus,
     lemma2_check,
@@ -14,6 +18,7 @@ from conjsum.moduli import (
     modulus_profile,
     pointwise_modulus_on_nodes,
 )
+from conjsum.summability import cesaro
 
 PI = math.pi
 
@@ -151,6 +156,24 @@ class TestProfiles:
             assert np.max(np.abs(prof.values)) < 1e-12
 
 
+class TestScaledFunction:
+    """A power of two c scales every increment, Kronrod sum and running max exactly, so the moduli of c*f are c times
+    those of f, bit for bit, as long as the mesh is the same: the sign changes must not be read from products that
+    underflow (below about 1e-162) or overflow."""
+
+    DELTAS = np.concatenate([PI / (np.arange(65.0) + 1.0), [1.0, 0.123456789, 3e-9, PI / 300]])
+
+    @pytest.mark.parametrize("c", [2.0**-560, 2.0**-500, 2.0**500], ids=["2^-560", "2^-500", "2^500"])
+    @pytest.mark.parametrize("name", ["sin3", "hat", "sawtooth"])
+    def test_moduli_scale_exactly(self, name, c):
+        f = by_name(name)
+        scaled = PeriodicFunction(f"{c}*{name}", lambda t: c * f.eval(t), breakpoints=f.breakpoints)
+        for x in (0.3, -1.1, 2.5):
+            for kind in moduli.MODULUS_KINDS:
+                want = c * modulus(f, x, self.DELTAS, kind)
+                assert np.array_equal(modulus(scaled, x, self.DELTAS, kind), want), (x, kind)
+
+
 class TestPanelMeshes:
     """Both modulus tables cut (0, pi] with functions._insert_points and no rule of their own."""
 
@@ -161,25 +184,75 @@ class TestPanelMeshes:
         dyadic = PI * 2.0 ** -np.arange(1.0, grid.refinement + 17.0)
         return np.linspace(0.0, PI, panels + 1), np.concatenate([dyadic, PI / np.arange(1.0, 258.0)])
 
+    @classmethod
+    def one_x(cls, f, x: float, kind: str, grid: GridSpec) -> PanelSums:
+        """The table of x alone: the master set, psi's jumps, then the roots of each sign change of the increment."""
+        uniform, points = cls.master(grid.m // 2, grid)
+        bounds = _insert_points(uniform, np.concatenate([points, psi_breakpoints(f, x)]))
+        signed = partial(moduli._INCREMENTS[kind], f, x)
+        signs = np.sign(signed(bounds[1:]))
+        flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
+        roots = moduli._bisect_roots(signed, bounds[1:][flips], bounds[2:][flips])
+        return PanelSums(moduli._abs_increment(f, x, kind), _insert_points(bounds, roots))
+
     @pytest.mark.parametrize("grid", GRIDS, ids=["default", "m64"])
     def test_cumulative_is_master_and_breaks_then_roots(self, grid):
-        uniform, points = self.master(grid.m // 2, grid)
         for f in corpus():
             for x in (-PI / 8, 0.0, 0.3, 2.0, PI):
                 for kind in ("psi", "phi"):
-                    bounds = _insert_points(uniform, np.concatenate([points, psi_breakpoints(f, x)]))
-                    signed = partial(moduli._INCREMENTS[kind], f, x)
-                    vals = signed(bounds[1:])
-                    flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-                    roots = moduli._bisect_roots(signed, bounds[1:][flips], bounds[2:][flips])
-                    got = moduli._cumulative(f, x, kind, grid).bounds
-                    assert np.array_equal(got, _insert_points(bounds, roots)), (f.name, x, kind)
+                    got = moduli._cumulative(f, [x], kind, grid)[0].bounds
+                    assert np.array_equal(got, self.one_x(f, x, kind, grid).bounds), (f.name, x, kind)
+
+    @pytest.mark.parametrize("kind", ["psi", "phi"])
+    @pytest.mark.parametrize("grid", GRIDS, ids=["default", "m64"])
+    def test_a_batch_has_the_bits_of_each_x_alone(self, grid, kind):
+        xs = default_x_grid()
+        mixed = [xs[4], -PI / 8, 0.0, xs[4], PI, 1.234, xs[20], 1.234]  # kept, new and repeated x
+        for f in corpus():
+            moduli._tables.cache_clear()
+            for batch in (xs, mixed):
+                tables = moduli._cumulative(f, batch, kind, grid)
+                assert len(tables) == len(batch)
+                for x, got in zip(batch, tables):
+                    want = self.one_x(f, x, kind, grid)
+                    assert np.array_equal(got.bounds, want.bounds), (f.name, x)
+                    assert np.array_equal(got.cum[0], want.cum[0]) and np.array_equal(got.cum[1], want.cum[1])
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["default", "m64"])
     def test_node_table_is_the_master_set(self, grid):
         uniform, points = self.master(min(grid.m // 2, moduli._TABLE_MAX_PANELS), grid)
         got, _ = moduli._node_table(by_name("hat"), "psi", grid)
         assert np.array_equal(got, _insert_points(uniform, points))
+
+
+class TestOneBisectionPerCommand:
+    """A command builds the modulus tables of all its x with one _bisect_roots call, and a repeat builds none."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, bisect = [], moduli._bisect_roots
+
+        def counted(g, lo, hi):
+            calls.append(len(lo))
+            return bisect(g, lo, hi)
+
+        monkeypatch.setattr(moduli, "_bisect_roots", counted)
+        moduli._tables.cache_clear()
+        return calls
+
+    @pytest.mark.parametrize("theorem_id", verify._POINTWISE_IDS)
+    def test_pointwise_grid(self, theorem_id, calls):
+        f, C = by_name("sawtooth"), cesaro(8)
+        for _ in range(2):
+            verify.pointwise_grid(theorem_id, f, C, C, [2, 8], default_x_grid())
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", moduli.MODULUS_KINDS)
+    def test_moduli_command(self, kind, calls):
+        for _ in range(2):
+            with redirect_stdout(io.StringIO()):
+                assert cli.main(["moduli", "--function", "sin3", "--kind", kind, "--n", "8"]) == 0
+            assert len(calls) == 1
 
 
 class TestLpNorm:

@@ -46,7 +46,7 @@ def reference_bar(cum, delta: float) -> float:
 
 
 def reference_profile(f, x, n, kind, grid) -> np.ndarray:
-    cum = moduli._cumulative(f, float(x), "psi" if "tilde" in kind else "phi", grid)
+    cum = moduli._cumulative(f, [float(x)], "psi" if "tilde" in kind else "phi", grid)[0]
     query = reference_bar if kind.endswith("bar") else reference_average
     return np.array([query(cum, d) for d in PI / (np.arange(n + 1) + 1.0)])
 
@@ -78,7 +78,7 @@ def test_single_delta_ops(kind, grid):
     deltas = [PI, PI / 7, 1.0, 0.123456789, 3e-9, PI / 300]
     for f in corpus():
         for x in (DEFAULT_X[3], 0.0, PI / 2 + 1e-9):
-            cum = moduli._cumulative(f, x, "psi" if "tilde" in kind else "phi", grid)
+            cum = moduli._cumulative(f, [x], "psi" if "tilde" in kind else "phi", grid)[0]
             query = reference_bar if kind.endswith("bar") else reference_average
             for d in deltas:
                 assert modulus(f, x, d, kind, grid) == query(cum, d), (f.name, x, d)

@@ -471,7 +471,7 @@ def test_failing_profiles_cache_nothing():
     assert new_cache_sizes() == before
 
 
-X_KEYED = (moduli._cumulative, moduli._profile, conjugate._table, conjugate._kernel_nodes, conjugate._kernel_cut,
+X_KEYED = (moduli._tables, moduli._profile, conjugate._table, conjugate._kernel_nodes, conjugate._kernel_cut,
            verify._partial_sums)
 
 

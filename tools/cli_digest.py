@@ -22,8 +22,9 @@ benchmark's environment.  One line per command:
 
     <sha256 of stdout> <sha256 of stderr> <sha256 of the --out file, or -> <exit code> <command name>
 
-No command reaches modulus_profile, pointwise_modulus_on_nodes or
-deviation_kernel_form, so a last line covers the library: this repository's
+No command reaches pointwise_modulus_on_nodes or deviation_kernel_form, and
+the commands read the psi moduli alone (verify --theorem R1.6 reaches
+modulus_profile), so a line covers the library: this repository's
 bench/sweep.py runs at seed 1, full size and without trace, on the given
 checkout's src/, and the line is
 
@@ -49,6 +50,12 @@ fresh interpreter calls rhs_theorem1 (A in {cesaro, identity, delta0} built to
 bits at orders the sweep never reaches:
 
     <sha256 of those lines, or -> - - <exit code> right-hand sides grid
+
+One more fresh interpreter calls modulus(f, x, deltas, kind) with the deltas
+pi/(k+1), k <= 512, over the corpus, the same 37 x and all four kinds, so the
+phi tables of w and w_bar, which no other line reads, show their bits too:
+
+    <sha256 of those lines, or -> - - <exit code> moduli grid
 
 The work directory holding the input and output files is replaced by <work>
 in stdout and stderr, so two runs, or two checkouts, print identical lines
@@ -158,11 +165,16 @@ def run_sweep(root: Path, work: Path) -> Outputs:
     return done.returncode, [payload, None, None]
 
 
-KERNEL_FORM = """
+# the start of each library script: its imports and the 37 x, the default grid, 0, 1 and pi, each within 1e-9
+LIBRARY = """
 import itertools
 import sys
-from conjsum import conjugate, functions, summability
+from conjsum import conjugate, functions, moduli, summability, verify
 PI = functions.PI
+xs = conjugate.default_x_grid() + [0.0, 1e-9, -1e-9, 1.0, PI, PI - 1e-9, 1e-9 - PI]
+"""
+
+KERNEL_FORM = """
 
 def outcome(f, A, B, n, x):
     try:
@@ -176,7 +188,6 @@ def line(f, A, B, n, x):
         sys.exit(f"a repeated call gave {again}, the first {first}")
     return first
 
-xs = conjugate.default_x_grid() + [0.0, 1e-9, -1e-9, 1.0, PI, PI - 1e-9, 1e-9 - PI]
 orders = {32: (0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32), 1024: (0, 63, 64, 127, 255, 511, 1023, 1024)}
 for size, ns in orders.items():
     C, I = summability.cesaro(size), summability.identity_matrix(size)
@@ -196,16 +207,12 @@ for name, n in itertools.product(("hat", "sawtooth"), (1, 3, 8, 31, 200)):
 
 
 RIGHT_SIDES = """
-from conjsum import conjugate, functions, summability, verify
-PI = functions.PI
-
 def line(call, *args):
     try:
         return repr(call(*args))
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
 
-xs = conjugate.default_x_grid() + [0.0, 1e-9, -1e-9, 1.0, PI, PI - 1e-9, 1e-9 - PI]
 matrices = (summability.cesaro(1024), summability.identity_matrix(1024), summability.delta_at_zero(1024))
 for f in functions.corpus():
     for x in xs:
@@ -217,11 +224,20 @@ for f in functions.corpus():
 """
 
 
+MODULI = """
+deltas = [PI / (k + 1.0) for k in range(513)]
+for f in functions.corpus():
+    for x in xs:
+        for kind in moduli.MODULUS_KINDS:
+            print(repr(moduli.modulus(f, x, deltas, kind).tolist()))
+"""
+
+
 def run_library(script: str, root: Path, work: Path) -> Outputs:
-    """script's stdout in a fresh interpreter on the given checkout's src/."""
+    """LIBRARY and then script's stdout in a fresh interpreter on the given checkout's src/."""
     env = bench.child_env()
     env.update(PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-c", script], cwd=work, env=env, capture_output=True)
+    done = subprocess.run([sys.executable, "-c", LIBRARY + script], cwd=work, env=env, capture_output=True)
     return done.returncode, [done.stdout if done.returncode == 0 else None, None, None]
 
 
@@ -234,7 +250,8 @@ def jobs(work: Path) -> list:
     out = [(op.name, lambda root, work, op=op: run_op(op, root, work)) for op in ops]
     return out + [("library-sweep first pass, seed 1", run_sweep),
                   ("kernel-form grid", partial(run_library, KERNEL_FORM)),
-                  ("right-hand sides grid", partial(run_library, RIGHT_SIDES))]
+                  ("right-hand sides grid", partial(run_library, RIGHT_SIDES)),
+                  ("moduli grid", partial(run_library, MODULI))]
 
 
 def digest_line(name: str, outputs: Outputs, work: Path) -> str:
