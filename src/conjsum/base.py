@@ -16,8 +16,8 @@ from typing import NamedTuple
 THEOREM_IDS = ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc", "T3", "T4", "COR")
 MODULUS_KINDS = ("w", "w_bar", "w_tilde", "w_tilde_bar")
 
-# At this m the moduli node table takes about 104 MB and each 256*m increment
-# array of the classical moduli 34 MB.
+# At this m the moduli node table takes about 104 MB and each 32*m increment
+# array of the classical moduli 4.2 MB.
 MAX_GRID_M = 2**14
 # Depth 64 grades down to pi * 2**-64 = 1.7e-19; near depth 1050, t/2 underflows to 0 at the finest nodes.
 MAX_GRID_REFINEMENT = 64

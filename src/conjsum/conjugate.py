@@ -7,15 +7,19 @@ with psi's breakpoints inserted, holds one ``PanelSums`` anchored at pi with
 the Gauss-Kronrod 7/15 pair: its 15 nodes per panel give the Kronrod sum and
 the embedded Gauss sum at once.  The full conjugate is the Kronrod total; a
 truncated one is the sum from the first boundary above eps plus the partial
-panel [eps, b], so every eps of an x shares one mesh, and conjugate_truncated
-reads an array of eps in one pass.  |Kronrod - Gauss| is each value's error
+panel [eps, b], so every eps of an x shares one mesh, and one pass, _truncated,
+reads any number of eps.  |Kronrod - Gauss| is each value's error
 estimate, which bounds the Gauss sum's error and overstates the Kronrod sum's;
 for the full conjugate it is the divergence signal, and above CONJUGATE_TOL
 conjugate_at raises.  The table is the data of a base._Kept record, _table,
 an lru of up to 4096 per (f, x, grid).  The record keeps the (value,
 estimate) pair of each float eps read from it, by eps, with eps = 0 the full
-conjugate: a pair is computed once and lives as long as its table, and an
-array of eps is read afresh, with the bits of the float calls.
+conjugate: a pair is computed once and lives as long as its table.  One
+reader, _kept_pairs, reads every eps of a list not yet kept in one pass and
+keeps their pairs, none if the pass raises; the float calls are its batches
+of one, and verify's truncated grids read each x's eps of every order in one.
+The public array call keeps nothing, so its memory stays bounded: it is read
+afresh, with the bits of the float calls.
 
 deviation_kernel_form integrates both of its kernel integrands with the
 Kronrod row on the same kind of mesh, cut at h = pi/(n+1), and sums them from
@@ -89,7 +93,7 @@ def _mesh(f: PeriodicFunction, x: float, grid: GridSpec, cuts=()) -> np.ndarray:
 def _table(f: PeriodicFunction, x: float, grid: GridSpec) -> _Kept:
     """Kronrod and Gauss sums from pi of psi_x(t) (1/2) cot(t/2) on the mesh for (f, x, grid), in data.
 
-    summed keeps (f~(x, eps), its error estimate) by float eps, as _kept_pair reads it; eps = 0 is the full conjugate.
+    summed keeps (f~(x, eps), its error estimate) by float eps, as _kept_pairs reads it; eps = 0 is the full conjugate.
     """
 
     def integrand(t):
@@ -104,11 +108,17 @@ def _truncated(f: PeriodicFunction, x: float, eps: np.ndarray, grid: GridSpec) -
     return np.where(eps == PI, 0.0, -kronrod / PI), np.abs(kronrod - gauss) / PI
 
 
-def _kept_pair(f: PeriodicFunction, x: float, eps: float, grid: GridSpec) -> tuple[float, float]:
-    """(f~(x, eps), its error estimate) for one float eps, as floats, kept on the table of x by eps."""
-    values, est_errors = _truncated(f, x, np.array([eps]), grid)
-    pair = _table(f, x, grid).summed[eps] = float(values[0]), float(est_errors[0])
-    return pair
+def _kept_pairs(f: PeriodicFunction, x: float, eps: list[float], grid: GridSpec) -> list[tuple[float, float]]:
+    """(f~(x, e), its error estimate) at each float e of eps, as floats, kept on the table of x by e.
+
+    The eps not kept yet are read in one _truncated pass, which has each one's bits alone; a pass that raises
+    keeps no pair.
+    """
+    kept = _table(f, x, grid).summed
+    if missing := [e for e in eps if e not in kept]:
+        values, est_errors = _truncated(f, x, np.array(missing), grid)
+        kept.update(zip(missing, zip(values.tolist(), est_errors.tolist())))
+    return [kept[e] for e in eps]
 
 
 def conjugate_truncated(f: PeriodicFunction, x: float, eps, grid: GridSpec = DEFAULT_GRID):
@@ -119,7 +129,8 @@ def conjugate_truncated(f: PeriodicFunction, x: float, eps, grid: GridSpec = DEF
     eps = check_half_period("eps", eps)
     x = check_x("x", x)
     if isinstance(eps, float):
-        return (_table(f, x, grid).summed.get(eps) or _kept_pair(f, x, eps, grid))[0]
+        # look a kept pair up first: 0.5 us a hit, against 1.1-1.8 us through a batch of one (timeit, Python 3.11)
+        return (_table(f, x, grid).summed.get(eps) or _kept_pairs(f, x, [eps], grid)[0])[0]
     return _truncated(f, x, eps, grid)[0]
 
 
@@ -134,7 +145,7 @@ def _check_regular(f: PeriodicFunction, x: float) -> float:
 def conjugate_at(f: PeriodicFunction, x: float, grid: GridSpec = DEFAULT_GRID) -> float:
     """The conjugate function at x: the principal-value integral from eps = 0."""
     x = _check_regular(f, x)
-    value, est_error = _table(f, x, grid).summed.get(0.0) or _kept_pair(f, x, 0.0, grid)
+    value, est_error = _table(f, x, grid).summed.get(0.0) or _kept_pairs(f, x, [0.0], grid)[0]
     if not est_error <= CONJUGATE_TOL:
         raise ConvergenceError(
             f"conjugate at x={x}: error estimate {est_error:.3g} exceeds {CONJUGATE_TOL}",

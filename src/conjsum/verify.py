@@ -22,14 +22,19 @@ values go with A.  A kept value takes about 80 bytes and the dictionaries of a
 record's first A about 1 KB.
 np.cumsum adds in index order and each modulus value depends on its own delta
 alone, so a prefix has the bits of an array built for that n alone.  Every
-left side is lhs_theorem1 at its (n, x): a truncated conjugate is one lookup
-in the record of the conjugate table of x, so the first failing (n, x) is
-that of the loop order.
+left side is lhs_theorem1 at its (n, x).  A truncated grid first reads, for
+each x, the truncated conjugates at pi/(n+1) for every order n of its list
+that A and B admit in one pass (_read_ahead), which keeps their pairs in the
+record of the conjugate table of x, so each truncated conjugate of the loop
+is one lookup.  That pass raises nothing: one that fails keeps no pair, and
+the loop's one-eps reads fail in turn, so the first failing (n, x) is that
+of the loop order.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -38,7 +43,7 @@ import numpy as np
 
 from . import kernels, summability
 from .base import DEFAULT_GRID, THEOREM_IDS, GridSpec, _Kept
-from .conjugate import X_GRID_WEIGHT, conjugate_at, conjugate_truncated, default_x_grid
+from .conjugate import X_GRID_WEIGHT, _kept_pairs, conjugate_at, conjugate_truncated, default_x_grid
 from .functions import PI, PeriodicFunction, check_exponent, check_x, lp_norms
 from .kernels import DEFAULT_COEFF_CUTOFF, FourierCoefficients, fourier_coeffs
 from .moduli import _averaged_modulus, _cumulative, _profile, classical_modulus, modulus_profile
@@ -158,6 +163,19 @@ def lhs_theorem1(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, 
     return abs(value - target)
 
 
+def _read_ahead(f: PeriodicFunction, A: TriangularMatrix, B: TriangularMatrix, ns: Sequence[int],
+                xs: Sequence[float], truncated: bool, grid: GridSpec) -> None:
+    """For truncated deviations, read each x's truncated conjugates at pi/(n+1), for every n of ns that A and B admit.
+
+    One pass per x keeps their pairs, so each read of lhs_theorem1 is a lookup.  The passes raise nothing: one that
+    fails keeps no pair, and the one-eps reads of lhs_theorem1 raise its error again in the loop's order.
+    """
+    eps = [PI / (n + 1) for n in ns if 0 <= n <= min(A.n_max, B.n_max)] if truncated else []
+    for x in xs if eps else ():  # no table is built when there is nothing to read
+        with suppress(ValueError):  # what check_x and a read refuse with
+            _kept_pairs(f, check_x("x", x), eps, grid)
+
+
 _POINTWISE_IDS = ("T1.51", "T1.5", "R1.6", "T2", "T2.trunc")
 
 
@@ -174,6 +192,7 @@ def pointwise_grid(
     if theorem_id not in _POINTWISE_IDS:
         raise ValueError(f"unknown pointwise theorem id {theorem_id!r}")
     truncated = theorem_id in ("T1.51", "T2.trunc")
+    _read_ahead(f, A, B, ns, xs, truncated, grid)
     reports = []
     for n in ns:
         lhs_row = [lhs_theorem1(f, A, B, x, n, truncated, grid) for x in xs]
@@ -212,6 +231,7 @@ def norm_grid(
     xs = default_x_grid()
     top = min(max(ns, default=0), A.n_max)  # an order past A fails in its transform
     inner = _averaged_modulus(classical_modulus(f, PI / (np.arange(top + 1) + 1.0), p, grid))
+    _read_ahead(f, A, B, ns, xs, truncated, grid)
     reports = []
     for n in ns:
         lhs = float(lp_norms(np.array([lhs_theorem1(f, A, B, x, n, truncated, grid) for x in xs]), p, X_GRID_WEIGHT))

@@ -2,13 +2,14 @@
 
 ab_weights adds its triangle 64 columns at a time, starting each block at the
 row where B's nonzero part begins, and _increment_norms samples the classical
-increments 256 t at a time.  Both must give the bits of the one-shot
-expressions they replace: (A.row(n)[:, None] * B.dense[:n+1, :n+1]).sum(axis=0)
-and one lp_norms call over every t.  tracemalloc then bounds their peaks
-at n = 4096, where the one-shot forms held 134 MB and about 160 MB.  Checker
-2.21 bounds its columns 16 at a time, and tracemalloc bounds its peak at
-n = 384 and n = 4096, where a full scan in two work buffers of n^2/4 floats
-would hold 67 MB.
+increments moduli._INCREMENT_ROWS (32) t at a time.  Both must give the bits
+of the one-shot expressions they replace:
+(A.row(n)[:, None] * B.dense[:n+1, :n+1]).sum(axis=0) and one lp_norms call
+over every t, the latter at any block size.  tracemalloc then bounds their
+peaks at n = 4096, where the one-shot forms held 134 MB and about 160 MB.
+Checker 2.21 bounds its columns 16 at a time, and tracemalloc bounds its peak
+at n = 384 and n = 4096, where a full scan in two work buffers of n^2/4
+floats would hold 67 MB.
 """
 
 import gc
@@ -49,13 +50,18 @@ def test_ab_weights_match_the_full_product_for_a_norlund_pair(n):
     assert got.tobytes() == full_product(row, B, n).tobytes()
 
 
-def test_chunked_increment_norms_match_one_shot():
-    f, t = by_name("hat"), PI / (np.arange(4097) + 1.0)
+def test_chunked_increment_norms_match_one_shot(monkeypatch):
+    # each t's norm is its own row, so no block size changes a bit; 7 leaves a short last block
+    t, sizes = PI / (np.arange(4097) + 1.0), sorted({1, 7, moduli._INCREMENT_ROWS, 256})
     x = moduli._x_nodes(DEFAULT_GRID)[None, :]
-    increments = np.abs(eval_psi(f, x, t[:, None]))
-    for p in (1.0, 2.0, 3.5, np.inf):
-        one_shot = lp_norms(increments, p, TWO_PI / DEFAULT_GRID.m)
-        assert moduli._increment_norms(f, t, p, DEFAULT_GRID).tobytes() == one_shot.tobytes(), p
+    for name in ("hat", "sawtooth"):
+        f = by_name(name)
+        increments = np.abs(eval_psi(f, x, t[:, None]))
+        for p in (1.0, 2.0, 3.5, np.inf):
+            one_shot = lp_norms(increments, p, TWO_PI / DEFAULT_GRID.m).tobytes()
+            for rows in sizes:
+                monkeypatch.setattr(moduli, "_INCREMENT_ROWS", rows)
+                assert moduli._increment_norms(f, t, p, DEFAULT_GRID).tobytes() == one_shot, (name, p, rows)
 
 
 def peak_mb(call) -> float:
@@ -75,11 +81,12 @@ def test_ab_weights_peak_at_4096():
 
 
 def test_classical_modulus_peak_at_4096():
-    # measured 11 MB at the default grid (m = 1024), one 256 x m block of
-    # increments and its temporaries; one call over every delta took 155-167 MB
+    # measured 1.6 MB at the default grid (m = 1024), one 32 x m block of increments and
+    # its temporaries beside the 4097 deltas; 11 MB with 256 x m blocks, and one call
+    # over every delta took 155-167 MB
     f = by_name("sawtooth")
     moduli._classical_table.cache_clear()
-    assert peak_mb(lambda: moduli.classical_modulus(f, PI / (np.arange(4097) + 1.0), 2.0)) < 16.0
+    assert peak_mb(lambda: moduli.classical_modulus(f, PI / (np.arange(4097) + 1.0), 2.0)) < 2.5
 
 
 def test_check_2_21_peaks():

@@ -23,14 +23,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conjsum import cli
+from conjsum import cli, conjugate
+from conjsum.base import DomainError, SingularIntegrandError
 from conjsum.conjugate import X_GRID_WEIGHT, conjugate_at, conjugate_truncated, default_x_grid
 from conjsum.functions import (
     DEFAULT_GRID,
     PI,
     GridSpec,
+    PeriodicFunction,
     by_name,
     graded_boundaries,
+    kronrod_panels,
     sorted_unique,
 )
 from conjsum.kernels import DEFAULT_COEFF_CUTOFF, partial_sum_table
@@ -127,6 +130,14 @@ def ref_corollary(f, A, B, ns, x, grid):
         metadata = {"function": f.name, "matrix_a": A.name, "matrix_b": B.name}
         reports.append(BoundReport("COR", n, x, dev, prev, ratio_of(dev, prev), metadata))
     return reports
+
+
+def spiked_at(x, eps):
+    """sin, but NaN at the middle node of the partial panel that the truncated conjugate at (x, eps) reads."""
+    bounds = conjugate._mesh(PeriodicFunction("sine", np.sin), x, DEFAULT_GRID)
+    above = bounds[np.searchsorted(bounds, eps, side="right")]
+    node = kronrod_panels(np.array([eps]), np.array([above]))[0][0, 7]
+    return PeriodicFunction("spiked", lambda u: np.where(u == x + node, np.nan, np.sin(u)))
 
 
 def outcome(fn, *args):
@@ -238,6 +249,25 @@ def test_errors_follow_the_loop_order():
     assert outcome(pointwise_grid, "R1.6", f, cesaro(4), cesaro(4), [2, 8], [0.3], DEFAULT_GRID)[1] == (
         "transform order n=8 is outside the matrix size (A: 4, B: 4)"
     )
+    # a truncated grid reads each x's conjugates for every order in one pass before its loop.  Where a later
+    # order's read fails, that pass keeps no pair and the grid fails at that order, as the loop does, keeping the
+    # pairs that the loop's one-eps reads of the orders before it keep; a non-finite x after x0 still fails first
+    x0, ns = default_x_grid()[15], [8, 0, 40, 16]
+    spiked = SingularIntegrandError, "integrand is not finite at a quadrature node"
+    cases = [("T1.51", [x0, 0.5], spiked, [PI / 9, PI]), ("T2.trunc", [0.5, x0], spiked, [PI / 9, PI]),
+             ("T1.51", [x0, math.nan], (DomainError, "x must be finite, got nan"), [PI / 9]),
+             ("T3", default_x_grid(), spiked, [PI / 9, PI])]
+    for theorem_id, xs, error, kept in cases:
+        got, want = (spiked_at(x0, PI / 41) for _ in range(2))  # the same function, under two identities
+        if theorem_id == "T3":
+            outcomes = (outcome(norm_grid, got, A, B, ns, 1.0, True, DEFAULT_GRID, "T3"),
+                        outcome(lambda: [ref_norm(want, A, B, n, 1.0, True, DEFAULT_GRID, "T3") for n in ns]))
+        else:
+            outcomes = (outcome(pointwise_grid, theorem_id, got, A, B, ns, xs, DEFAULT_GRID),
+                        outcome(lambda: [ref_pointwise(theorem_id, want, A, B, x, n, DEFAULT_GRID)
+                                         for n in ns for x in xs]))
+        assert outcomes[0] == outcomes[1] == error, (theorem_id, xs)
+        assert [sorted(conjugate._table(g, x0, DEFAULT_GRID).summed) for g in (got, want)] == [kept, kept]
 
 
 # ---------------------------------------------------------------------------

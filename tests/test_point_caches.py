@@ -342,6 +342,69 @@ def test_float_and_array_calls_give_the_same_bits():
         assert [conjugate._table(f, x, DEFAULT_GRID).summed[e][0] for e in eps.tolist()] == got["floats"]
 
 
+def pair_bits(pairs):
+    """The bits of a list of (value, estimate) pairs, so that 0.0 and -0.0 differ."""
+    return np.array(pairs, dtype=float).tobytes()
+
+
+BATCH_ORDERS = {
+    "in order": list(range(65)),
+    "shuffled": np.random.default_rng(7).permutation(np.r_[0:65, 511, 512, 4096]).tolist(),
+    "repeats": [5, 0, 17, 5, 4096, 0, 17, 5],
+}
+
+
+@pytest.mark.parametrize("orders", BATCH_ORDERS, ids=list(BATCH_ORDERS))
+@pytest.mark.parametrize("f", corpus(), ids=lambda f: f.name)
+def test_a_batch_has_the_bits_of_the_one_eps_reads(f, orders):
+    # the one-eps reads are the array path, which keeps nothing; n = 0 reads eps = pi, whose value is 0.0
+    eps = [PI / (n + 1) for n in BATCH_ORDERS[orders]]
+    for x in (0.3, -2.2, PI, 1e-9):
+        conjugate._table.cache_clear()
+        got = conjugate._kept_pairs(f, x, eps, DEFAULT_GRID)
+        want = [tuple(float(a[0]) for a in conjugate._truncated(f, x, np.array([e]), DEFAULT_GRID)) for e in eps]
+        assert pair_bits(got) == pair_bits(want), (f.name, orders, x)
+        assert all(type(value) is float for pair in got for value in pair)
+        kept = conjugate._table(f, x, DEFAULT_GRID).summed
+        assert sorted(kept) == sorted(set(eps)) and [kept[e] for e in eps] == got
+        assert conjugate_truncated(f, x, eps[-1]) is got[-1][0]  # a later float read is a lookup
+
+
+def counted_truncated(monkeypatch):
+    """The calls of conjugate._truncated from here on, as a one-item list."""
+    calls, read = [0], conjugate._truncated
+
+    def counting(*args):
+        calls[0] += 1
+        return read(*args)
+
+    monkeypatch.setattr(conjugate, "_truncated", counting)
+    return calls
+
+
+@pytest.mark.parametrize("theorem_id", ["T1.51", "T2.trunc"])
+def test_a_truncated_pointwise_grid_reads_once_per_x(monkeypatch, theorem_id):
+    f, C, xs = fresh_hat(), cesaro(64), conjugate.default_x_grid()
+    calls = counted_truncated(monkeypatch)
+    cold = verify.pointwise_grid(theorem_id, f, C, C, [8, 0, 64, 8, 16], xs)
+    assert calls[0] == len(xs)
+    assert verify.pointwise_grid(theorem_id, f, C, C, [8, 0, 64, 8, 16], xs) == cold and calls[0] == len(xs)
+    assert all(len(conjugate._table(f, x, DEFAULT_GRID).summed) == 4 for x in xs)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_a_truncated_norm_grid_reads_once_per_x(monkeypatch, p):
+    f, C, I, xs = fresh_hat(), cesaro(128), identity_matrix(128), conjugate.default_x_grid()
+    calls = counted_truncated(monkeypatch)
+    cold = verify.norm_grid(f, C, I, [8, 16, 32, 64, 128], p, True)
+    assert calls[0] == len(xs)
+    assert verify.norm_grid(f, C, I, [8, 16, 32, 64, 128], p, True) == cold and calls[0] == len(xs)
+    # the full deviations read each x's conjugate once, and their repeat nothing
+    verify.norm_grid(f, C, I, [8, 16], p, False)
+    verify.norm_grid(f, C, I, [8, 16], p, False)
+    assert calls[0] == 2 * len(xs)
+
+
 def test_a_kept_deviation_pair_is_returned_without_a_second_pass(monkeypatch):
     f, x, C, I = fresh_hat(), 0.3, cesaro(8), identity_matrix(8)
     first = deviation_kernel_form(f, C, I, 8, x)

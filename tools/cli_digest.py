@@ -22,6 +22,14 @@ benchmark's environment.  One line per command:
 
     <sha256 of stdout> <sha256 of stderr> <sha256 of the --out file, or -> <exit code> <command name>
 
+The truncated pointwise grid runs verify --theorem T1.51 and T2.trunc for
+each corpus function at --x 0.3, A = B = cesaro, orders 0, 1, 2, 4, ..., 4096,
+each command in its own fresh interpreter, so each reads its truncated
+conjugates cold, in one pass per x, at orders the cli-verify commands (n <= 512)
+never reach.  Its line joins the twelve commands' outputs:
+
+    <sha256 of their stdout> <sha256 of their stderr> - <largest exit code> truncated pointwise grid
+
 No command reaches pointwise_modulus_on_nodes or deviation_kernel_form, and
 the commands read the psi moduli alone (verify --theorem R1.6 reaches
 modulus_profile), so a line covers the library: this repository's
@@ -94,6 +102,8 @@ sys.dont_write_bytecode = True  # leave bench/ as checked out
 import run as bench  # noqa: E402  (bench/run.py; it imports its sibling modules by name)
 
 NORM_ORDERS = ["0", "1"] + [str(2**j) for j in range(1, 10)]
+TRUNCATED_ORDERS = ["0", "1"] + [str(2**j) for j in range(1, 13)]
+CORPUS = ("const", "sin", "cos", "sin3", "sawtooth", "hat")  # functions.corpus()
 JOBS = 2  # commands run at once
 
 
@@ -109,6 +119,13 @@ def norm_grid_ops() -> list[bench.Op]:
                         name = f"verify {theorem} {fn} cesaro/{b} p={p}{' truncated' if truncated else ''}"
                         ops.append(bench.Op(name, args + (["--truncated"] if truncated else []), "norm"))
     return ops
+
+
+def truncated_grid_ops() -> list[bench.Op]:
+    return [bench.Op(f"verify {theorem} {fn} --x 0.3", ["verify", "--theorem", theorem, "--function", fn,
+                                                        "--matrix-a", "cesaro", "--matrix-b", "cesaro", "--x", "0.3",
+                                                        "--n-list", *TRUNCATED_ORDERS], "pointwise")
+            for theorem in ("T1.51", "T2.trunc") for fn in CORPUS]
 
 
 def plain_transform_op(ops: list[bench.Op]) -> bench.Op:
@@ -148,6 +165,12 @@ def run_op(op: bench.Op, root: Path, work: Path) -> Outputs:
     done = subprocess.run([sys.executable, "-m", "conjsum.cli", *op.args], cwd=work, env=env, capture_output=True)
     out = op.args[op.args.index("--out") + 1] if "--out" in op.args else None
     return done.returncode, [done.stdout, done.stderr, Path(out).read_bytes() if out else None]
+
+
+def run_ops(ops: list[bench.Op], root: Path, work: Path) -> Outputs:
+    """The ops one after another, as one: the largest exit code, and their stdout and their stderr joined."""
+    runs = [run_op(op, root, work) for op in ops]
+    return max(code for code, _ in runs), [b"".join(parts[i] for _, parts in runs) for i in (0, 1)] + [None]
 
 
 def run_sweep(root: Path, work: Path) -> Outputs:
@@ -248,7 +271,8 @@ def jobs(work: Path) -> list:
     ops += bench.check_matrix_ops(work, bench.nordlund_rows(1, 384)) + norm_grid_ops() + error_path_ops(work)
     # an --out file is read after its command; each op writes a distinct path or none
     out = [(op.name, lambda root, work, op=op: run_op(op, root, work)) for op in ops]
-    return out + [("library-sweep first pass, seed 1", run_sweep),
+    return out + [("truncated pointwise grid", partial(run_ops, truncated_grid_ops())),
+                  ("library-sweep first pass, seed 1", run_sweep),
                   ("kernel-form grid", partial(run_library, KERNEL_FORM)),
                   ("right-hand sides grid", partial(run_library, RIGHT_SIDES)),
                   ("moduli grid", partial(run_library, MODULI))]
